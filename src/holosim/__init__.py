@@ -53,7 +53,6 @@ from .spectrum import (
     VarianceMap,
     cell_variance,
     hemisphere_total,
-    isotropic_spectral_factor,
     separable_sigma,
     variance_map,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "IntegrationError",
     "VarianceMap",
     "SeparableSigma",
-    "isotropic_spectral_factor",
     "cell_variance",
     "hemisphere_total",
     "variance_map",

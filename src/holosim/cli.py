@@ -86,6 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> harness.ScenarioConfig:
+    orders = _order_list(getattr(args, "iters", None), ())
+    if len(orders) > 1 and args.command != "ns-compare":
+        raise ValueError(f"invalid value for iters: {args.iters!r}")
     return harness.parse_config(
         path=getattr(args, "config", None),
         ns=args.ns,
@@ -97,14 +100,8 @@ def _config_from_args(args: argparse.Namespace) -> harness.ScenarioConfig:
         trials=getattr(args, "trials", None),
         seed=getattr(args, "seed", None),
         scheme=getattr(args, "scheme", None),
-        iters=_single_order(getattr(args, "iters", None)),
+        iters=orders[0] if orders else None,
     )
-
-
-def _single_order(value) -> int | None:
-    if value is None:
-        return None
-    return int(str(value).split(",")[0])
 
 
 def _order_list(value, default: tuple[int, ...]) -> tuple[int, ...]:

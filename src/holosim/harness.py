@@ -23,7 +23,13 @@ import numpy as np
 
 from .channel import correlation_eigenvalues
 from .geometry import ArrayGeometry, lattice_ellipse
-from .rate import SEResult, mrt_theoretical_bound, simulated_se, zf_theoretical
+from .rate import (
+    SEResult,
+    _canonical_scheme,
+    mrt_theoretical_bound,
+    simulated_se,
+    zf_theoretical,
+)
 from .spectrum import VarianceMap, separable_sigma, variance_map
 
 __all__ = [
@@ -40,7 +46,6 @@ __all__ = [
 ]
 
 _DEFAULT_SNR = tuple(float(v) for v in range(-10, 31, 5))
-_SIM_SCHEMES = ("MRT", "ZF", "MMSE", "NS-ZF")
 _THEORY_TAGS = {"MRT": "MRT-BOUND", "ZF": "ZF-THEORY"}
 
 PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
@@ -59,7 +64,6 @@ class ScenarioConfig:
         seed: Root seed for the deterministic per-trial splits.
         schemes: Precoding schemes to evaluate.
         ns_iterations: Series order for the NS-ZF scheme.
-        output_path: Directory CSV artifacts are written into.
     """
 
     tx: ArrayGeometry
@@ -70,7 +74,6 @@ class ScenarioConfig:
     seed: int = 42
     schemes: tuple[str, ...] = ("MRT", "ZF", "MMSE")
     ns_iterations: int = 3
-    output_path: str = "."
 
     def __post_init__(self) -> None:
         if self.users < 1:
@@ -83,13 +86,9 @@ class ScenarioConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        schemes = tuple(s.strip().upper().replace("_", "-") for s in self.schemes)
-        for scheme in schemes:
-            if scheme not in _SIM_SCHEMES:
-                raise ValueError(
-                    f"unknown scheme {scheme!r}; expected a subset of {_SIM_SCHEMES}"
-                )
-        object.__setattr__(self, "schemes", schemes)
+        object.__setattr__(
+            self, "schemes", tuple(_canonical_scheme(s) for s in self.schemes)
+        )
         if self.ns_iterations < 0:
             raise ValueError(
                 f"ns_iterations must be nonnegative, got {self.ns_iterations!r}"
@@ -175,7 +174,7 @@ def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
     factored into near-square grids), ``delta_s``, ``delta_r`` (spacings as
     rational-of-wavelength literals such as ``"1/6"``), ``users``, ``snr``
     (``a:b:step`` or a comma list), ``trials``, ``seed``, ``scheme`` (comma
-    list), ``iters``, and ``out``.  Flags override file values; anything
+    list), and ``iters``.  Flags override file values; anything
     left unset falls back to the defaults (three users, 800 trials, series
     order 3, seed 42, SNR −10..30 dB in steps of 5, all of MRT/ZF/MMSE).
 
@@ -200,7 +199,6 @@ def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
         "seed": 42,
         "scheme": ("MRT", "ZF", "MMSE"),
         "iters": 3,
-        "out": ".",
     }
     if path is not None:
         with open(path, encoding="utf-8") as handle:
@@ -232,7 +230,6 @@ def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
         seed=_parse_int(settings["seed"], "seed", 0),
         schemes=_parse_schemes(settings["scheme"]),
         ns_iterations=_parse_int(settings["iters"], "iters", 0),
-        output_path=str(settings["out"]),
     )
 
 
@@ -557,7 +554,6 @@ def run_preset(
         jobs = preset_jobs(name, scale=scale, trials=trials, seed=seed)
         out_dir = Path(out)
         for stem, config, kind, detail in jobs:
-            config = replace(config, output_path=str(out_dir))
             target = out_dir / f"{stem}.csv"
             if kind == "eigvals":
                 run_eigvals(config, target)

@@ -1,11 +1,15 @@
 """Linear precoders for stacked wavenumber-domain channels.
 
-All precoders operate directly on the wavenumber-domain channel matrix and
-return a transmit matrix with unit Frobenius norm, so that every Monte Carlo
-trial satisfies the total power constraint on its own.  Streams whose channel
-row is identically zero (cells on the edge of the propagating disk can carry
-exactly zero power) are excluded from inversions and get all-zero precoding
-columns; power is shared over the streams that remain.
+Every scheme is computed from the users' K×K Gram matrix ``G = H_a H_aᴴ``.
+Its core maps ``G`` to a coefficient matrix ``X`` and a per-column scale
+``s``, so that the transmit matrix is ``V = H_aᴴ X diag(s)`` and the
+coupled matrix the receivers see is ``H_a V = G X diag(s)``.  The public
+precoders and the Monte Carlo loop of :mod:`holosim.rate` share these
+cores.  Every ``V`` has unit Frobenius norm, so that every Monte Carlo
+trial satisfies the total power constraint on its own.  Streams whose
+channel row is identically zero (cells on the edge of the propagating disk
+can carry exactly zero power) are excluded from inversions and get
+all-zero precoding columns; power is shared over the streams that remain.
 """
 
 from __future__ import annotations
@@ -57,8 +61,72 @@ class Precoder:
     column_gains: np.ndarray | None = None
 
 
-def _alive_rows(h_a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(h_a, axis=1) > 0.0
+def _column_energy(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """Diagonal of ``Xᴴ G X``: the squared column norms of ``H_aᴴ X``."""
+    return np.einsum("ij,ij->j", x.conj(), gx).real
+
+
+def _mrt_core(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MRT core: ``X = I`` and ``s = 1/sqrt(tr G)``.
+
+    Returns ``(X, G X, s)``, like every core.
+    """
+    total = float(np.trace(gram).real)
+    if total == 0.0:
+        raise ValueError("cannot match an all-zero channel")
+    streams = gram.shape[0]
+    return np.eye(streams), gram, np.full(streams, 1.0 / np.sqrt(total))
+
+
+def _zf_core(
+    gram: np.ndarray, iterations: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZF core, or the NS-ZF core when a series order is given.
+
+    ``X`` is the inverse of the Gram block of the active streams (those with
+    ``G_ii > 0``), or its order-``iterations`` Neumann series, and zero
+    elsewhere; ``s_i = 1/(sqrt(|A|) sqrt((Xᴴ G X)_ii))`` on active streams.
+    """
+    active = np.diagonal(gram).real > 0.0
+    count = int(active.sum())
+    if count == 0:
+        raise ValueError("cannot zero-force an all-zero channel")
+    block = np.ix_(active, active)
+    g_aa = gram[block]
+    if iterations is None:
+        if np.linalg.cond(g_aa) > _CONDITION_LIMIT:
+            raise SingularChannelError("channel Gram matrix is numerically singular")
+        inverse = np.linalg.solve(g_aa, np.eye(count))
+    else:
+        inverse = neumann_inverse(g_aa, iterations)
+    x = np.zeros_like(gram)
+    x[block] = inverse
+    gx = gram @ x
+    energy = _column_energy(x, gx)[active]
+    if np.any(energy <= 0.0):
+        raise SingularChannelError("inversion produced a zero precoding column")
+    scale = np.zeros(gram.shape[0])
+    scale[active] = 1.0 / (np.sqrt(count) * np.sqrt(energy))
+    return x, gx, scale
+
+
+def _mmse_core(
+    gram: np.ndarray, snr: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MMSE core: ``X = (G + (K/snr) I)^-1`` and ``s = 1/sqrt(tr Xᴴ G X)``."""
+    if not snr > 0.0:
+        raise ValueError(f"snr must be positive, got {snr!r}")
+    streams = gram.shape[0]
+    x = np.linalg.solve(gram + (streams / snr) * np.eye(streams), np.eye(streams))
+    gx = gram @ x
+    return x, gx, np.full(streams, 1.0 / np.sqrt(_column_energy(x, gx).sum()))
+
+
+def _require_cells(rows: np.ndarray) -> None:
+    """Raise if more rows are nonzero than there are transmit cells."""
+    active = int(np.count_nonzero(np.any(rows != 0.0, axis=1)))
+    if active > rows.shape[1]:
+        raise ValueError(f"{active} active streams exceed {rows.shape[1]} transmit cells")
 
 
 def mrt(realization: ChannelRealization) -> Precoder:
@@ -75,31 +143,23 @@ def mrt(realization: ChannelRealization) -> Precoder:
         ValueError: If the channel is identically zero.
     """
     h_a = realization.h_a
-    scale = np.linalg.norm(h_a)
-    if scale == 0.0:
-        raise ValueError("cannot match an all-zero channel")
-    return Precoder(v=h_a.conj().T / scale, scheme="MRT", alpha=1.0 / scale)
+    x, _, scale = _mrt_core(h_a @ h_a.conj().T)
+    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MRT", alpha=float(scale[0]))
 
 
-def _vector_normalized(
-    h_a: np.ndarray, alive: np.ndarray, columns: np.ndarray, scheme: str, **extra
+def _zero_forcing(
+    realization: ChannelRealization, scheme: str, iterations: int | None = None
 ) -> Precoder:
-    """Package per-stream solution columns with vector normalization."""
-    streams = h_a.shape[0]
-    active = int(alive.sum())
-    norms = np.linalg.norm(columns, axis=0)
-    if np.any(norms == 0.0):
-        raise SingularChannelError("inversion produced a zero precoding column")
-    v = np.zeros((h_a.shape[1], streams), dtype=complex)
-    v[:, alive] = columns / (np.sqrt(active) * norms)
-    gains = np.zeros(streams)
-    gains[alive] = 1.0 / norms
+    """Package the ZF or NS-ZF core as a per-column normalized precoder."""
+    h_a = realization.h_a
+    x, _, scale = _zf_core(h_a @ h_a.conj().T, iterations)
+    alpha = 1.0 / np.sqrt(np.count_nonzero(scale))
     return Precoder(
-        v=v,
+        v=h_a.conj().T @ (x * scale),
         scheme=scheme,
-        alpha=1.0 / np.sqrt(active),
-        column_gains=gains,
-        **extra,
+        alpha=alpha,
+        ns_iterations=iterations,
+        column_gains=scale / alpha,
     )
 
 
@@ -124,21 +184,8 @@ def zf(realization: ChannelRealization) -> Precoder:
         ValueError: If there are more active streams than transmit cells or
             no active streams at all.
     """
-    h_a = realization.h_a
-    alive = _alive_rows(h_a)
-    active = int(alive.sum())
-    if active == 0:
-        raise ValueError("cannot zero-force an all-zero channel")
-    if active > h_a.shape[1]:
-        raise ValueError(
-            f"{active} active streams exceed {h_a.shape[1]} transmit cells"
-        )
-    rows = h_a[alive]
-    gram = rows @ rows.conj().T
-    if np.linalg.cond(gram) > _CONDITION_LIMIT:
-        raise SingularChannelError("channel Gram matrix is numerically singular")
-    pseudo = np.linalg.solve(gram, rows).conj().T
-    return _vector_normalized(h_a, alive, pseudo, "ZF")
+    _require_cells(realization.h_a)
+    return _zero_forcing(realization, "ZF")
 
 
 def mmse(realization: ChannelRealization, snr: float) -> Precoder:
@@ -159,15 +206,9 @@ def mmse(realization: ChannelRealization, snr: float) -> Precoder:
     Raises:
         ValueError: If ``snr`` is not positive.
     """
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
     h_a = realization.h_a
-    streams = h_a.shape[0]
-    gram = h_a @ h_a.conj().T
-    loaded = gram + (streams / snr) * np.eye(streams)
-    solution = np.linalg.solve(loaded, h_a).conj().T
-    scale = np.linalg.norm(solution)
-    return Precoder(v=solution / scale, scheme="MMSE", alpha=1.0 / scale)
+    x, _, scale = _mmse_core(h_a @ h_a.conj().T, snr)
+    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MMSE", alpha=float(scale[0]))
 
 
 def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:
@@ -210,57 +251,26 @@ def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:
     return result
 
 
-def ns_zf(
-    realization: ChannelRealization, rx_sigma: np.ndarray, iterations: int = 3
-) -> Precoder:
+def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:
     """Zero-forcing with the Gram inverse replaced by a Neumann series.
 
-    The Gram matrix is divided by the per-stream scale factors on both
-    sides before the series and the approximate inverse is sandwiched back,
-    then applied like the exact zero-forcing solution, including the
-    per-column normalization.  The rescaling does not change the result: a
-    diagonal splitting is invariant under diagonal rescaling, so the series
-    is the Jacobi splitting of the Gram itself (see
-    :func:`neumann_inverse`).  It converges only when the spectral radius
-    of ``D^{-1} E`` is below one, and diverges otherwise: for one 12x12
-    user against 27x27 transmit patches at one-third wavelength the radius
-    lies between 1.02 and 1.32 on each of 50 draws, and the order-4, 7 and
-    20 sums fall further and further below exact zero-forcing.
+    The series is the Jacobi splitting of the active streams' Gram block
+    (see :func:`neumann_inverse`) and is applied like the exact
+    zero-forcing inverse, including the per-column normalization.  It
+    converges only when the spectral radius of ``D^{-1} E`` is below one,
+    and diverges otherwise: for one 12x12 user against 27x27 transmit
+    patches at one-third wavelength the radius lies between 1.02 and 1.32 on
+    each of 50 draws, and the order-4, 7 and 20 sums fall further and
+    further below exact zero-forcing.
 
     Args:
         realization: Channel draw.
-        rx_sigma: Per-stream scale factors, one per channel row.  Streams
-            with scale zero must have identically zero rows (they are
-            excluded, like in :func:`zf`).
         iterations: Highest series order; defaults to 3.
 
     Returns:
         The precoder, with ``ns_iterations`` set.
 
     Raises:
-        ValueError: If the scale vector length does not match, a zero scale
-            meets a nonzero channel row, or no stream is active.
+        ValueError: If no stream is active or the order is invalid.
     """
-    h_a = realization.h_a
-    rx_sigma = np.asarray(rx_sigma, dtype=float)
-    if rx_sigma.shape != (h_a.shape[0],):
-        raise ValueError(
-            f"rx_sigma has shape {rx_sigma.shape}, expected ({h_a.shape[0]},)"
-        )
-    alive = _alive_rows(h_a)
-    if np.any((rx_sigma == 0.0) & alive):
-        raise ValueError("zero scale factor for a stream with a nonzero channel row")
-    alive &= rx_sigma > 0.0
-    active = int(alive.sum())
-    if active == 0:
-        raise ValueError("cannot zero-force an all-zero channel")
-    rows = h_a[alive]
-    scales = rx_sigma[alive]
-    gram = rows @ rows.conj().T
-    balanced = gram / np.outer(scales, scales)
-    series = neumann_inverse(balanced, iterations)
-    approx_inv = series / np.outer(scales, scales)
-    pseudo = rows.conj().T @ approx_inv
-    return _vector_normalized(
-        h_a, alive, pseudo, "NS-ZF", ns_iterations=iterations
-    )
+    return _zero_forcing(realization, "NS-ZF", iterations)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, draw_wavenumber_channel
-from .precoding import Precoder, SingularChannelError, mmse, mrt, ns_zf, zf
+from .precoding import (
+    Precoder,
+    SingularChannelError,
+    _mmse_core,
+    _mrt_core,
+    _require_cells,
+    _zf_core,
+)
 from .spectrum import SeparableSigma
 
 __all__ = [
@@ -83,15 +90,8 @@ def _canonical_scheme(scheme: str) -> str:
     return tag
 
 
-def _signal_and_interference(
-    h_a: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stream |desired|^2 and total |cross-talk|^2 of a precoded channel."""
-    if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
-        raise ValueError(
-            f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
-        )
-    coupled = h_a @ v
+def _signal_and_interference(coupled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stream |desired|^2 and total |cross-talk|^2 of a K×K coupled matrix."""
     powers = np.abs(coupled) ** 2
     signal = np.diagonal(powers).copy()
     interference = powers.sum(axis=1) - signal
@@ -140,27 +140,30 @@ def per_stream_sinr(
         raise ValueError(f"p_u must be positive, got {p_u!r}")
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var!r}")
-    signal, interference = _signal_and_interference(realization.h_a, precoder.v)
+    h_a, v = realization.h_a, precoder.v
+    if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
+        raise ValueError(
+            f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
+        )
+    signal, interference = _signal_and_interference(h_a @ v)
     return _sinr_from_powers(signal, interference, p_u, noise_var)
 
 
-def _precoders_for_trial(
-    realization: ChannelRealization,
-    scheme: str,
-    snr_values: np.ndarray,
-    rx_sigma: np.ndarray,
-    ns_iterations: int,
-) -> list[Precoder]:
-    """One precoder per SNR point (shared object when SNR-independent)."""
-    if scheme == "MRT":
-        shared = mrt(realization)
-    elif scheme == "ZF":
-        shared = zf(realization)
-    elif scheme == "NS-ZF":
-        shared = ns_zf(realization, rx_sigma, ns_iterations)
+def _powers_per_snr(
+    gram: np.ndarray, scheme: str, snr_values: np.ndarray, ns_iterations: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Signal and interference powers of ``G X diag(s)`` at every SNR point.
+
+    Only MMSE depends on the SNR; the other schemes share one pair.
+    """
+    if scheme == "MMSE":
+        cores = [_mmse_core(gram, snr) for snr in snr_values]
+    elif scheme == "MRT":
+        cores = [_mrt_core(gram)]
     else:
-        return [mmse(realization, snr) for snr in snr_values]
-    return [shared] * len(snr_values)
+        cores = [_zf_core(gram, ns_iterations if scheme == "NS-ZF" else None)]
+    powers = [_signal_and_interference(gx * scale) for _, gx, scale in cores]
+    return powers * (len(snr_values) // len(powers))
 
 
 def simulated_se(
@@ -176,7 +179,8 @@ def simulated_se(
     """Monte Carlo per-stream spectral efficiency over an SNR grid.
 
     Each trial draws one channel from a seed split deterministically off the
-    root seed by ``(trial, attempt)``, builds the scheme's precoder, and
+    root seed by ``(trial, attempt)``, forms its Gram matrix once, applies
+    the scheme's Gram-domain core (the one behind the public precoders) and
     accumulates ``log2(1 + SINR)`` per stream.  Draws rejected as singular
     by the inverting schemes are redrawn with the attempt counter bumped, so
     the output is reproducible even when rejections occur; a rejection rate
@@ -196,7 +200,8 @@ def simulated_se(
         The averaged estimate.
 
     Raises:
-        ValueError: On an unknown scheme or nonpositive trial count.
+        ValueError: On an unknown scheme, a nonpositive trial count, or, for
+            ZF, more active streams than transmit cells.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
@@ -206,6 +211,8 @@ def simulated_se(
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
     p_u_values = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
     snr_values = 10.0 ** (np.asarray(grid) / 10.0)
+    if tag == "ZF":
+        _require_cells(sigma.matrix)
 
     streams = sigma.matrix.shape[0]
     accum = np.zeros((streams, len(grid)))
@@ -215,10 +222,10 @@ def simulated_se(
     for trial in range(trials):
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
-            realization = draw_wavenumber_channel(sigma, root)
+            h_a = draw_wavenumber_channel(sigma, root).h_a
             try:
-                precoders = _precoders_for_trial(
-                    realization, tag, snr_values, sigma.rx_sigma, ns_iterations
+                powers = _powers_per_snr(
+                    h_a @ h_a.conj().T, tag, snr_values, ns_iterations
                 )
             except SingularChannelError:
                 rejections += 1
@@ -228,12 +235,7 @@ def simulated_se(
             raise SingularChannelError(
                 f"trial {trial} stayed singular after {_MAX_REDRAWS_PER_TRIAL} redraws"
             )
-        signal = interference = None
-        for col, (p_u, precoder) in enumerate(zip(p_u_values, precoders)):
-            if signal is None or precoder is not precoders[col - 1]:
-                signal, interference = _signal_and_interference(
-                    realization.h_a, precoder.v
-                )
+        for col, (p_u, (signal, interference)) in enumerate(zip(p_u_values, powers)):
             sinr = _sinr_from_powers(signal, interference, p_u, noise_var)
             trial_se[:, col] = np.log2(1.0 + sinr)
         accum += trial_se

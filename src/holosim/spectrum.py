@@ -24,7 +24,6 @@ __all__ = [
     "IntegrationError",
     "VarianceMap",
     "SeparableSigma",
-    "isotropic_spectral_factor",
     "cell_variance",
     "hemisphere_total",
     "variance_map",
@@ -101,28 +100,6 @@ class SeparableSigma:
     per_user_rows: int
     rx_sigma: np.ndarray
     tx_sigma: np.ndarray
-
-
-def isotropic_spectral_factor(wavenumber: float) -> float:
-    """Spectral power factor of an isotropic channel at a given wavenumber.
-
-    The factor normalizes the angular power spectrum to unit average channel
-    power; it equals ``(2*pi)**2 / wavenumber``.  The cell integrals below
-    absorb it into their hemisphere prefactor, so this function exists as the
-    extension point for non-isotropic spectra.
-
-    Args:
-        wavenumber: Carrier wavenumber, strictly positive.
-
-    Returns:
-        The spectral factor.
-
-    Raises:
-        ValueError: If ``wavenumber`` is not positive.
-    """
-    if not wavenumber > 0.0:
-        raise ValueError(f"wavenumber must be positive, got {wavenumber!r}")
-    return (2.0 * math.pi) ** 2 / wavenumber
 
 
 def _offcircle_sin(level: float, phi: float) -> float:

@@ -97,6 +97,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown"):
             parse_config(str(stray))
 
+    def test_output_directory_is_not_a_config_field(self, tmp_path):
+        settings = tmp_path / "scenario.json"
+        settings.write_text(json.dumps({"ns": 144, "out": "results"}))
+        with pytest.raises(ValueError, match=r"unknown fields \['out'\]"):
+            parse_config(str(settings))
+
 
 class TestScenarioConfig:
     GEOM = ArrayGeometry(6, 6, 1 / 3)
@@ -316,6 +322,22 @@ class TestCLI:
         assert status == 0
         _, rows = read_csv(out)
         assert {row[1] for row in rows} == {"ZF", "NS-ZF-2", "NS-ZF-3"}
+
+    @pytest.mark.parametrize("command", ["se-sim", "se-theory"])
+    def test_single_order_commands_reject_an_order_list(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "x.csv"
+        status = main(
+            [
+                command, "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "2", "--scheme", "zf",
+                "--iters", "2,3", "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for iters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_se_theory_command_rejects_mmse(self, tmp_path, capsys):
         status = main(

@@ -82,7 +82,7 @@ class TestPerStreamSINR:
             mrt,
             zf,
             lambda r: mmse(r, snr=10.0),
-            lambda r: ns_zf(r, sigma.rx_sigma, 3),
+            lambda r: ns_zf(r, 3),
         ]
         for build in builders:
             base = per_stream_sinr(realization, build(realization), 2.0, 1.0)
@@ -168,6 +168,43 @@ class TestSimulatedSE:
             simulated_se(sigma, "svd", [0.0], trials=1)
         with pytest.raises(ValueError, match="trials"):
             simulated_se(sigma, "mrt", [0.0], trials=0)
+
+    @pytest.mark.parametrize(
+        "scheme, build",
+        [
+            ("mrt", lambda r, snr: mrt(r)),
+            ("zf", lambda r, snr: zf(r)),
+            ("mmse", mmse),
+            ("ns-zf", lambda r, snr: ns_zf(r, 2)),
+        ],
+    )
+    def test_monte_carlo_matches_the_public_precoders(self, scheme, build):
+        # One trial at attempt 0 gives the rate of the public precoder on the
+        # same draw, dead stream included.
+        rx = np.array([1.0, 0.0, 2.0, 0.5])
+        tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
+        sigma = SeparableSigma(
+            matrix=np.outer(rx, tx), per_user_rows=2, rx_sigma=rx, tx_sigma=tx
+        )
+        grid = [-5.0, 10.0, 25.0]
+        realization = draw_wavenumber_channel(
+            sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
+        )
+        expected = []
+        for snr_db in grid:
+            snr = 10.0 ** (snr_db / 10.0)
+            sinr = per_stream_sinr(realization, build(realization, snr), snr, 1.0)
+            expected.append(np.log2(1.0 + sinr))
+        result = simulated_se(sigma, scheme, grid, trials=1, seed=17, ns_iterations=2)
+        assert result.rejections == 0
+        np.testing.assert_allclose(
+            result.per_stream, np.column_stack(expected), rtol=1e-10
+        )
+        np.testing.assert_array_equal(result.per_stream[1], 0.0)
+
+    def test_zero_forcing_rejects_more_streams_than_cells(self):
+        with pytest.raises(ValueError, match="exceed"):
+            simulated_se(uniform_sigma(5, 3), "zf", [10.0], trials=2, seed=0)
 
     def test_noise_variance_cancels_against_matched_power(self):
         sigma = uniform_sigma(3, 6)

@@ -16,7 +16,6 @@ from holosim import (
     WavenumberLattice,
     cell_variance,
     hemisphere_total,
-    isotropic_spectral_factor,
     lattice_ellipse,
     separable_sigma,
     variance_map,
@@ -48,22 +47,6 @@ def spherical_estimate(lx, ly, length, samples=10**7, seed=0):
     estimate = 0.5 * p
     stderr = 0.5 * math.sqrt(p * (1.0 - p) / samples)
     return estimate, stderr
-
-
-class TestSpectralFactor:
-    def test_half_wavelength_wavenumber(self):
-        assert isotropic_spectral_factor(2 * math.pi) == pytest.approx(2 * math.pi)
-
-    def test_double_wavenumber(self):
-        assert isotropic_spectral_factor(4 * math.pi) == pytest.approx(math.pi)
-
-    def test_unit_wavenumber(self):
-        assert isotropic_spectral_factor(1.0) == pytest.approx((2 * math.pi) ** 2)
-
-    @pytest.mark.parametrize("bad", [0.0, -2.0])
-    def test_rejects_nonpositive_wavenumber(self, bad):
-        with pytest.raises(ValueError):
-            isotropic_spectral_factor(bad)
 
 
 class TestCellVariance:
