@@ -48,7 +48,6 @@ from .rate import (
     zf_theoretical,
 )
 from .spectrum import (
-    IntegrationError,
     SeparableSigma,
     VarianceMap,
     cell_variance,
@@ -66,7 +65,6 @@ __all__ = [
     "patch_positions",
     "lattice_ellipse",
     "harmonic_basis",
-    "IntegrationError",
     "VarianceMap",
     "SeparableSigma",
     "cell_variance",

@@ -30,7 +30,7 @@ from .rate import (
     simulated_se,
     zf_theoretical,
 )
-from .spectrum import VarianceMap, separable_sigma, variance_map
+from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
 
 __all__ = [
     "ScenarioConfig",
@@ -366,6 +366,11 @@ def _theory_rows(
 _SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
 
+def _sigma(config: ScenarioConfig) -> SeparableSigma:
+    """Separable variance matrix of the configured users and transmitter."""
+    return separable_sigma(variance_map(config.rx), variance_map(config.tx), config.users)
+
+
 def run_se_sim(
     config: ScenarioConfig, out: Path, *, include_theory: bool = False
 ) -> dict[str, SEResult]:
@@ -381,9 +386,7 @@ def run_se_sim(
         The per-scheme estimates, keyed by scheme tag.
     """
     check_feasibility(config)
-    rx_map = variance_map(config.rx)
-    tx_map = variance_map(config.tx)
-    sigma = separable_sigma(rx_map, tx_map, config.users)
+    sigma = _sigma(config)
     rows: list[tuple] = []
     results: dict[str, SEResult] = {}
     for scheme in config.schemes:
@@ -412,9 +415,7 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
     for scheme in config.schemes:
         if scheme not in _THEORY_TAGS:
             raise ValueError(f"no closed form available for scheme {scheme!r}")
-    rx_map = variance_map(config.rx)
-    tx_map = variance_map(config.tx)
-    sigma = separable_sigma(rx_map, tx_map, config.users)
+    sigma = _sigma(config)
     rows: list[tuple] = []
     for scheme in config.schemes:
         rows.extend(
@@ -431,9 +432,7 @@ def run_ns_compare(
     """Compare exact ZF with the series scheme at several orders."""
     base = replace(config, schemes=("ZF",))
     check_feasibility(base)
-    rx_map = variance_map(config.rx)
-    tx_map = variance_map(config.tx)
-    sigma = separable_sigma(rx_map, tx_map, config.users)
+    sigma = _sigma(config)
     rows: list[tuple] = []
     results: dict[str, SEResult] = {}
     exact = simulated_se(

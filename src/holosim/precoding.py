@@ -152,6 +152,7 @@ def _zero_forcing(
 ) -> Precoder:
     """Package the ZF or NS-ZF core as a per-column normalized precoder."""
     h_a = realization.h_a
+    _require_cells(h_a)
     x, _, scale = _zf_core(h_a @ h_a.conj().T, iterations)
     alpha = 1.0 / np.sqrt(np.count_nonzero(scale))
     return Precoder(
@@ -184,7 +185,6 @@ def zf(realization: ChannelRealization) -> Precoder:
         ValueError: If there are more active streams than transmit cells or
             no active streams at all.
     """
-    _require_cells(realization.h_a)
     return _zero_forcing(realization, "ZF")
 
 
@@ -271,6 +271,7 @@ def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:
         The precoder, with ``ns_iterations`` set.
 
     Raises:
-        ValueError: If no stream is active or the order is invalid.
+        ValueError: If there are more active streams than transmit cells,
+            no active stream at all, or an invalid order.
     """
     return _zero_forcing(realization, "NS-ZF", iterations)

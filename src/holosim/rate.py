@@ -201,7 +201,7 @@ def simulated_se(
 
     Raises:
         ValueError: On an unknown scheme, a nonpositive trial count, or, for
-            ZF, more active streams than transmit cells.
+            ZF and NS-ZF, more active streams than transmit cells.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
@@ -211,7 +211,7 @@ def simulated_se(
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
     p_u_values = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
     snr_values = 10.0 ** (np.asarray(grid) / 10.0)
-    if tag == "ZF":
+    if tag in ("ZF", "NS-ZF"):
         _require_cells(sigma.matrix)
 
     streams = sigma.matrix.shape[0]

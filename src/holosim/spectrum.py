@@ -4,10 +4,9 @@ Each wavenumber cell of a planar aperture captures the part of an isotropic
 field whose transverse wavenumber falls in that cell's rectangle.  The power
 captured is a solid-angle integral over the cell-clipped upper hemisphere; in
 polar form the radial integral is analytic and the azimuth integral has a
-closed-form antiderivative away from degenerate bounds.  This module
-evaluates those integrals (closed form with an adaptive quadrature fallback
-and cross-check), assembles normalized variance maps, and builds the
-separable variance matrix shared by all users.
+closed-form antiderivative that keeps full precision up to the rim of the
+unit disk.  This module evaluates those integrals, assembles normalized
+variance maps, and builds the separable variance matrix shared by all users.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import ArrayGeometry, WavenumberLattice, lattice_ellipse
 
 __all__ = [
-    "IntegrationError",
     "VarianceMap",
     "SeparableSigma",
     "cell_variance",
@@ -29,14 +26,6 @@ __all__ = [
     "variance_map",
     "separable_sigma",
 ]
-
-_QUAD_ABS_TOL = 1e-10
-_QUAD_FAIL_TOL = 1e-9
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature failed to reach the required absolute tolerance."""
-
 
 @dataclass(frozen=True)
 class VarianceMap:
@@ -52,7 +41,7 @@ class VarianceMap:
             surface.
         hemisphere_total: Sum of the raw integrals over the full enumeration
             rectangle covering the disk; equals one half (the hemisphere
-            total) up to integration tolerance.  The raw values restricted
+            total) up to round-off.  The raw values restricted
             to the lattice cells sum to slightly less whenever boundary
             slivers of the disk fall outside every kept cell.
     """
@@ -103,29 +92,28 @@ class SeparableSigma:
 
 
 def _offcircle_sin(level: float, phi: float) -> float:
-    """Antiderivative of sqrt(1 - level**2 / sin(phi)**2) where it is real."""
+    """Antiderivative of sqrt(1 - level**2 / sin(phi)**2) where it is real.
+
+    The root is formed as a product of differences, and both inverse
+    tangents take it as their abscissa, so no digits are lost at the rim
+    ``sin(phi) = level``: there the root is 0 and ``atan2(y, 0)`` is
+    ``±pi/2``.
+    """
     sin_p = math.sin(phi)
     cos_p = math.cos(phi)
-    root = math.sqrt(max(0.0, sin_p * sin_p - level * level))
-    if root == 0.0:
-        first = level * math.copysign(math.pi / 2.0, cos_p) if cos_p != 0.0 else 0.0
-    else:
-        first = level * math.atan(level * cos_p / root)
-    ratio = cos_p / math.sqrt(1.0 - level * level)
-    return first - math.asin(max(-1.0, min(1.0, ratio)))
+    root = math.sqrt(max(0.0, (sin_p - level) * (sin_p + level)))
+    return level * math.atan2(level * cos_p, root) - math.atan2(cos_p, root)
 
 
 def _offcircle_cos(level: float, phi: float) -> float:
-    """Antiderivative of sqrt(1 - level**2 / cos(phi)**2) where it is real."""
+    """Antiderivative of sqrt(1 - level**2 / cos(phi)**2) where it is real.
+
+    The mirror image of :func:`_offcircle_sin`, with the same rim handling.
+    """
     sin_p = math.sin(phi)
     cos_p = math.cos(phi)
-    root = math.sqrt(max(0.0, cos_p * cos_p - level * level))
-    if root == 0.0:
-        first = -level * math.copysign(math.pi / 2.0, sin_p) if sin_p != 0.0 else 0.0
-    else:
-        first = -level * math.atan(level * sin_p / root)
-    ratio = sin_p / math.sqrt(1.0 - level * level)
-    return first + math.asin(max(-1.0, min(1.0, ratio)))
+    root = math.sqrt(max(0.0, (cos_p - level) * (cos_p + level)))
+    return math.atan2(sin_p, root) - level * math.atan2(level * sin_p, root)
 
 
 def _segment_sin(level: float, lo: float, hi: float) -> float:
@@ -169,68 +157,12 @@ def _quarter_closed(a: float, b: float, c: float, d: float) -> float:
     return (entry - exit_) / (4.0 * math.pi)
 
 
-def _quarter_quad(a: float, b: float, c: float, d: float) -> float:
-    """Adaptive-quadrature hemisphere mass of a first-orthant box."""
-
-    def integrand(phi: float) -> float:
-        cos_p = math.cos(phi)
-        sin_p = math.sin(phi)
-        enter = 0.0
-        if a > 0.0:
-            enter = a / cos_p if cos_p > 1e-300 else math.inf
-        if c > 0.0:
-            enter = max(enter, c / sin_p if sin_p > 1e-300 else math.inf)
-        leave = min(
-            b / cos_p if cos_p > 1e-300 else math.inf,
-            d / sin_p if sin_p > 1e-300 else math.inf,
-        )
-        inner = math.sqrt(max(0.0, 1.0 - min(1.0, enter) ** 2))
-        outer = math.sqrt(max(0.0, 1.0 - min(1.0, leave) ** 2))
-        return max(0.0, inner - outer)
-
-    phi_lo = math.atan2(c, b)
-    phi_hi = math.atan2(d, a)
-    if phi_hi <= phi_lo:
-        return 0.0
-    candidates = {math.atan2(c, a), math.atan2(d, b)}
-    for level in (c, d):
-        if 0.0 < level < 1.0:
-            candidates.add(math.asin(level))
-    for level in (a, b):
-        if 0.0 < level < 1.0:
-            candidates.add(math.acos(level))
-    knots = sorted({phi_lo, phi_hi, *(p for p in candidates if phi_lo < p < phi_hi)})
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        piece, err = quad(integrand, lo, hi, epsabs=_QUAD_ABS_TOL, limit=200)
-        total += piece
-        err_total += err
-    if err_total > _QUAD_FAIL_TOL:
-        raise IntegrationError(
-            f"azimuth quadrature error estimate {err_total:.3e} exceeds "
-            f"{_QUAD_FAIL_TOL:.0e}"
-        )
-    return total / (4.0 * math.pi)
-
-
-def _is_degenerate(a: float, b: float, c: float, d: float) -> bool:
-    """Detect bounds outside the closed antiderivatives' comfort zone."""
-    return (
-        a == 0.0
-        or c == 0.0
-        or b >= 1.0
-        or d >= 1.0
-        or b * b + d * d > 1.0
-    )
-
-
-def _box_mass(a: float, b: float, c: float, d: float, method: str) -> float:
+def _box_mass(a: float, b: float, c: float, d: float) -> float:
     """Hemisphere mass of an arbitrary axis-aligned box, any orthant."""
     if a < 0.0 < b:
-        return _box_mass(a, 0.0, c, d, method) + _box_mass(0.0, b, c, d, method)
+        return _box_mass(a, 0.0, c, d) + _box_mass(0.0, b, c, d)
     if c < 0.0 < d:
-        return _box_mass(a, b, c, 0.0, method) + _box_mass(a, b, 0.0, d, method)
+        return _box_mass(a, b, c, 0.0) + _box_mass(a, b, 0.0, d)
     if b <= 0.0:
         a, b = -b, -a
     if d <= 0.0:
@@ -242,12 +174,6 @@ def _box_mass(a: float, b: float, c: float, d: float, method: str) -> float:
     c += 0.0
     if a * a + c * c >= 1.0:
         return 0.0
-    if method == "closed":
-        return _quarter_closed(a, b, c, d)
-    if method == "quad":
-        return _quarter_quad(a, b, c, d)
-    if _is_degenerate(a, b, c, d):
-        return _quarter_quad(a, b, c, d)
     return _quarter_closed(a, b, c, d)
 
 
@@ -258,7 +184,6 @@ def cell_variance(
     length_y: float,
     *,
     wavelength: float = 1.0,
-    method: str = "auto",
 ) -> float:
     """Coupling variance captured by one wavenumber cell.
 
@@ -267,7 +192,8 @@ def cell_variance(
     The returned value is the fraction of total hemisphere power whose
     transverse direction falls inside that rectangle, evaluated in polar
     coordinates: the radial integral is analytic and the azimuth integral is
-    taken either from closed-form antiderivatives or by adaptive quadrature.
+    taken from closed-form antiderivatives, which hold for every cell,
+    including cells on an axis or clipped by the unit circle.
 
     Args:
         lx: Horizontal integer cell index.
@@ -275,26 +201,18 @@ def cell_variance(
         length_x: Horizontal aperture length.
         length_y: Vertical aperture length.
         wavelength: Carrier wavelength in the same units as the lengths.
-        method: ``"closed"`` forces the antiderivative path, ``"quad"``
-            forces adaptive quadrature, and ``"auto"`` (the default) uses the
-            closed form except for degenerate bounds (zero bound, unit-or-
-            larger coefficient, or a cell clipped by the unit circle), which
-            fall back to quadrature.
 
     Returns:
         Nonnegative variance; exactly 0 for cells entirely outside the disk.
 
     Raises:
-        ValueError: On invalid lengths or an unknown method.
-        IntegrationError: If the quadrature path cannot certify its result.
+        ValueError: On invalid lengths.
     """
     if not (length_x > 0.0 and length_y > 0.0 and wavelength > 0.0):
         raise ValueError("lengths and wavelength must be positive")
-    if method not in ("auto", "closed", "quad"):
-        raise ValueError(f"unknown method {method!r}")
     step_x = wavelength / length_x
     step_y = wavelength / length_y
-    return _box_mass(lx * step_x, (lx + 1) * step_x, ly * step_y, (ly + 1) * step_y, method)
+    return _box_mass(lx * step_x, (lx + 1) * step_x, ly * step_y, (ly + 1) * step_y)
 
 
 def hemisphere_total(
@@ -302,7 +220,6 @@ def hemisphere_total(
     length_y: float,
     *,
     wavelength: float = 1.0,
-    method: str = "auto",
 ) -> float:
     """Sum of cell variances over the full rectangle covering the disk.
 
@@ -315,13 +232,11 @@ def hemisphere_total(
     total = 0.0
     for lx in range(-reach_x, reach_x + 1):
         for ly in range(-reach_y, reach_y + 1):
-            total += cell_variance(
-                lx, ly, length_x, length_y, wavelength=wavelength, method=method
-            )
+            total += cell_variance(lx, ly, length_x, length_y, wavelength=wavelength)
     return total
 
 
-def variance_map(geometry: ArrayGeometry, *, method: str = "auto") -> VarianceMap:
+def variance_map(geometry: ArrayGeometry) -> VarianceMap:
     """Per-cell variance profile of a surface, normalized for simulation.
 
     Raw variances are integrated over the surface's wavenumber cells, and
@@ -331,7 +246,6 @@ def variance_map(geometry: ArrayGeometry, *, method: str = "auto") -> VarianceMa
 
     Args:
         geometry: Surface description.
-        method: Integration method forwarded to :func:`cell_variance`.
 
     Returns:
         The assembled map.
@@ -345,16 +259,12 @@ def variance_map(geometry: ArrayGeometry, *, method: str = "auto") -> VarianceMa
                 geometry.length_x,
                 geometry.length_y,
                 wavelength=geometry.wavelength,
-                method=method,
             )
             for lx, ly in lattice.cells
         ]
     )
     total = hemisphere_total(
-        geometry.length_x,
-        geometry.length_y,
-        wavelength=geometry.wavelength,
-        method=method,
+        geometry.length_x, geometry.length_y, wavelength=geometry.wavelength
     )
     sigma = np.sqrt(geometry.num_patches * raw / raw.sum())
     return VarianceMap(

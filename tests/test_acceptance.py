@@ -17,11 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from test_spectrum import spherical_estimate
+from test_spectrum import oracle_cell_variance, spherical_estimate
 
 from holosim import (
     ArrayGeometry,
-    cell_variance,
     correlation_eigenvalues,
     draw_wavenumber_channel,
     harmonic_basis,
@@ -42,8 +41,7 @@ class TestCellVarianceAccuracy:
     def test_every_cell_of_the_reference_surface(self, map_l4):
         start = time.monotonic()
         for (lx, ly), closed in zip(map_l4.lattice.cells, map_l4.raw):
-            quad = cell_variance(lx, ly, 4.0, 4.0, method="quad")
-            assert abs(closed - quad) <= 1e-8
+            assert abs(closed - oracle_cell_variance(lx, ly, 4.0, 4.0)) <= 1e-15
             estimate, stderr = spherical_estimate(lx, ly, 4.0)
             assert abs(closed - estimate) <= 3.0 * stderr
         assert time.monotonic() - start < 60.0

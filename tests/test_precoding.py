@@ -103,8 +103,10 @@ class TestZF:
             zf(realization_from([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_rejects_more_streams_than_cells(self):
-        with pytest.raises(ValueError, match="exceed"):
-            zf(realization_from(np.ones((3, 2)) + np.eye(3, 2)))
+        realization = realization_from(np.ones((3, 2)) + np.eye(3, 2))
+        for precode in (zf, ns_zf):
+            with pytest.raises(ValueError, match="exceed"):
+                precode(realization)
 
     def test_rejects_zero_channel(self):
         with pytest.raises(ValueError):

@@ -203,8 +203,9 @@ class TestSimulatedSE:
         np.testing.assert_array_equal(result.per_stream[1], 0.0)
 
     def test_zero_forcing_rejects_more_streams_than_cells(self):
-        with pytest.raises(ValueError, match="exceed"):
-            simulated_se(uniform_sigma(5, 3), "zf", [10.0], trials=2, seed=0)
+        for scheme in ("zf", "ns-zf"):
+            with pytest.raises(ValueError, match="exceed"):
+                simulated_se(uniform_sigma(5, 3), scheme, [10.0], trials=2, seed=0)
 
     def test_noise_variance_cancels_against_matched_power(self):
         sigma = uniform_sigma(3, 6)
