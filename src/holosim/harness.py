@@ -26,8 +26,8 @@ from .geometry import ArrayGeometry, lattice_ellipse
 from .rate import (
     SEResult,
     _canonical_scheme,
+    _simulate,
     mrt_theoretical_bound,
-    simulated_se,
     zf_theoretical,
 )
 from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
@@ -376,6 +376,8 @@ def run_se_sim(
 ) -> dict[str, SEResult]:
     """Run the configured Monte Carlo estimates and write one CSV.
 
+    All schemes share each channel draw and its Gram matrix.
+
     Args:
         config: Scenario to run.
         out: CSV destination.
@@ -387,17 +389,11 @@ def run_se_sim(
     """
     check_feasibility(config)
     sigma = _sigma(config)
+    specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
+    estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     rows: list[tuple] = []
     results: dict[str, SEResult] = {}
-    for scheme in config.schemes:
-        result = simulated_se(
-            sigma,
-            scheme,
-            config.snr_grid_db,
-            trials=config.trials,
-            seed=config.seed,
-            ns_iterations=config.ns_iterations,
-        )
+    for scheme, result in zip(config.schemes, estimates):
         results[scheme] = result
         rows.extend(_se_rows(result, sigma.per_user_rows))
         if include_theory and scheme in _THEORY_TAGS:
@@ -429,27 +425,22 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
 def run_ns_compare(
     config: ScenarioConfig, iterations: tuple[int, ...], out: Path
 ) -> dict[str, SEResult]:
-    """Compare exact ZF with the series scheme at several orders."""
+    """Compare exact ZF with the series scheme at several orders.
+
+    All orders share each draw and one Horner pass; a repeated or negative
+    order raises ``ValueError`` before any trial runs.
+    """
+    if len(set(iterations)) < len(iterations) or min(iterations, default=0) < 0:
+        raise ValueError(f"invalid value for iters: {iterations!r} (repeated or negative)")
     base = replace(config, schemes=("ZF",))
     check_feasibility(base)
     sigma = _sigma(config)
+    tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
+    specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
+    estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     rows: list[tuple] = []
     results: dict[str, SEResult] = {}
-    exact = simulated_se(
-        sigma, "ZF", config.snr_grid_db, trials=config.trials, seed=config.seed
-    )
-    results["ZF"] = exact
-    rows.extend(_se_rows(exact, sigma.per_user_rows))
-    for order in iterations:
-        result = simulated_se(
-            sigma,
-            "NS-ZF",
-            config.snr_grid_db,
-            trials=config.trials,
-            seed=config.seed,
-            ns_iterations=order,
-        )
-        tag = f"NS-ZF-{order}"
+    for tag, result in zip(tags, estimates):
         results[tag] = result
         rows.extend(_se_rows(result, sigma.per_user_rows, tag=tag))
     payload = _config_payload(config, ns_orders=list(iterations))

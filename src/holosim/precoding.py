@@ -3,13 +3,16 @@
 Every scheme is computed from the users' K×K Gram matrix ``G = H_a H_aᴴ``.
 Its core maps ``G`` to a coefficient matrix ``X`` and a per-column scale
 ``s``, so that the transmit matrix is ``V = H_aᴴ X diag(s)`` and the
-coupled matrix the receivers see is ``H_a V = G X diag(s)``.  The public
-precoders and the Monte Carlo loop of :mod:`holosim.rate` share these
-cores.  Every ``V`` has unit Frobenius norm, so that every Monte Carlo
-trial satisfies the total power constraint on its own.  Streams whose
-channel row is identically zero (cells on the edge of the propagating disk
-can carry exactly zero power) are excluded from inversions and get
-all-zero precoding columns; power is shared over the streams that remain.
+coupled matrix the receivers see is ``H_a V = G X diag(s)``.  ZF and MMSE
+filter one eigendecomposition ``G_AA = U Λ Uᴴ`` of the active Gram block,
+``X = U f(Λ) Uᴴ`` with ``f = 1/λ`` or ``1/(λ + a)``; NS-ZF takes every
+series order from one Horner pass.  The public precoders and the Monte
+Carlo engine of :mod:`holosim.rate` share these cores.  Every ``V`` has
+unit Frobenius norm, so that every Monte Carlo trial satisfies the total
+power constraint on its own.  Streams whose channel row is identically
+zero (cells on the edge of the propagating disk can carry exactly zero
+power) are excluded from inversions and get all-zero precoding columns;
+power is shared over the streams that remain.
 """
 
 from __future__ import annotations
@@ -61,65 +64,53 @@ class Precoder:
     column_gains: np.ndarray | None = None
 
 
-def _column_energy(x: np.ndarray, gx: np.ndarray) -> np.ndarray:
-    """Diagonal of ``Xᴴ G X``: the squared column norms of ``H_aᴴ X``."""
-    return np.einsum("ij,ij->j", x.conj(), gx).real
-
-
-def _mrt_core(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MRT core: ``X = I`` and ``s = 1/sqrt(tr G)``.
-
-    Returns ``(X, G X, s)``, like every core.
-    """
+def _mrt_scale(gram: np.ndarray) -> np.ndarray:
+    """MRT core: ``X = I`` and ``s = 1/sqrt(tr G)`` on every column."""
     total = float(np.trace(gram).real)
     if total == 0.0:
         raise ValueError("cannot match an all-zero channel")
-    streams = gram.shape[0]
-    return np.eye(streams), gram, np.full(streams, 1.0 / np.sqrt(total))
+    return np.full(gram.shape[0], 1.0 / np.sqrt(total))
 
 
-def _zf_core(
-    gram: np.ndarray, iterations: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ZF core, or the NS-ZF core when a series order is given.
-
-    ``X`` is the inverse of the Gram block of the active streams (those with
-    ``G_ii > 0``), or its order-``iterations`` Neumann series, and zero
-    elsewhere; ``s_i = 1/(sqrt(|A|) sqrt((Xᴴ G X)_ii))`` on active streams.
-    """
+def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the active streams (``G_ii > 0``) and their Gram block ``G_AA``."""
     active = np.diagonal(gram).real > 0.0
-    count = int(active.sum())
-    if count == 0:
-        raise ValueError("cannot zero-force an all-zero channel")
-    block = np.ix_(active, active)
-    g_aa = gram[block]
-    if iterations is None:
-        if np.linalg.cond(g_aa) > _CONDITION_LIMIT:
-            raise SingularChannelError("channel Gram matrix is numerically singular")
-        inverse = np.linalg.solve(g_aa, np.eye(count))
-    else:
-        inverse = neumann_inverse(g_aa, iterations)
+    if not active.any():
+        raise ValueError("cannot precode an all-zero channel")
+    return active, gram[np.ix_(active, active)]
+
+
+def _zf_filter(eigenvalues: np.ndarray) -> np.ndarray:
+    """ZF's filter ``1/λ``; singular if ``λ_min <= 0`` or ``λ_max/λ_min > 1e12``."""
+    low, high = eigenvalues[0], eigenvalues[-1]  # eigh sorts ascending
+    if not low > 0.0 or high / low > _CONDITION_LIMIT:
+        raise SingularChannelError("channel Gram matrix is numerically singular")
+    return 1.0 / eigenvalues
+
+
+def _mmse_energy(eigenvalues: np.ndarray, loading) -> np.ndarray:
+    """``tr Xᴴ G X = Σ λ/(λ+a)²`` of MMSE's ``X``, one entry per loading ``a``."""
+    lam = eigenvalues[:, None]
+    return (lam / (lam + loading) ** 2).sum(axis=0)
+
+
+def _inverse_core(
+    gram: np.ndarray, active: np.ndarray, block: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, G X, s)`` for an (approximate) inverse ``block`` of ``G_AA``.
+
+    ``X`` is zero off the active streams; ``s_i = 1/(sqrt(|A|) sqrt(e_i))``
+    there, with ``e_i = (Xᴴ G X)_ii`` the squared column norms of ``H_aᴴ X``.
+    """
     x = np.zeros_like(gram)
-    x[block] = inverse
+    x[np.ix_(active, active)] = block
     gx = gram @ x
-    energy = _column_energy(x, gx)[active]
+    energy = np.einsum("ij,ij->j", x.conj(), gx).real[active]
     if np.any(energy <= 0.0):
         raise SingularChannelError("inversion produced a zero precoding column")
-    scale = np.zeros(gram.shape[0])
-    scale[active] = 1.0 / (np.sqrt(count) * np.sqrt(energy))
+    scale = np.zeros(active.size)
+    scale[active] = 1.0 / (np.sqrt(energy.size) * np.sqrt(energy))
     return x, gx, scale
-
-
-def _mmse_core(
-    gram: np.ndarray, snr: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MMSE core: ``X = (G + (K/snr) I)^-1`` and ``s = 1/sqrt(tr Xᴴ G X)``."""
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
-    streams = gram.shape[0]
-    x = np.linalg.solve(gram + (streams / snr) * np.eye(streams), np.eye(streams))
-    gx = gram @ x
-    return x, gx, np.full(streams, 1.0 / np.sqrt(_column_energy(x, gx).sum()))
 
 
 def _require_cells(rows: np.ndarray) -> None:
@@ -143,8 +134,8 @@ def mrt(realization: ChannelRealization) -> Precoder:
         ValueError: If the channel is identically zero.
     """
     h_a = realization.h_a
-    x, _, scale = _mrt_core(h_a @ h_a.conj().T)
-    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MRT", alpha=float(scale[0]))
+    scale = _mrt_scale(h_a @ h_a.conj().T)
+    return Precoder(v=h_a.conj().T * scale, scheme="MRT", alpha=float(scale[0]))
 
 
 def _zero_forcing(
@@ -153,7 +144,14 @@ def _zero_forcing(
     """Package the ZF or NS-ZF core as a per-column normalized precoder."""
     h_a = realization.h_a
     _require_cells(h_a)
-    x, _, scale = _zf_core(h_a @ h_a.conj().T, iterations)
+    gram = h_a @ h_a.conj().T
+    active, g_aa = _active_block(gram)
+    if iterations is None:
+        eigenvalues, u = np.linalg.eigh(g_aa)
+        block = (u * _zf_filter(eigenvalues)) @ u.conj().T
+    else:
+        block = neumann_inverse(g_aa, iterations)
+    x, _, scale = _inverse_core(gram, active, block)
     alpha = 1.0 / np.sqrt(np.count_nonzero(scale))
     return Precoder(
         v=h_a.conj().T @ (x * scale),
@@ -167,9 +165,11 @@ def _zero_forcing(
 def zf(realization: ChannelRealization) -> Precoder:
     """Zero-forcing precoding with per-column (vector) normalization.
 
-    The right pseudo-inverse is solved on the streams with nonzero channel
-    rows; each of its columns is scaled to equal power so that interference
-    is nulled exactly and the power constraint is met per realization.
+    The right pseudo-inverse is formed on the streams with nonzero channel
+    rows as ``G_AA⁻¹ = U Λ⁻¹ Uᴴ``, the eigendecomposition that the Monte
+    Carlo engine shares with MMSE; each of its columns is scaled to equal
+    power so that interference is nulled exactly and the power constraint
+    is met per realization.
 
     Args:
         realization: Channel draw; requires at least as many transmit cells
@@ -180,8 +180,9 @@ def zf(realization: ChannelRealization) -> Precoder:
         pseudo-inverse column gain.
 
     Raises:
-        SingularChannelError: If the Gram matrix of the active streams has
-            condition number above 1e12.
+        SingularChannelError: If the Gram block of the active streams has
+            condition number ``λ_max/λ_min`` above 1e12 or a nonpositive
+            smallest eigenvalue.
         ValueError: If there are more active streams than transmit cells or
             no active streams at all.
     """
@@ -191,9 +192,11 @@ def zf(realization: ChannelRealization) -> Precoder:
 def mmse(realization: ChannelRealization, snr: float) -> Precoder:
     """Regularized inversion with noise loading matched to the SNR.
 
-    The Gram matrix is loaded with ``streams / snr`` on the diagonal before
-    inversion, then the result is Frobenius-normalized.  The loading keeps
-    the solve well-posed at any draw, interpolating between matched
+    The Gram matrix is loaded with ``a = streams / snr`` on the diagonal
+    (dead streams counted) and inverted as ``U (Λ + a)⁻¹ Uᴴ``, the
+    eigendecomposition that gives the Monte Carlo engine every SNR point at
+    once; the result is Frobenius-normalized.  The loading keeps the
+    inversion well-posed at any draw, interpolating between matched
     transmission at low SNR and zero-forcing at high SNR.
 
     Args:
@@ -204,11 +207,19 @@ def mmse(realization: ChannelRealization, snr: float) -> Precoder:
         The precoder.
 
     Raises:
-        ValueError: If ``snr`` is not positive.
+        ValueError: If ``snr`` is not positive or the channel is all zero.
     """
+    if not snr > 0.0:
+        raise ValueError(f"snr must be positive, got {snr!r}")
     h_a = realization.h_a
-    x, _, scale = _mmse_core(h_a @ h_a.conj().T, snr)
-    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MMSE", alpha=float(scale[0]))
+    gram = h_a @ h_a.conj().T
+    active, g_aa = _active_block(gram)
+    eigenvalues, u = np.linalg.eigh(g_aa)
+    loading = gram.shape[0] / snr
+    x = np.zeros_like(gram)
+    x[np.ix_(active, active)] = (u / (eigenvalues + loading)) @ u.conj().T
+    scale = 1.0 / np.sqrt(_mmse_energy(eigenvalues, loading)[0])
+    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MMSE", alpha=float(scale))
 
 
 def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:
@@ -233,22 +244,30 @@ def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:
         ValueError: On a non-square input, a negative order, or a zero
             diagonal entry.
     """
+    return _neumann_series(w_tilde, (iterations,))[iterations]
+
+
+def _neumann_series(w_tilde: np.ndarray, orders) -> dict[int, np.ndarray]:
+    """The series at each of ``orders``, as snapshots of one Horner pass."""
     w_tilde = np.asarray(w_tilde)
     if w_tilde.ndim != 2 or w_tilde.shape[0] != w_tilde.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w_tilde.shape}")
-    if not isinstance(iterations, (int, np.integer)) or iterations < 0:
-        raise ValueError(f"iterations must be a nonnegative integer, got {iterations!r}")
+    for order in orders:
+        if not isinstance(order, (int, np.integer)) or order < 0:
+            raise ValueError(f"iterations must be a nonnegative integer, got {order!r}")
     diag = np.diag(w_tilde)
     if np.any(diag == 0.0):
         raise ValueError("diagonal entries must be nonzero")
     inv_diag = 1.0 / diag
     off = w_tilde - np.diag(diag)
     scaled_off = inv_diag[:, None] * off
-    base = np.diag(inv_diag)
-    result = base
-    for _ in range(iterations):
-        result = base - scaled_off @ result
-    return result
+    base = result = np.diag(inv_diag)
+    series, reached = {}, 0
+    for order in sorted(set(orders)):
+        for _ in range(order - reached):
+            result = base - scaled_off @ result
+        series[order], reached = result, order
+    return series
 
 
 def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:

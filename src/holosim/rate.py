@@ -5,7 +5,9 @@ all streams are precoded jointly, so the interference footprint seen in
 simulation matches the one assumed by the closed-form expressions.  Monte
 Carlo estimates average the per-stream rates over independent channel draws
 with per-trial seeds split deterministically from one root seed, so results
-are reproducible regardless of scheme or trial count.
+are reproducible regardless of scheme or trial count.  One engine serves
+every scheme and series order of a job, sharing each draw, its Gram, one
+``eigh`` (ZF, MMSE) and one Neumann pass (NS-ZF); rates cover the SNR grid.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from .channel import ChannelRealization, draw_wavenumber_channel
 from .precoding import (
     Precoder,
     SingularChannelError,
-    _mmse_core,
-    _mrt_core,
+    _active_block,
+    _inverse_core,
+    _mmse_energy,
+    _mrt_scale,
+    _neumann_series,
     _require_cells,
-    _zf_core,
+    _zf_filter,
 )
 from .spectrum import SeparableSigma
 
@@ -98,16 +103,12 @@ def _signal_and_interference(coupled: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return signal, interference
 
 
-def _sinr_from_powers(
-    signal: np.ndarray, interference: np.ndarray, p_u: float, noise_var: float
-) -> np.ndarray:
-    sinr = np.zeros_like(signal)
-    live = signal > 0.0
-    den = p_u * interference[live] + noise_var
-    with np.errstate(divide="ignore"):
-        ratio = p_u * signal[live] / den
-    sinr[live] = np.minimum(np.nan_to_num(ratio, posinf=SINR_CAP), SINR_CAP)
-    return sinr
+def _sinr(signal: np.ndarray, interference: np.ndarray, p_u, noise_var) -> np.ndarray:
+    """Capped SINR, zero where the signal is zero; broadcasts over SNR columns."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = p_u * signal / (p_u * interference + noise_var)
+    capped = np.minimum(np.nan_to_num(ratio, posinf=SINR_CAP), SINR_CAP)
+    return np.where(signal > 0.0, capped, 0.0)
 
 
 def per_stream_sinr(
@@ -146,24 +147,99 @@ def per_stream_sinr(
             f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
         )
     signal, interference = _signal_and_interference(h_a @ v)
-    return _sinr_from_powers(signal, interference, p_u, noise_var)
+    return _sinr(signal, interference, p_u, noise_var)
 
 
-def _powers_per_snr(
-    gram: np.ndarray, scheme: str, snr_values: np.ndarray, ns_iterations: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Signal and interference powers of ``G X diag(s)`` at every SNR point.
+def _draw_powers(gram: np.ndarray, specs: list, loading: np.ndarray) -> list:
+    """Signal and interference of every spec on one draw; ``None`` if it rejects it."""
+    tags = {tag for tag, _ in specs}
+    if tags != {"MRT"}:
+        active, g_aa = _active_block(gram)
+    if tags & {"ZF", "MMSE"}:  # one eigh serves both; one Horner pass all NS-ZF orders
+        eigenvalues, u = np.linalg.eigh(g_aa)
+        w = np.abs(u) ** 2
+    if "NS-ZF" in tags:
+        series = _neumann_series(g_aa, [order for tag, order in specs if tag == "NS-ZF"])
+    powers: list[tuple[np.ndarray, np.ndarray] | None] = []
+    for tag, order in specs:
+        try:
+            if tag == "MRT":
+                powers.append(_signal_and_interference(gram * _mrt_scale(gram)))
+            elif tag == "NS-ZF":
+                _, gx, scale = _inverse_core(gram, active, series[order])
+                powers.append(_signal_and_interference(gx * scale))
+            elif tag == "ZF":  # G X diag(s) = diag(s), s_i² = 1/(|A| (W/λ)_i), W = |U|²
+                signal = np.zeros(gram.shape[0])
+                signal[active] = 1.0 / (g_aa.shape[0] * (w @ _zf_filter(eigenvalues)))
+                powers.append((signal, np.zeros_like(signal)))
+            else:  # MMSE: G X diag(s) = U λ/(λ+a) Uᴴ / sqrt(Σ λ/(λ+a)²)
+                gain = eigenvalues[:, None] / (eigenvalues[:, None] + loading)
+                diagonal = w @ gain
+                mmse = np.zeros((2, gram.shape[0], loading.size))
+                mmse[0, active] = diagonal**2
+                mmse[1, active] = w @ gain**2 - diagonal**2
+                powers.append(tuple(mmse / _mmse_energy(eigenvalues, loading)))
+        except SingularChannelError:
+            powers.append(None)
+    return powers
 
-    Only MMSE depends on the SNR; the other schemes share one pair.
+
+def _simulate(
+    sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int, noise_var=1.0
+) -> list[SEResult]:
+    """Monte Carlo engine shared by every ``(scheme, series order)`` of a job.
+
+    Each ``(trial, attempt)`` draw goes to every spec still pending for the
+    trial; one that rejects it waits for ``attempt + 1``, so each spec sees
+    the draws, rejections and warning it would see alone.
     """
-    if scheme == "MMSE":
-        cores = [_mmse_core(gram, snr) for snr in snr_values]
-    elif scheme == "MRT":
-        cores = [_mrt_core(gram)]
-    else:
-        cores = [_zf_core(gram, ns_iterations if scheme == "NS-ZF" else None)]
-    powers = [_signal_and_interference(gx * scale) for _, gx, scale in cores]
-    return powers * (len(snr_values) // len(powers))
+    specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
+        _require_cells(sigma.matrix)
+    grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
+    p_u = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
+    streams = sigma.matrix.shape[0]
+    loading = streams / 10.0 ** (np.asarray(grid) / 10.0)
+
+    accum = np.zeros((len(specs), streams, len(grid)))
+    accum_sq = np.zeros_like(accum)
+    rejections = [0] * len(specs)
+    for trial in range(trials):
+        pending = list(range(len(specs)))
+        for attempt in range(_MAX_REDRAWS_PER_TRIAL):
+            root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
+            h_a = draw_wavenumber_channel(sigma, root).h_a
+            powers = _draw_powers(h_a @ h_a.conj().T, [specs[i] for i in pending], loading)
+            for index, power in zip(pending, powers):
+                if power is None:
+                    rejections[index] += 1
+                    continue
+                signal, interference = (np.reshape(p, (streams, -1)) for p in power)
+                trial_se = np.log2(1.0 + _sinr(signal, interference, p_u, noise_var))
+                accum[index] += trial_se
+                accum_sq[index] += trial_se**2
+            pending = [index for index, power in zip(pending, powers) if power is None]
+            if not pending:
+                break
+        else:
+            raise SingularChannelError(
+                f"trial {trial} stayed singular after {_MAX_REDRAWS_PER_TRIAL} redraws"
+            )
+
+    results = []
+    for (tag, _), count, total, total_sq in zip(specs, rejections, accum, accum_sq):
+        if count > 0.01 * trials:
+            message = f"{count} singular draws rejected over {trials} trials"
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+        per_stream = total / trials
+        variance = np.clip(total_sq / trials - per_stream**2, 0.0, None)
+        stderr = np.sqrt(variance / trials)
+        results.append(
+            SEResult(per_stream, per_stream.sum(axis=0), trials, grid, tag, count, stderr)
+        )
+    return results
 
 
 def simulated_se(
@@ -181,10 +257,14 @@ def simulated_se(
     Each trial draws one channel from a seed split deterministically off the
     root seed by ``(trial, attempt)``, forms its Gram matrix once, applies
     the scheme's Gram-domain core (the one behind the public precoders) and
-    accumulates ``log2(1 + SINR)`` per stream.  Draws rejected as singular
-    by the inverting schemes are redrawn with the attempt counter bumped, so
-    the output is reproducible even when rejections occur; a rejection rate
-    above 1% of the trial count is reported as a warning.
+    accumulates ``log2(1 + SINR)`` per stream over the whole SNR grid at
+    once; ZF and MMSE read every SNR point from one eigendecomposition of
+    the active Gram block.  Draws rejected as singular by the inverting
+    schemes are redrawn with the attempt counter bumped, so the output is
+    reproducible even when rejections occur; a rejection rate above 1% of
+    the trial count is reported as a warning.  The harness runs the same
+    engine once for all schemes and series orders of a job, sharing each
+    draw among them, with bit-identical results.
 
     Args:
         sigma: Stacked per-user scale matrix defining the ensemble.
@@ -205,59 +285,9 @@ def simulated_se(
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
-    tag = _canonical_scheme(scheme)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
-    grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
-    p_u_values = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
-    snr_values = 10.0 ** (np.asarray(grid) / 10.0)
-    if tag in ("ZF", "NS-ZF"):
-        _require_cells(sigma.matrix)
-
-    streams = sigma.matrix.shape[0]
-    accum = np.zeros((streams, len(grid)))
-    accum_sq = np.zeros((streams, len(grid)))
-    trial_se = np.zeros((streams, len(grid)))
-    rejections = 0
-    for trial in range(trials):
-        for attempt in range(_MAX_REDRAWS_PER_TRIAL):
-            root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
-            h_a = draw_wavenumber_channel(sigma, root).h_a
-            try:
-                powers = _powers_per_snr(
-                    h_a @ h_a.conj().T, tag, snr_values, ns_iterations
-                )
-            except SingularChannelError:
-                rejections += 1
-                continue
-            break
-        else:
-            raise SingularChannelError(
-                f"trial {trial} stayed singular after {_MAX_REDRAWS_PER_TRIAL} redraws"
-            )
-        for col, (p_u, (signal, interference)) in enumerate(zip(p_u_values, powers)):
-            sinr = _sinr_from_powers(signal, interference, p_u, noise_var)
-            trial_se[:, col] = np.log2(1.0 + sinr)
-        accum += trial_se
-        accum_sq += trial_se**2
-
-    if rejections > 0.01 * trials:
-        warnings.warn(
-            f"{rejections} singular draws rejected over {trials} trials",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    per_stream = accum / trials
-    variance = np.clip(accum_sq / trials - per_stream**2, 0.0, None)
-    return SEResult(
-        per_stream=per_stream,
-        sum_se=per_stream.sum(axis=0),
-        trials=trials,
-        snr_grid_db=grid,
-        scheme=tag,
-        rejections=rejections,
-        per_stream_stderr=np.sqrt(variance / trials),
-    )
+    return _simulate(
+        sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed, noise_var
+    )[0]
 
 
 def _validate_theory_args(

@@ -1,4 +1,4 @@
-"""Shared fixtures: variance maps reused across test modules."""
+"""Shared fixtures: variance maps reused across test modules, a call counter."""
 
 import pytest
 
@@ -21,3 +21,21 @@ def rx_map_small():
 def tx_map_medium():
     """69-cell map of a 14x14 surface at one-third-wavelength pitch."""
     return variance_map(ArrayGeometry(14, 14, 1 / 3))
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Wrap ``owner.name`` so that each call is recorded in a returned list."""
+
+    def install(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

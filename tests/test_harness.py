@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from holosim import rate
 from holosim.cli import main
 from holosim.harness import (
     PRESET_NAMES,
@@ -261,6 +262,18 @@ class TestRunners:
         _, rows = read_csv(out)
         assert {row[1] for row in rows} == {"ZF", "NS-ZF-2", "NS-ZF-3"}
 
+    @pytest.mark.parametrize("orders", [(3, 3), (3, -1)], ids=["repeated", "negative"])
+    def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
+        self, tmp_path, count_calls, orders
+    ):
+        draws = count_calls(rate, "draw_wavenumber_channel")
+        out = tmp_path / "ns.csv"
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2)
+        with pytest.raises(ValueError, match="invalid value for iters"):
+            run_ns_compare(config, orders, out)
+        assert draws == []
+        assert not out.exists()
+
 
 class TestRunPreset:
     def test_unknown_preset_reports_failure(self, tmp_path, capsys):
@@ -287,6 +300,14 @@ class TestRunPreset:
         assert tags == {"ZF", "NS-ZF-2", "NS-ZF-3", "NS-ZF-4", "NS-ZF-7"}
         for row in rows:
             float(row[4])  # every value is a parseable number
+
+    def test_series_preset_draws_each_trial_once_for_every_order(
+        self, tmp_path, count_calls
+    ):
+        # Exact ZF and the four series orders share every draw.
+        draws = count_calls(rate, "draw_wavenumber_channel")
+        assert run_preset("fig8", scale=0.25, trials=3, out=str(tmp_path)) == 0
+        assert len(draws) == 3
 
 
 class TestCLI:
@@ -322,6 +343,22 @@ class TestCLI:
         assert status == 0
         _, rows = read_csv(out)
         assert {row[1] for row in rows} == {"ZF", "NS-ZF-2", "NS-ZF-3"}
+
+    @pytest.mark.parametrize("orders", ["3,3", "3,-1"], ids=["repeated", "negative"])
+    def test_ns_compare_command_rejects_repeated_or_negative_orders(
+        self, tmp_path, capsys, orders
+    ):
+        out = tmp_path / "ns.csv"
+        status = main(
+            [
+                "ns-compare", "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "2", "--iters", orders,
+                "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for iters" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["se-sim", "se-theory"])
     def test_single_order_commands_reject_an_order_list(

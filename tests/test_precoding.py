@@ -176,6 +176,16 @@ class TestNeumannInverse:
         assert residuals == sorted(residuals)
         assert residuals[-1] > residuals[0] > 1.0
 
+    def test_one_pass_snapshots_equal_separate_series(self):
+        from holosim.precoding import _neumann_series
+
+        h_a = random_realization(4, 9, seed=3).h_a
+        gram = h_a @ h_a.conj().T
+        snapshots = _neumann_series(gram, (7, 2, 4, 3))
+        assert sorted(snapshots) == [2, 3, 4, 7]
+        for order, value in snapshots.items():
+            np.testing.assert_array_equal(value, neumann_inverse(gram, order))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="square"):
             neumann_inverse(np.ones((2, 3)), 1)

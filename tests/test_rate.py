@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from holosim import (
     zf,
     zf_theoretical,
 )
+from holosim import harness, rate
+from holosim.harness import ScenarioConfig, run_se_sim
 from holosim.spectrum import SeparableSigma
 
 
@@ -228,6 +231,56 @@ class TestSimulatedSE:
                 sigma, scheme, [-10.0, 0.0, 10.0, 20.0, 30.0], trials=50, seed=5
             )
             assert np.all(np.diff(result.sum_se) > -1e-3)
+
+
+class TestSharedEngine:
+    def test_joint_job_matches_separate_estimates_through_redraws(
+        self, tmp_path, monkeypatch, count_calls
+    ):
+        # The weak eighth stream leaves some 8-by-9 draws too ill-conditioned
+        # for zero-forcing, so ZF redraws while MRT and MMSE keep attempt 0.
+        rx = np.array([1.0] * 7 + [1e-5])
+        tx = np.ones(9)
+        sigma = SeparableSigma(
+            matrix=np.outer(rx, tx), per_user_rows=8, rx_sigma=rx, tx_sigma=tx
+        )
+        monkeypatch.setattr(harness, "_sigma", lambda config: sigma)
+        draws = count_calls(rate, "draw_wavenumber_channel")
+        eighs = count_calls(np.linalg, "eigh")
+        config = ScenarioConfig(
+            tx=ArrayGeometry(6, 6, 1 / 3),
+            rx=ArrayGeometry(2, 2, 1 / 3),
+            users=1,
+            snr_grid_db=(0.0, 20.0),
+            trials=40,
+            seed=3,
+            schemes=("MRT", "ZF", "MMSE"),
+        )
+        with pytest.warns(RuntimeWarning, match="2 singular draws rejected over 40"):
+            joint = run_se_sim(config, tmp_path / "se.csv")
+        # One draw and one eigendecomposition per attempt, shared by all
+        # schemes: 40 trials plus ZF's 2 redraws.
+        assert len(draws) == 42
+        assert len(eighs) == 42
+        assert {tag: r.rejections for tag, r in joint.items()} == {
+            "MRT": 0,
+            "ZF": 2,
+            "MMSE": 0,
+        }
+        for tag, result in joint.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                alone = simulated_se(sigma, tag, [0.0, 20.0], trials=40, seed=3)
+            assert result.rejections == alone.rejections
+            np.testing.assert_array_equal(result.per_stream, alone.per_stream)
+            np.testing.assert_array_equal(
+                result.per_stream_stderr, alone.per_stream_stderr
+            )
+
+    def test_matched_transmission_needs_no_eigendecomposition(self, count_calls):
+        eighs = count_calls(np.linalg, "eigh")
+        simulated_se(uniform_sigma(3, 6), "mrt", [0.0, 10.0], trials=4, seed=1)
+        assert eighs == []
 
 
 @pytest.fixture(scope="module")
