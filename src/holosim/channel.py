@@ -4,7 +4,9 @@ A channel realization lives in the wavenumber domain: one complex coupling
 coefficient per (receive cell, transmit cell) pair, drawn independently with
 the per-cell scale factors supplied by the variance maps.  Element-domain
 channels are recovered by sandwiching the realization between harmonic bases.
-The correlation structure is separable, which keeps its eigen-analysis
+The Monte Carlo engine reads each draw as its real and imaginary parts and
+forms the Gram matrix from them in real arithmetic, never holding the complex
+matrix.  The correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries.
 """
 
@@ -72,13 +74,44 @@ class CorrelationSpectrum:
         object.__setattr__(self, "eigenvalues", vals)
 
 
+def _draw_parts(sigma: SeparableSigma, seed) -> np.ndarray:
+    """Real and imaginary parts, shape ``(2, K, N)``, of one scaled draw.
+
+    One ``standard_normal((2, K, N))`` call consumes the stream in the same
+    order as separate real and imaginary draws, and the in-place scaling by
+    ``1/sqrt(2)`` and then by ``sigma.matrix`` rounds exactly like the
+    complex formula, so ``parts[0] + 1j * parts[1]`` is the complex draw.
+    """
+    parts = np.random.default_rng(seed).standard_normal((2, *sigma.matrix.shape))
+    parts *= 1.0 / np.sqrt(2.0)
+    parts *= sigma.matrix
+    return parts
+
+
+def _gram(parts: np.ndarray) -> np.ndarray:
+    """Gram matrix ``H Hᴴ`` of ``H = parts[0] + 1j * parts[1]`` in real arithmetic.
+
+    ``Re G = A Aᵀ + B Bᵀ`` (two symmetric rank-k products) and
+    ``Im G = C − Cᵀ`` with ``C = B Aᵀ``: half the flops of the complex
+    product, no complex K×N temporary, and an exactly Hermitian result.
+    """
+    real, imag = parts
+    cross = imag @ real.T
+    gram = np.empty(cross.shape, dtype=complex)
+    gram.real = real @ real.T
+    gram.real += imag @ imag.T
+    gram.imag = cross - cross.T
+    return gram
+
+
 def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
     """Draw one wavenumber-domain channel with the given per-cell scales.
 
     Every entry is an independent circular complex Gaussian of unit variance
     (real and imaginary parts of variance one half each) multiplied by the
     matching entry of ``sigma.matrix``.  The draw is deterministic in the
-    seed.
+    seed, and the Monte Carlo engine reads the same numbers as real parts
+    without building the complex matrix.
 
     Args:
         sigma: Stacked per-user scale matrix.
@@ -89,11 +122,9 @@ def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
     Returns:
         The realization.
     """
-    rng = np.random.default_rng(seed)
-    shape = sigma.matrix.shape
-    noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    parts = _draw_parts(sigma, seed)
     return ChannelRealization(
-        h_a=sigma.matrix * noise, per_user_rows=sigma.per_user_rows, seed=seed
+        h_a=parts[0] + 1j * parts[1], per_user_rows=sigma.per_user_rows, seed=seed
     )
 
 

@@ -6,12 +6,15 @@ figures at native or scaled size and write one CSV per series.  Every CSV
 starts with a comment line holding the fully resolved configuration as
 canonical JSON; a short hash of that JSON is appended to every row so each
 row is self-describing, and identical configurations produce byte-identical
-files.
+files.  One column-wise writer serves every artifact: SE blocks (Monte Carlo
+and closed-form alike) become four columns, and each float column is
+formatted in one pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -23,13 +26,7 @@ import numpy as np
 
 from .channel import correlation_eigenvalues
 from .geometry import ArrayGeometry, lattice_ellipse
-from .rate import (
-    SEResult,
-    _canonical_scheme,
-    _simulate,
-    mrt_theoretical_bound,
-    zf_theoretical,
-)
+from .rate import SEResult, _canonical_scheme, _simulate, _theory_table
 from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
 
 __all__ = [
@@ -86,9 +83,10 @@ class ScenarioConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        object.__setattr__(
-            self, "schemes", tuple(_canonical_scheme(s) for s in self.schemes)
-        )
+        schemes = tuple(_canonical_scheme(s) for s in self.schemes)
+        if len(set(schemes)) < len(schemes):
+            raise ValueError(f"invalid value for scheme: {self.schemes!r} (repeated)")
+        object.__setattr__(self, "schemes", schemes)
         if self.ns_iterations < 0:
             raise ValueError(
                 f"ns_iterations must be nonnegative, got {self.ns_iterations!r}"
@@ -274,19 +272,24 @@ def _config_payload(config: ScenarioConfig, **extra) -> dict:
     return payload
 
 
-def _format_field(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
-    return str(value)
+def _write_csv(path: Path, payload: dict, header: list[str], columns: list) -> str:
+    """Write columns with the config comment line and per-row hash column.
 
-
-def _write_csv(path: Path, payload: dict, columns: list[str], rows: list[tuple]) -> str:
-    """Write rows with the config comment line and per-row hash column."""
+    Each column is either a NumPy array, whose floats are written as
+    ``.12g`` and integers as ``str``, or a sequence of ready-made strings
+    (one of which may span several header fields).
+    """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
-    lines = [f"# config {canonical}", ",".join([*columns, "config_hash"])]
-    for row in rows:
-        lines.append(",".join([*(_format_field(v) for v in row), digest]))
+    fields = []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            column = [f"{v:.12g}" for v in column.tolist()]
+        elif isinstance(column, np.ndarray):
+            column = list(map(str, column.tolist()))
+        fields.append(column)
+    rows = map(",".join, zip(*fields, itertools.repeat(digest)))
+    lines = [f"# config {canonical}", ",".join([*header, "config_hash"]), *rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -301,13 +304,9 @@ def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
         "wavelength": geometry.wavelength,
         "hemisphere_total": vmap.hemisphere_total,
     }
-    rows = [
-        (lx, ly, raw, sig)
-        for (lx, ly), raw, sig in zip(
-            vmap.lattice.cells, vmap.raw, vmap.normalized_sigma
-        )
-    ]
-    _write_csv(out, payload, ["lx", "ly", "raw", "sigma"], rows)
+    lx, ly = vmap.lattice.index_arrays()
+    columns = [lx, ly, vmap.raw, vmap.normalized_sigma]
+    _write_csv(out, payload, ["lx", "ly", "raw", "sigma"], columns)
     return vmap
 
 
@@ -319,48 +318,33 @@ def run_eigvals(config: ScenarioConfig, out: Path) -> np.ndarray:
     top = spectrum[0] if spectrum.size and spectrum[0] > 0.0 else 1.0
     normalized = spectrum / top
     payload = _config_payload(config, artifact="eigvals")
-    rows = [(rank + 1, value) for rank, value in enumerate(normalized)]
-    _write_csv(out, payload, ["rank", "eigenvalue"], rows)
+    ranks = np.arange(1, normalized.size + 1)
+    _write_csv(out, payload, ["rank", "eigenvalue"], [ranks, normalized])
     return normalized
 
 
-def _se_rows(result: SEResult, per_user_rows: int, tag: str | None = None) -> list[tuple]:
-    scheme = tag if tag is not None else result.scheme
-    rows = []
-    for col, snr_db in enumerate(result.snr_grid_db):
-        for idx in range(result.per_stream.shape[0]):
-            rows.append(
-                (
-                    snr_db,
-                    scheme,
-                    idx // per_user_rows + 1,
-                    idx % per_user_rows + 1,
-                    result.per_stream[idx, col],
-                )
-            )
-        rows.append((snr_db, scheme, "all", "sum", result.sum_se[col]))
-    return rows
+def _se_columns(blocks: list[tuple], grid, sigma: SeparableSigma) -> list:
+    """CSV columns of ``(tag, per_stream, sum_se)`` blocks sharing one SNR grid.
+
+    Each block writes, per SNR point, one row per stream and then the sum.
+    """
+    per_user = sigma.per_user_rows
+    labels = [f"{i // per_user + 1},{i % per_user + 1}" for i in range(sigma.rx_sigma.size)]
+    labels.append("all,sum")
+    rows = len(grid) * len(labels)
+    return [
+        np.tile(np.repeat(np.asarray(grid, dtype=float), len(labels)), len(blocks)),
+        [tag for tag, _, _ in blocks for _ in range(rows)],
+        labels * (len(grid) * len(blocks)),
+        np.array([np.vstack([values, sums]).T for _, values, sums in blocks]).ravel(),
+    ]
 
 
-def _theory_rows(
-    config: ScenarioConfig,
-    rx_sigma: np.ndarray,
-    tx_sigma: np.ndarray,
-    scheme: str,
-    per_user_rows: int,
-) -> list[tuple]:
-    tag = _THEORY_TAGS[scheme]
-    fn = mrt_theoretical_bound if scheme == "MRT" else zf_theoretical
-    rows = []
-    for snr_db in config.snr_grid_db:
-        p_u = 10.0 ** (snr_db / 10.0)
-        values = [fn(rx_sigma, tx_sigma, p_u, 1.0, i) for i in range(rx_sigma.size)]
-        for idx, value in enumerate(values):
-            rows.append(
-                (snr_db, tag, idx // per_user_rows + 1, idx % per_user_rows + 1, value)
-            )
-        rows.append((snr_db, tag, "all", "sum", sum(values)))
-    return rows
+def _theory_block(config: ScenarioConfig, sigma: SeparableSigma, scheme: str) -> tuple:
+    """Closed-form ``(tag, per_stream, sum_se)`` block of one scheme at unit noise."""
+    p_u = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
+    table = _theory_table(scheme, sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
+    return _THEORY_TAGS[scheme], table, table.sum(axis=0)
 
 
 _SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
@@ -391,19 +375,14 @@ def run_se_sim(
     sigma = _sigma(config)
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
-    rows: list[tuple] = []
-    results: dict[str, SEResult] = {}
+    blocks = []
     for scheme, result in zip(config.schemes, estimates):
-        results[scheme] = result
-        rows.extend(_se_rows(result, sigma.per_user_rows))
+        blocks.append((scheme, result.per_stream, result.sum_se))
         if include_theory and scheme in _THEORY_TAGS:
-            rows.extend(
-                _theory_rows(
-                    config, sigma.rx_sigma, sigma.tx_sigma, scheme, sigma.per_user_rows
-                )
-            )
-    _write_csv(out, _config_payload(config), _SE_COLUMNS, rows)
-    return results
+            blocks.append(_theory_block(config, sigma, scheme))
+    columns = _se_columns(blocks, config.snr_grid_db, sigma)
+    _write_csv(out, _config_payload(config), _SE_COLUMNS, columns)
+    return dict(zip(config.schemes, estimates))
 
 
 def run_se_theory(config: ScenarioConfig, out: Path) -> None:
@@ -412,14 +391,9 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
         if scheme not in _THEORY_TAGS:
             raise ValueError(f"no closed form available for scheme {scheme!r}")
     sigma = _sigma(config)
-    rows: list[tuple] = []
-    for scheme in config.schemes:
-        rows.extend(
-            _theory_rows(
-                config, sigma.rx_sigma, sigma.tx_sigma, scheme, sigma.per_user_rows
-            )
-        )
-    _write_csv(out, _config_payload(config), _SE_COLUMNS, rows)
+    blocks = [_theory_block(config, sigma, scheme) for scheme in config.schemes]
+    columns = _se_columns(blocks, config.snr_grid_db, sigma)
+    _write_csv(out, _config_payload(config), _SE_COLUMNS, columns)
 
 
 def run_ns_compare(
@@ -438,14 +412,11 @@ def run_ns_compare(
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
-    rows: list[tuple] = []
-    results: dict[str, SEResult] = {}
-    for tag, result in zip(tags, estimates):
-        results[tag] = result
-        rows.extend(_se_rows(result, sigma.per_user_rows, tag=tag))
+    blocks = [(tag, result.per_stream, result.sum_se) for tag, result in zip(tags, estimates)]
+    columns = _se_columns(blocks, config.snr_grid_db, sigma)
     payload = _config_payload(config, ns_orders=list(iterations))
-    _write_csv(out, payload, _SE_COLUMNS, rows)
-    return results
+    _write_csv(out, payload, _SE_COLUMNS, columns)
+    return dict(zip(tags, estimates))
 
 
 def _spacing_tag(spacing: float) -> str:

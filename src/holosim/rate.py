@@ -6,8 +6,11 @@ simulation matches the one assumed by the closed-form expressions.  Monte
 Carlo estimates average the per-stream rates over independent channel draws
 with per-trial seeds split deterministically from one root seed, so results
 are reproducible regardless of scheme or trial count.  One engine serves
-every scheme and series order of a job, sharing each draw, its Gram, one
-``eigh`` (ZF, MMSE) and one Neumann pass (NS-ZF); rates cover the SNR grid.
+every scheme and series order of a job, sharing each draw, its Gram (built
+in real arithmetic from the draw's real and imaginary parts), one ``eigh``
+(ZF, MMSE) and one Neumann pass (NS-ZF); rates cover the SNR grid.  The
+closed forms of a job are one ``(streams, SNR)`` table per scheme, computed
+with the per-stream formulas' operations in their order.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, draw_wavenumber_channel
+from .channel import ChannelRealization, _draw_parts, _gram
 from .precoding import (
     Precoder,
     SingularChannelError,
@@ -210,8 +213,8 @@ def _simulate(
         pending = list(range(len(specs)))
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
-            h_a = draw_wavenumber_channel(sigma, root).h_a
-            powers = _draw_powers(h_a @ h_a.conj().T, [specs[i] for i in pending], loading)
+            gram = _gram(_draw_parts(sigma, root))
+            powers = _draw_powers(gram, [specs[i] for i in pending], loading)
             for index, power in zip(pending, powers):
                 if power is None:
                     rejections[index] += 1
@@ -290,22 +293,66 @@ def simulated_se(
     )[0]
 
 
-def _validate_theory_args(
-    rx_sigma: np.ndarray,
-    tx_sigma: np.ndarray,
-    p_u: float,
-    noise_var: float,
-    stream: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:
     rx = np.asarray(rx_sigma, dtype=float)
     tx = np.asarray(tx_sigma, dtype=float)
+    powers = np.atleast_1d(np.asarray(p_u, dtype=float))
     if rx.size == 0 or tx.size == 0:
         raise ValueError("sigma vectors must be nonempty")
-    if not p_u > 0.0 or not noise_var > 0.0:
+    if not (np.all(powers > 0.0) and noise_var > 0.0):
         raise ValueError("p_u and noise_var must be positive")
+    return rx, tx, powers
+
+
+def _theory_table(scheme: str, rx_sigma, tx_sigma, p_u, noise_var: float) -> np.ndarray:
+    """Closed-form SE of every stream at every power, shape ``(streams, powers)``.
+
+    ``scheme`` is ``"MRT"`` (:func:`mrt_theoretical_bound`) or ``"ZF"``
+    (:func:`zf_theoretical`); each entry is computed with the same operations
+    in the same order as the per-stream formula, so it equals that formula
+    bit for bit.
+    """
+    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    if scheme == "MRT":
+        if tx.size <= 2:
+            raise ValueError("the closed form requires more than two transmit cells")
+        own = (rx**2)[:, None]
+        total_rx = float(np.sum(rx**2))
+        total_tx = float(np.sum(tx**2))
+        cross_tx = float(np.sum(tx**4)) / total_tx
+        numerator = p_u * total_tx * own**2
+        denominator = p_u * cross_tx * own * (total_rx - own) + noise_var * total_rx
+        ratio = numerator / denominator
+    else:
+        active_streams = int(np.count_nonzero(rx > 0.0))
+        active_cells = int(np.count_nonzero(tx > 0.0))
+        if active_streams > active_cells:
+            raise ValueError(
+                f"{active_streams} active streams exceed {active_cells} active "
+                f"transmit cells"
+            )
+        avg_tx = float(np.sum(tx**2)) / active_cells
+        # With no live stream this is 0/0; every row is then masked to 0 below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (
+                (p_u / (active_streams * noise_var))
+                * (active_cells - active_streams + 1)
+                * rx[:, None] ** 2
+                * avg_tx
+            )
+    # libm's log2, not NumPy's SIMD one, which differs in the last bit on
+    # some inputs; the closed-form CSV rows stay those of the scalar formula.
+    values = np.reshape([math.log2(v) for v in (1.0 + ratio).ravel().tolist()], ratio.shape)
+    if scheme == "ZF":
+        values[rx == 0.0] = 0.0
+    return values
+
+
+def _theory_value(scheme, rx_sigma, tx_sigma, p_u, noise_var, stream: int) -> float:
+    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     if not 0 <= stream < rx.size:
         raise ValueError(f"stream {stream} out of range for {rx.size} streams")
-    return rx, tx
+    return float(_theory_table(scheme, rx, tx, p_u, noise_var)[stream, 0])
 
 
 def mrt_theoretical_bound(
@@ -350,17 +397,7 @@ def mrt_theoretical_bound(
         ValueError: On empty vectors, invalid scalars, or too few transmit
             cells.
     """
-    rx, tx = _validate_theory_args(rx_sigma, tx_sigma, p_u, noise_var, stream)
-    if tx.size <= 2:
-        raise ValueError("the closed form requires more than two transmit cells")
-    rx_sq = rx**2
-    own = rx_sq[stream]
-    total_tx = float(np.sum(tx**2))
-    cross_tx = float(np.sum(tx**4)) / total_tx
-    others = float(np.sum(rx_sq)) - own
-    numerator = p_u * total_tx * own**2
-    denominator = p_u * cross_tx * own * others + noise_var * float(np.sum(rx_sq))
-    return math.log2(1.0 + numerator / denominator)
+    return _theory_value("MRT", rx_sigma, tx_sigma, p_u, noise_var, stream)
 
 
 def zf_theoretical(
@@ -390,21 +427,4 @@ def zf_theoretical(
         ValueError: If more streams than transmit cells are active, or on
             invalid arguments.
     """
-    rx, tx = _validate_theory_args(rx_sigma, tx_sigma, p_u, noise_var, stream)
-    active_streams = int(np.count_nonzero(rx > 0.0))
-    active_cells = int(np.count_nonzero(tx > 0.0))
-    if active_streams > active_cells:
-        raise ValueError(
-            f"{active_streams} active streams exceed {active_cells} active "
-            f"transmit cells"
-        )
-    if rx[stream] == 0.0:
-        return 0.0
-    avg_tx = float(np.sum(tx**2)) / active_cells
-    gain = (
-        (p_u / (active_streams * noise_var))
-        * (active_cells - active_streams + 1)
-        * rx[stream] ** 2
-        * avg_tx
-    )
-    return math.log2(1.0 + gain)
+    return _theory_value("ZF", rx_sigma, tx_sigma, p_u, noise_var, stream)

@@ -5,8 +5,10 @@ field whose transverse wavenumber falls in that cell's rectangle.  The power
 captured is a solid-angle integral over the cell-clipped upper hemisphere; in
 polar form the radial integral is analytic and the azimuth integral has a
 closed-form antiderivative that keeps full precision up to the rim of the
-unit disk.  This module evaluates those integrals, assembles normalized
-variance maps, and builds the separable variance matrix shared by all users.
+unit disk.  This module evaluates those integrals with NumPy over the
+first-orthant quarter of the enumeration rectangle covering the disk (mirror
+symmetry gives the other cells), assembles normalized variance maps from that
+one pass, and builds the separable variance matrix shared by all users.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class SeparableSigma:
     tx_sigma: np.ndarray
 
 
-def _offcircle_sin(level: float, phi: float) -> float:
+def _offcircle_sin(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Antiderivative of sqrt(1 - level**2 / sin(phi)**2) where it is real.
 
     The root is formed as a product of differences, and both inverse
@@ -99,82 +101,92 @@ def _offcircle_sin(level: float, phi: float) -> float:
     ``sin(phi) = level``: there the root is 0 and ``atan2(y, 0)`` is
     ``±pi/2``.
     """
-    sin_p = math.sin(phi)
-    cos_p = math.cos(phi)
-    root = math.sqrt(max(0.0, (sin_p - level) * (sin_p + level)))
-    return level * math.atan2(level * cos_p, root) - math.atan2(cos_p, root)
+    sin_p = np.sin(phi)
+    cos_p = np.cos(phi)
+    root = np.sqrt(np.maximum(0.0, (sin_p - level) * (sin_p + level)))
+    return level * np.arctan2(level * cos_p, root) - np.arctan2(cos_p, root)
 
 
-def _offcircle_cos(level: float, phi: float) -> float:
+def _offcircle_cos(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Antiderivative of sqrt(1 - level**2 / cos(phi)**2) where it is real.
 
     The mirror image of :func:`_offcircle_sin`, with the same rim handling.
     """
-    sin_p = math.sin(phi)
-    cos_p = math.cos(phi)
-    root = math.sqrt(max(0.0, (cos_p - level) * (cos_p + level)))
-    return math.atan2(sin_p, root) - level * math.atan2(level * sin_p, root)
+    sin_p = np.sin(phi)
+    cos_p = np.cos(phi)
+    root = np.sqrt(np.maximum(0.0, (cos_p - level) * (cos_p + level)))
+    return np.arctan2(sin_p, root) - level * np.arctan2(level * sin_p, root)
 
 
-def _segment_sin(level: float, lo: float, hi: float) -> float:
+def _segment_sin(level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integrate sqrt(1 - level**2/sin**2) over [lo, hi] within the disk."""
-    if hi <= lo or level >= 1.0:
-        return 0.0
-    if level == 0.0:
-        return hi - lo
-    start = max(lo, math.asin(level))
-    if hi <= start:
-        return 0.0
-    return _offcircle_sin(level, hi) - _offcircle_sin(level, start)
+    start = np.maximum(lo, np.arcsin(np.minimum(level, 1.0)))
+    inside = _offcircle_sin(level, hi) - _offcircle_sin(level, start)
+    value = np.where(level == 0.0, hi - lo, np.where(hi > start, inside, 0.0))
+    return np.where((hi > lo) & (level < 1.0), value, 0.0)
 
 
-def _segment_cos(level: float, lo: float, hi: float) -> float:
+def _segment_cos(level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integrate sqrt(1 - level**2/cos**2) over [lo, hi] within the disk."""
-    if hi <= lo or level >= 1.0:
-        return 0.0
-    if level == 0.0:
-        return hi - lo
-    end = min(hi, math.acos(level))
-    if end <= lo:
-        return 0.0
-    return _offcircle_cos(level, end) - _offcircle_cos(level, lo)
+    end = np.minimum(hi, np.arccos(np.minimum(level, 1.0)))
+    inside = _offcircle_cos(level, end) - _offcircle_cos(level, lo)
+    value = np.where(level == 0.0, hi - lo, np.where(end > lo, inside, 0.0))
+    return np.where((hi > lo) & (level < 1.0), value, 0.0)
 
 
-def _quarter_closed(a: float, b: float, c: float, d: float) -> float:
-    """Closed-form hemisphere mass of a first-orthant box [a,b] x [c,d].
+def _first_orthant_mass(mx, my, step_x: float, step_y: float) -> np.ndarray:
+    """Hemisphere mass of the boxes ``[mx, mx+1] step_x × [my, my+1] step_y``.
 
-    The azimuth sweep enters the box through the bottom edge until the ray
-    through the inner corner, then through the left edge; it exits through
-    the right edge until the ray through the outer corner, then through the
-    top edge.  Each leg integrates one antiderivative between clipped limits.
+    The indices are nonnegative and broadcast together.  The azimuth sweep
+    enters a box through the bottom edge until the ray through the inner
+    corner, then through the left edge; it exits through the right edge
+    until the ray through the outer corner, then through the top edge.  Each
+    leg integrates one antiderivative between clipped limits.
     """
-    phi_lo = math.atan2(c, b)
-    phi_hi = math.atan2(d, a)
-    corner_in = math.atan2(c, a)
-    corner_out = math.atan2(d, b)
+    a, b = mx * step_x, (mx + 1) * step_x
+    c, d = my * step_y, (my + 1) * step_y
+    phi_lo = np.arctan2(c, b)
+    phi_hi = np.arctan2(d, a)
+    corner_in = np.arctan2(c, a)
+    corner_out = np.arctan2(d, b)
     entry = _segment_sin(c, phi_lo, corner_in) + _segment_cos(a, corner_in, phi_hi)
     exit_ = _segment_cos(b, phi_lo, corner_out) + _segment_sin(d, corner_out, phi_hi)
-    return (entry - exit_) / (4.0 * math.pi)
+    return np.where(a * a + c * c < 1.0, (entry - exit_) / (4.0 * np.pi), 0.0)
 
 
-def _box_mass(a: float, b: float, c: float, d: float) -> float:
-    """Hemisphere mass of an arbitrary axis-aligned box, any orthant."""
-    if a < 0.0 < b:
-        return _box_mass(a, 0.0, c, d) + _box_mass(0.0, b, c, d)
-    if c < 0.0 < d:
-        return _box_mass(a, b, c, 0.0) + _box_mass(a, b, 0.0, d)
-    if b <= 0.0:
-        a, b = -b, -a
-    if d <= 0.0:
-        c, d = -d, -c
-    # Reflections can leave IEEE negative zeros behind; atan2 treats -0.0 as
-    # approaching from the second quadrant, which silently inflates the
-    # angular window, so scrub the signs.
-    a += 0.0
-    c += 0.0
-    if a * a + c * c >= 1.0:
-        return 0.0
-    return _quarter_closed(a, b, c, d)
+def _fold(index: np.ndarray) -> np.ndarray:
+    """First-orthant index of a cell: ``[l, l+1]`` mirrors ``[-l-1, -l]``."""
+    return np.where(index < 0, -index - 1, index)
+
+
+def _steps(length_x: float, length_y: float, wavelength: float) -> tuple[float, float]:
+    """Cell widths in direction-cosine units, after checking the lengths."""
+    if not (length_x > 0.0 and length_y > 0.0 and wavelength > 0.0):
+        raise ValueError("lengths and wavelength must be positive")
+    return wavelength / length_x, wavelength / length_y
+
+
+def _quarter(length_x: float, length_y: float, wavelength: float) -> np.ndarray:
+    """Cell variances of the first orthant ``0..reach`` of the enumeration rectangle.
+
+    The rectangle spans ``-reach..reach`` on each axis, ``reach`` the
+    aperture length in wavelengths rounded up, and covers the disk; mirror
+    symmetry gives every other cell, so one vectorized pass over this
+    quarter evaluates all of it.
+    """
+    steps = _steps(length_x, length_y, wavelength)
+    return _first_orthant_mass(
+        np.arange(math.ceil(length_x / wavelength) + 1)[:, None],
+        np.arange(math.ceil(length_y / wavelength) + 1)[None, :],
+        *steps,
+    )
+
+
+def _rectangle_total(quarter: np.ndarray) -> float:
+    reach_x, reach_y = (side - 1 for side in quarter.shape)
+    fold_x = _fold(np.arange(-reach_x, reach_x + 1))
+    fold_y = _fold(np.arange(-reach_y, reach_y + 1))
+    return float(quarter[np.ix_(fold_x, fold_y)].sum())
 
 
 def cell_variance(
@@ -193,7 +205,8 @@ def cell_variance(
     transverse direction falls inside that rectangle, evaluated in polar
     coordinates: the radial integral is analytic and the azimuth integral is
     taken from closed-form antiderivatives, which hold for every cell,
-    including cells on an axis or clipped by the unit circle.
+    including cells on an axis or clipped by the unit circle.  It is the
+    one-cell case of the vectorized pass behind :func:`variance_map`.
 
     Args:
         lx: Horizontal integer cell index.
@@ -208,11 +221,8 @@ def cell_variance(
     Raises:
         ValueError: On invalid lengths.
     """
-    if not (length_x > 0.0 and length_y > 0.0 and wavelength > 0.0):
-        raise ValueError("lengths and wavelength must be positive")
-    step_x = wavelength / length_x
-    step_y = wavelength / length_y
-    return _box_mass(lx * step_x, (lx + 1) * step_x, ly * step_y, (ly + 1) * step_y)
+    steps = _steps(length_x, length_y, wavelength)
+    return float(_first_orthant_mass(_fold(np.asarray(lx)), _fold(np.asarray(ly)), *steps))
 
 
 def hemisphere_total(
@@ -227,22 +237,17 @@ def hemisphere_total(
     the unit disk on both axes, so the sum recovers the hemisphere total of
     one half regardless of aperture shape.
     """
-    reach_x = math.ceil(length_x / wavelength)
-    reach_y = math.ceil(length_y / wavelength)
-    total = 0.0
-    for lx in range(-reach_x, reach_x + 1):
-        for ly in range(-reach_y, reach_y + 1):
-            total += cell_variance(lx, ly, length_x, length_y, wavelength=wavelength)
-    return total
+    return _rectangle_total(_quarter(length_x, length_y, wavelength))
 
 
 def variance_map(geometry: ArrayGeometry) -> VarianceMap:
     """Per-cell variance profile of a surface, normalized for simulation.
 
-    Raw variances are integrated over the surface's wavenumber cells, and
-    the scale factors are normalized so their squares sum to the patch
-    count.  The hemisphere total over the full enumeration rectangle is
-    recorded alongside as the integration sanity check.
+    One vectorized pass evaluates the enumeration rectangle covering the
+    disk; the surface's wavenumber cells are gathered from it, and the
+    scale factors are normalized so their squares sum to the patch count.
+    The rectangle's total is recorded alongside as the integration sanity
+    check.
 
     Args:
         geometry: Surface description.
@@ -251,24 +256,15 @@ def variance_map(geometry: ArrayGeometry) -> VarianceMap:
         The assembled map.
     """
     lattice = lattice_ellipse(geometry)
-    raw = np.array(
-        [
-            cell_variance(
-                lx,
-                ly,
-                geometry.length_x,
-                geometry.length_y,
-                wavelength=geometry.wavelength,
-            )
-            for lx, ly in lattice.cells
-        ]
-    )
-    total = hemisphere_total(
-        geometry.length_x, geometry.length_y, wavelength=geometry.wavelength
-    )
+    quarter = _quarter(geometry.length_x, geometry.length_y, geometry.wavelength)
+    lx, ly = lattice.index_arrays()
+    raw = quarter[_fold(lx), _fold(ly)]
     sigma = np.sqrt(geometry.num_patches * raw / raw.sum())
     return VarianceMap(
-        lattice=lattice, raw=raw, normalized_sigma=sigma, hemisphere_total=total
+        lattice=lattice,
+        raw=raw,
+        normalized_sigma=sigma,
+        hemisphere_total=_rectangle_total(quarter),
     )
 
 

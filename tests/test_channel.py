@@ -19,6 +19,21 @@ from holosim import (
     separable_sigma,
     variance_map,
 )
+from holosim.channel import _draw_parts, _gram
+
+
+def dead_cell_sigma(rx_map, tx_map, users):
+    """Preset-like scales with one dead stream and one dead transmit cell."""
+    rx = np.tile(rx_map.normalized_sigma, users)
+    tx = tx_map.normalized_sigma.copy()
+    rx[1] = 0.0
+    tx[2] = 0.0
+    return SeparableSigma(
+        matrix=np.outer(rx, tx),
+        per_user_rows=rx_map.lattice.cardinality,
+        rx_sigma=rx,
+        tx_sigma=tx,
+    )
 
 
 def uniform_sigma(rows, cols, per_user_rows=None, scale=1.0):
@@ -99,6 +114,37 @@ class TestDrawWavenumberChannel:
             h = draw_wavenumber_channel(sigma, k).h_a
             cross += h[0, 0] * np.conj(h[2, 0])
         assert abs(cross / draws) < 0.05
+
+
+class TestRealArithmeticKernel:
+    def test_public_draw_is_the_real_parts_of_the_kernel_draw(
+        self, rx_map_small, tx_map_medium
+    ):
+        sigma = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
+        seed = np.random.SeedSequence(entropy=5, spawn_key=(3, 1))
+        h_a = draw_wavenumber_channel(sigma, seed).h_a
+        parts = _draw_parts(sigma, seed)
+        assert parts.shape == (2, *sigma.matrix.shape)
+        assert np.array_equal(h_a, parts[0] + 1j * parts[1])
+        # The two-call complex formula the kernel's single call replaces.
+        rng = np.random.default_rng(seed)
+        shape = sigma.matrix.shape
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        assert np.array_equal(h_a, sigma.matrix * noise)
+
+    def test_gram_matches_the_complex_product_and_is_exactly_hermitian(
+        self, rx_map_small, tx_map_medium
+    ):
+        sigma = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
+        for seed in range(4):
+            parts = _draw_parts(sigma, seed)
+            h_a = parts[0] + 1j * parts[1]
+            reference = h_a @ h_a.conj().T
+            gram = _gram(parts)
+            assert np.array_equal(gram, gram.conj().T)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(gram - reference)) <= 1e-13 * scale
+            assert np.all(gram[1] == 0.0) and np.all(gram[:, 1] == 0.0)
 
 
 class TestAssembleElementChannel:

@@ -1,11 +1,18 @@
 """Scenario parsing, batch runners, CSV artifacts, and the CLI."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from holosim import rate
+from holosim import (
+    mrt_theoretical_bound,
+    rate,
+    separable_sigma,
+    variance_map,
+    zf_theoretical,
+)
 from holosim.cli import main
 from holosim.harness import (
     PRESET_NAMES,
@@ -122,6 +129,12 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="ns_iterations"):
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, ns_iterations=-1)
 
+    def test_rejects_a_scheme_repeated_after_canonicalization(self):
+        with pytest.raises(ValueError, match="invalid value for scheme"):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, schemes=("zf", "ZF"))
+        with pytest.raises(ValueError, match="invalid value for scheme"):
+            parse_config(scheme="mrt,ns_zf,NS-ZF")
+
     def test_canonicalizes_scheme_names(self):
         config = ScenarioConfig(
             tx=self.GEOM, rx=self.GEOM, schemes=("mrt", "ns_zf")
@@ -201,6 +214,60 @@ class TestPresetJobs:
         assert config.seed == 7
 
 
+def reference_csv(path, header, rows):
+    """Bytes of ``rows`` written one field at a time under ``path``'s config line."""
+    payload = json.loads(path.read_text(encoding="utf-8").splitlines()[0][len("# config "):])
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
+
+    def field(value):
+        return f"{value:.12g}" if isinstance(value, (float, np.floating)) else str(value)
+
+    lines = [f"# config {canonical}", ",".join([*header, "config_hash"])]
+    lines += [",".join([*(field(v) for v in row), digest]) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestColumnWriter:
+    SE_HEADER = ["snr_db", "scheme", "user", "stream", "se_bits"]
+
+    def test_se_block_matches_a_per_field_formatter(self, tmp_path):
+        out = tmp_path / "se.csv"
+        config = parse_config(
+            ns=144, nr=36, users=2, snr="-10:10:10", trials=3, scheme="mrt,zf"
+        )
+        results = run_se_sim(config, out, include_theory=True)
+        sigma = separable_sigma(variance_map(config.rx), variance_map(config.tx), 2)
+        per_user = sigma.per_user_rows
+        rows = []
+        for scheme, fn, tag in (
+            ("MRT", mrt_theoretical_bound, "MRT-BOUND"),
+            ("ZF", zf_theoretical, "ZF-THEORY"),
+        ):
+            result = results[scheme]
+            for col, snr_db in enumerate(config.snr_grid_db):
+                for k in range(sigma.rx_sigma.size):
+                    rows.append((snr_db, scheme, k // per_user + 1, k % per_user + 1,
+                                 result.per_stream[k, col]))
+                rows.append((snr_db, scheme, "all", "sum", result.sum_se[col]))
+            for snr_db in config.snr_grid_db:
+                p_u = 10.0 ** (snr_db / 10.0)
+                values = [
+                    fn(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0, k)
+                    for k in range(sigma.rx_sigma.size)
+                ]
+                for k, value in enumerate(values):
+                    rows.append((snr_db, tag, k // per_user + 1, k % per_user + 1, value))
+                rows.append((snr_db, tag, "all", "sum", sum(values)))
+        assert out.read_bytes() == reference_csv(out, self.SE_HEADER, rows)
+
+    def test_eigvals_block_matches_a_per_field_formatter(self, tmp_path):
+        out = tmp_path / "eig.csv"
+        normalized = run_eigvals(parse_config(ns=144, nr=36), out)
+        rows = [(rank + 1, value) for rank, value in enumerate(normalized)]
+        assert out.read_bytes() == reference_csv(out, ["rank", "eigenvalue"], rows)
+
+
 class TestRunners:
     def test_variance_map_artifact(self, tmp_path):
         out = tmp_path / "vmap.csv"
@@ -266,7 +333,7 @@ class TestRunners:
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
         self, tmp_path, count_calls, orders
     ):
-        draws = count_calls(rate, "draw_wavenumber_channel")
+        draws = count_calls(rate, "_draw_parts")
         out = tmp_path / "ns.csv"
         config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2)
         with pytest.raises(ValueError, match="invalid value for iters"):
@@ -305,7 +372,7 @@ class TestRunPreset:
         self, tmp_path, count_calls
     ):
         # Exact ZF and the four series orders share every draw.
-        draws = count_calls(rate, "draw_wavenumber_channel")
+        draws = count_calls(rate, "_draw_parts")
         assert run_preset("fig8", scale=0.25, trials=3, out=str(tmp_path)) == 0
         assert len(draws) == 3
 
@@ -358,6 +425,19 @@ class TestCLI:
         )
         assert status == 1
         assert "invalid value for iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_se_sim_command_rejects_a_repeated_scheme(self, tmp_path, capsys):
+        out = tmp_path / "se.csv"
+        status = main(
+            [
+                "se-sim", "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "2", "--scheme", "zf,ZF",
+                "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for scheme" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["se-sim", "se-theory"])

@@ -245,7 +245,7 @@ class TestSharedEngine:
             matrix=np.outer(rx, tx), per_user_rows=8, rx_sigma=rx, tx_sigma=tx
         )
         monkeypatch.setattr(harness, "_sigma", lambda config: sigma)
-        draws = count_calls(rate, "draw_wavenumber_channel")
+        draws = count_calls(rate, "_draw_parts")
         eighs = count_calls(np.linalg, "eigh")
         config = ScenarioConfig(
             tx=ArrayGeometry(6, 6, 1 / 3),
@@ -339,6 +339,79 @@ class TestSchemeOrdering:
         assert sums["mrt", 1 / 15] == pytest.approx(11.412, abs=2e-3)
         assert sums["zf", 1 / 6] > sums["zf", 1 / 15]
         assert sums["mrt", 1 / 6] > sums["mrt", 1 / 15]
+
+
+def scalar_mrt_bound(rx, tx, p_u, noise_var, stream):
+    """Per-stream MRT closed form, one stream and one power at a time."""
+    rx_sq = rx**2
+    own = rx_sq[stream]
+    total_tx = float(np.sum(tx**2))
+    cross_tx = float(np.sum(tx**4)) / total_tx
+    others = float(np.sum(rx_sq)) - own
+    numerator = p_u * total_tx * own**2
+    denominator = p_u * cross_tx * own * others + noise_var * float(np.sum(rx_sq))
+    return math.log2(1.0 + numerator / denominator)
+
+
+def scalar_zf(rx, tx, p_u, noise_var, stream):
+    """Per-stream ZF closed form, one stream and one power at a time."""
+    active_streams = int(np.count_nonzero(rx > 0.0))
+    active_cells = int(np.count_nonzero(tx > 0.0))
+    if rx[stream] == 0.0:
+        return 0.0
+    avg_tx = float(np.sum(tx**2)) / active_cells
+    gain = (
+        (p_u / (active_streams * noise_var))
+        * (active_cells - active_streams + 1)
+        * rx[stream] ** 2
+        * avg_tx
+    )
+    return math.log2(1.0 + gain)
+
+
+class TestTheoryTable:
+    def test_table_equals_the_per_stream_formulas_bitwise(
+        self, rx_map_small, tx_map_medium
+    ):
+        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
+        rx = sigma.rx_sigma.copy()
+        tx = sigma.tx_sigma.copy()
+        rx[4] = 0.0  # a dead stream
+        tx[0] = 0.0  # and a dead transmit cell
+        powers = [10.0 ** (snr / 10.0) for snr in range(-10, 31, 5)]
+        for scheme, scalar, public in (
+            ("MRT", scalar_mrt_bound, mrt_theoretical_bound),
+            ("ZF", scalar_zf, zf_theoretical),
+        ):
+            table = rate._theory_table(scheme, rx, tx, powers, 0.7)
+            expected = np.array(
+                [[scalar(rx, tx, p_u, 0.7, k) for p_u in powers] for k in range(rx.size)]
+            )
+            assert table.shape == (rx.size, len(powers))
+            assert np.array_equal(table, expected)
+            # Column sums add the rows in order, like a running sum per power.
+            running = [sum(expected[:, col].tolist()) for col in range(len(powers))]
+            assert table.sum(axis=0).tolist() == running
+            for k in (0, 4, rx.size - 1):
+                assert public(rx, tx, powers[3], 0.7, k) == expected[k, 3]
+        assert rate._theory_table("ZF", rx, tx, powers, 0.7)[4].tolist() == [0.0] * 9
+
+    @pytest.mark.parametrize(
+        "scheme, args, match",
+        [
+            ("MRT", (np.array([]), np.ones(3), 1.0, 1.0), "nonempty"),
+            ("ZF", (np.ones(2), np.ones(4), 0.0, 1.0), "positive"),
+            ("ZF", (np.ones(2), np.ones(4), 1.0, 0.0), "positive"),
+            ("MRT", (np.ones(2), np.ones(2), 1.0, 1.0), "more than two"),
+            ("ZF", (np.ones(5), np.ones(3), 1.0, 1.0), "exceed"),
+        ],
+    )
+    def test_table_raises_the_scalar_errors(self, scheme, args, match):
+        public = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
+        with pytest.raises(ValueError, match=match):
+            rate._theory_table(scheme, *args)
+        with pytest.raises(ValueError, match=match):
+            public(*args, 0)
 
 
 class TestTheoreticalExpressions:

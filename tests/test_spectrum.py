@@ -53,6 +53,7 @@ def spherical_estimate(lx, ly, length, samples=10**7, seed=0):
     return estimate, stderr
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_cell_variance(lx, ly, length_x, length_y, wavelength=1.0):
     """High-precision reference for :func:`cell_variance`, by mpmath quadrature.
 
@@ -180,6 +181,19 @@ class TestVarianceMap:
             idx = map_l4.lattice.cells.index(cell)
             estimate, stderr = spherical_estimate(*cell, 4.0)
             assert abs(map_l4.raw[idx] - estimate) < 3 * stderr
+
+    def test_every_lattice_cell_of_a_large_surface_matches_the_oracle(self):
+        # The map gathers its cells from one vectorized pass over the
+        # enumeration rectangle.  The oracle reflects a cell's box exactly,
+        # so cell (l, .) and its mirror (-l-1, .) share one oracle value.
+        geometry = ArrayGeometry(60, 60, 1 / 3)
+        vmap = variance_map(geometry)
+        assert vmap.raw.size == 1257
+        length_x, length_y = geometry.length_x, geometry.length_y
+        for (lx, ly), raw in zip(vmap.lattice.cells, vmap.raw):
+            mx, my = (index if index >= 0 else -index - 1 for index in (lx, ly))
+            oracle = oracle_cell_variance(mx, my, length_x, length_y, geometry.wavelength)
+            assert abs(raw - oracle) <= 1e-15, (lx, ly)
 
     def test_profile_is_far_from_uniform(self, map_l4):
         positive = map_l4.raw[map_l4.raw > 0]
