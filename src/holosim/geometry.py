@@ -12,7 +12,7 @@ that map between the element domain and the wavenumber domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,21 +83,13 @@ class WavenumberLattice:
 
     Attributes:
         cells: Ordered tuple of ``(lx, ly)`` integer cell indices.
-        cardinality: Number of cells; always ``len(cells)``.
     """
 
     cells: tuple[tuple[int, int], ...]
-    cardinality: int = field(default=-1)
 
     def __post_init__(self) -> None:
         cells = tuple((int(lx), int(ly)) for lx, ly in self.cells)
         object.__setattr__(self, "cells", cells)
-        if self.cardinality == -1:
-            object.__setattr__(self, "cardinality", len(cells))
-        if self.cardinality != len(cells):
-            raise ValueError(
-                f"cardinality {self.cardinality} does not match {len(cells)} cells"
-            )
         if len(set(cells)) != len(cells):
             raise ValueError("lattice cells must be distinct")
 
@@ -112,7 +104,7 @@ class HarmonicBasis:
     """Semi-unitary plane-wave basis for one surface.
 
     Attributes:
-        matrix: Complex array of shape ``(num_patches, cardinality)`` whose
+        matrix: Complex array of shape ``(num_patches, cells)`` whose
             columns are unit-norm sampled plane-wave harmonics.
         geometry: Surface the basis was built for.
         lattice: Wavenumber cells indexing the columns.
@@ -143,7 +135,8 @@ def patch_positions(geometry: ArrayGeometry) -> np.ndarray:
     return np.column_stack([np.zeros_like(horiz), horiz, vert])
 
 
-def _membership(lx: int, ly: int, geometry: ArrayGeometry) -> bool:
+def _membership(lx, ly, geometry: ArrayGeometry):
+    """Whether cells lie in the closed unit disk; integers or integer arrays."""
     ax = lx / (geometry.n_h * geometry.spacing)
     ay = ly / (geometry.n_v * geometry.spacing)
     return ax * ax + ay * ay <= 1.0 + _MEMBERSHIP_SLACK
@@ -158,8 +151,9 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     rectangle that covers the disk.  When the patch grid is too coarse to
     resolve every such cell as a distinct spatial frequency (half-wavelength
     spacing is the edge case), cells that alias onto the same sampled
-    harmonic are merged and the representative closest to broadside is kept,
-    so the basis built on the result stays semi-unitary.
+    harmonic are merged and the representative closest to broadside is kept
+    (ties to the lower ``lx``, then ``ly``), so the basis built on the
+    result stays semi-unitary.
 
     Args:
         geometry: Surface description.
@@ -167,26 +161,18 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     Returns:
         The cells sorted by vertical then horizontal index.
     """
-    len_x_wl = geometry.n_h * geometry.spacing
-    len_y_wl = geometry.n_v * geometry.spacing
-    reach_x = math.ceil(len_x_wl)
-    reach_y = math.ceil(len_y_wl)
-    members = [
-        (lx, ly)
-        for lx in range(-reach_x, reach_x + 1)
-        for ly in range(-reach_y, reach_y + 1)
-        if _membership(lx, ly, geometry)
-    ]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for cell in members:
-        key = (cell[0] % geometry.n_h, cell[1] % geometry.n_v)
-        groups.setdefault(key, []).append(cell)
-    kept = [
-        min(group, key=lambda c: (c[0] * c[0] + c[1] * c[1], c[0], c[1]))
-        for group in groups.values()
-    ]
-    kept.sort(key=lambda c: (c[1], c[0]))
-    return WavenumberLattice(cells=tuple(kept))
+    reach_x = math.ceil(geometry.n_h * geometry.spacing)
+    reach_y = math.ceil(geometry.n_v * geometry.spacing)
+    lx, ly = np.mgrid[-reach_x : reach_x + 1, -reach_y : reach_y + 1]
+    inside = _membership(lx, ly, geometry)
+    lx, ly = lx[inside], ly[inside]
+    alias = (lx % geometry.n_h) * geometry.n_v + ly % geometry.n_v
+    # Each alias group in a run, its representative first; keep the firsts.
+    order = np.lexsort((ly, lx, lx * lx + ly * ly, alias))
+    _, first = np.unique(alias[order], return_index=True)
+    lx, ly = lx[order[first]], ly[order[first]]
+    kept = np.lexsort((lx, ly))
+    return WavenumberLattice(cells=tuple(zip(lx[kept].tolist(), ly[kept].tolist())))
 
 
 def harmonic_basis(

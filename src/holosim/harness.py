@@ -101,22 +101,6 @@ def _near_square(count: int) -> tuple[int, int]:
     return side, count // side
 
 
-def _scaled_side(side: int, scale: float) -> int:
-    return max(1, round(side * math.sqrt(scale)))
-
-
-def _scaled_geometry(geometry: ArrayGeometry, scale: float) -> ArrayGeometry:
-    """Multiply the patch count by ``scale``, keeping the grid near square."""
-    if scale == 1.0:
-        return geometry
-    return ArrayGeometry(
-        n_h=_scaled_side(geometry.n_h, scale),
-        n_v=_scaled_side(geometry.n_v, scale),
-        spacing=geometry.spacing,
-        wavelength=geometry.wavelength,
-    )
-
-
 def _parse_spacing(value, field: str) -> float:
     """Parse a patch spacing given as a rational-of-wavelength literal."""
     if isinstance(value, (int, float)):
@@ -244,16 +228,20 @@ def check_feasibility(config: ScenarioConfig) -> tuple[int, int]:
         ValueError: If ZF or NS-ZF is requested and the total stream count
             exceeds the transmit cell count.
     """
-    rx_cells = lattice_ellipse(config.rx).cardinality
-    tx_cells = lattice_ellipse(config.tx).cardinality
-    needs_inversion = bool({"ZF", "NS-ZF"} & set(config.schemes))
-    if needs_inversion and config.users * rx_cells > tx_cells:
+    rx_cells = len(lattice_ellipse(config.rx).cells)
+    tx_cells = len(lattice_ellipse(config.tx).cells)
+    _check_fit(config, rx_cells, tx_cells)
+    return rx_cells, tx_cells
+
+
+def _check_fit(config: ScenarioConfig, rx_cells: int, tx_cells: int) -> None:
+    """The check of :func:`check_feasibility`; jobs count cells off their variance matrix."""
+    if {"ZF", "NS-ZF"} & set(config.schemes) and config.users * rx_cells > tx_cells:
         raise ValueError(
             f"zero-forcing requires total streams K = users x rx_cells "
             f"({config.users} x {rx_cells} = {config.users * rx_cells}) to be "
             f"at most the transmit cell count n_s = {tx_cells}"
         )
-    return rx_cells, tx_cells
 
 
 def _config_payload(config: ScenarioConfig, **extra) -> dict:
@@ -302,7 +290,6 @@ def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
     payload = {
         "surface": [geometry.n_h, geometry.n_v, geometry.spacing],
         "wavelength": geometry.wavelength,
-        "hemisphere_total": vmap.hemisphere_total,
     }
     lx, ly = vmap.lattice.index_arrays()
     columns = [lx, ly, vmap.raw, vmap.normalized_sigma]
@@ -351,7 +338,10 @@ _SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
 
 def _sigma(config: ScenarioConfig) -> SeparableSigma:
-    """Separable variance matrix of the configured users and transmitter."""
+    """Separable variance matrix of the configured users and transmitter.
+
+    Each lattice is built once, by its variance map; see :func:`_check_fit`.
+    """
     return separable_sigma(variance_map(config.rx), variance_map(config.tx), config.users)
 
 
@@ -371,8 +361,8 @@ def run_se_sim(
     Returns:
         The per-scheme estimates, keyed by scheme tag.
     """
-    check_feasibility(config)
     sigma = _sigma(config)
+    _check_fit(config, sigma.per_user_rows, sigma.tx_sigma.size)
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
@@ -406,9 +396,8 @@ def run_ns_compare(
     """
     if len(set(iterations)) < len(iterations) or min(iterations, default=0) < 0:
         raise ValueError(f"invalid value for iters: {iterations!r} (repeated or negative)")
-    base = replace(config, schemes=("ZF",))
-    check_feasibility(base)
     sigma = _sigma(config)
+    _check_fit(replace(config, schemes=("ZF",)), sigma.per_user_rows, sigma.tx_sigma.size)
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
@@ -425,8 +414,15 @@ def _spacing_tag(spacing: float) -> str:
 
 
 def _geometry_for(count: int, spacing: float, scale: float) -> ArrayGeometry:
-    side_h, side_v = _near_square(count)
-    return _scaled_geometry(ArrayGeometry(side_h, side_v, spacing), scale)
+    """Near-square grid of ``count`` patches, the count multiplied by ``scale``.
+
+    Each side is scaled by the square root of ``scale`` and rounded, so the
+    grid stays proper.
+    """
+    sides = _near_square(count)
+    if scale != 1.0:
+        sides = tuple(max(1, round(side * math.sqrt(scale))) for side in sides)
+    return ArrayGeometry(*sides, spacing)
 
 
 def preset_jobs(

@@ -6,13 +6,14 @@ Its core maps ``G`` to a coefficient matrix ``X`` and a per-column scale
 coupled matrix the receivers see is ``H_a V = G X diag(s)``.  ZF and MMSE
 filter one eigendecomposition ``G_AA = U Λ Uᴴ`` of the active Gram block,
 ``X = U f(Λ) Uᴴ`` with ``f = 1/λ`` or ``1/(λ + a)``; NS-ZF takes every
-series order from one Horner pass.  The public precoders and the Monte
-Carlo engine of :mod:`holosim.rate` share these cores.  Every ``V`` has
-unit Frobenius norm, so that every Monte Carlo trial satisfies the total
-power constraint on its own.  Streams whose channel row is identically
-zero (cells on the edge of the propagating disk can carry exactly zero
-power) are excluded from inversions and get all-zero precoding columns;
-power is shared over the streams that remain.
+series order, and its coupled matrix ``G X``, from one Horner pass.  The
+public precoders and the Monte Carlo engine of :mod:`holosim.rate` share
+these cores.  Every ``V`` has unit Frobenius norm, so that every Monte
+Carlo trial satisfies the total power constraint on its own.  Streams
+whose channel row is identically zero (cells on the edge of the
+propagating disk can carry exactly zero power) are excluded from
+inversions and get all-zero precoding columns; power is shared over the
+streams that remain.
 """
 
 from __future__ import annotations
@@ -64,20 +65,14 @@ class Precoder:
     column_gains: np.ndarray | None = None
 
 
-def _mrt_scale(gram: np.ndarray) -> np.ndarray:
-    """MRT core: ``X = I`` and ``s = 1/sqrt(tr G)`` on every column."""
-    total = float(np.trace(gram).real)
-    if total == 0.0:
-        raise ValueError("cannot match an all-zero channel")
-    return np.full(gram.shape[0], 1.0 / np.sqrt(total))
-
-
 def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the active streams (``G_ii > 0``) and their Gram block ``G_AA``."""
     active = np.diagonal(gram).real > 0.0
+    if active.all():
+        return active, gram
     if not active.any():
         raise ValueError("cannot precode an all-zero channel")
-    return active, gram[np.ix_(active, active)]
+    return active, gram[active][:, active]
 
 
 def _zf_filter(eigenvalues: np.ndarray) -> np.ndarray:
@@ -92,25 +87,6 @@ def _mmse_energy(eigenvalues: np.ndarray, loading) -> np.ndarray:
     """``tr Xᴴ G X = Σ λ/(λ+a)²`` of MMSE's ``X``, one entry per loading ``a``."""
     lam = eigenvalues[:, None]
     return (lam / (lam + loading) ** 2).sum(axis=0)
-
-
-def _inverse_core(
-    gram: np.ndarray, active: np.ndarray, block: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(X, G X, s)`` for an (approximate) inverse ``block`` of ``G_AA``.
-
-    ``X`` is zero off the active streams; ``s_i = 1/(sqrt(|A|) sqrt(e_i))``
-    there, with ``e_i = (Xᴴ G X)_ii`` the squared column norms of ``H_aᴴ X``.
-    """
-    x = np.zeros_like(gram)
-    x[np.ix_(active, active)] = block
-    gx = gram @ x
-    energy = np.einsum("ij,ij->j", x.conj(), gx).real[active]
-    if np.any(energy <= 0.0):
-        raise SingularChannelError("inversion produced a zero precoding column")
-    scale = np.zeros(active.size)
-    scale[active] = 1.0 / (np.sqrt(energy.size) * np.sqrt(energy))
-    return x, gx, scale
 
 
 def _require_cells(rows: np.ndarray) -> None:
@@ -134,8 +110,11 @@ def mrt(realization: ChannelRealization) -> Precoder:
         ValueError: If the channel is identically zero.
     """
     h_a = realization.h_a
-    scale = _mrt_scale(h_a @ h_a.conj().T)
-    return Precoder(v=h_a.conj().T * scale, scheme="MRT", alpha=float(scale[0]))
+    total = float(np.trace(h_a @ h_a.conj().T).real)
+    if total == 0.0:
+        raise ValueError("cannot match an all-zero channel")
+    scale = 1.0 / np.sqrt(total)
+    return Precoder(v=h_a.conj().T * scale, scheme="MRT", alpha=scale)
 
 
 def _zero_forcing(
@@ -151,7 +130,14 @@ def _zero_forcing(
         block = (u * _zf_filter(eigenvalues)) @ u.conj().T
     else:
         block = neumann_inverse(g_aa, iterations)
-    x, _, scale = _inverse_core(gram, active, block)
+    # s_i = 1/(sqrt(|A|) sqrt(e_i)), e_i = (Xᴴ G X)_ii = ‖H_aᴴ X e_i‖²
+    energy = np.einsum("ij,ij->j", block.conj(), g_aa @ block).real
+    if np.any(energy <= 0.0):
+        raise SingularChannelError("inversion produced a zero precoding column")
+    scale = np.zeros(active.size)
+    scale[active] = 1.0 / (np.sqrt(energy.size) * np.sqrt(energy))
+    x = np.zeros_like(gram)
+    x[np.ix_(active, active)] = block
     alpha = 1.0 / np.sqrt(np.count_nonzero(scale))
     return Precoder(
         v=h_a.conj().T @ (x * scale),
@@ -227,10 +213,12 @@ def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:
 
     Splitting ``w_tilde`` into its diagonal ``D`` and off-diagonal ``E``,
     the order-``iterations`` series is accumulated Horner style,
-    ``X <- D^{-1} - D^{-1} E X``, so each extra order costs one
-    matrix-matrix product.  The series converges to the true inverse only
-    when the spectral radius of ``D^{-1} E`` is below one; for dominant
-    off-diagonal mass the residual grows with the order instead.
+    ``X_k = D^{-1} - Q_k`` with ``Q_k = D^{-1} E X_{k-1}``, so each extra
+    order costs one matrix-matrix product.  As ``D X_n = I - D Q_n`` and
+    ``E X_n = D Q_{n+1}``, ``w_tilde X_n = I + D (Q_{n+1} - Q_n)``: one more
+    step gives the coupled matrix without a product of its own.  The series
+    converges to the true inverse only when the spectral radius of
+    ``D^{-1} E`` is below one; otherwise the residual grows with the order.
 
     Args:
         w_tilde: Square matrix to invert approximately.
@@ -268,6 +256,23 @@ def _neumann_series(w_tilde: np.ndarray, orders) -> dict[int, np.ndarray]:
             result = base - scaled_off @ result
         series[order], reached = result, order
     return series
+
+
+def _neumann_coupled(w_tilde: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(X_n, w_tilde X_n)`` for each ``n`` of ``orders``, from one Horner pass.
+
+    The pass runs one order past each ``n``: ``w_tilde X_n = I + D (X_n - X_{n+1})``
+    (see :func:`neumann_inverse`) needs no product of its own.
+    """
+    snapshots = _neumann_series(w_tilde, [*orders, *(order + 1 for order in orders)])
+    diag = np.diag(w_tilde)
+    pairs = []
+    for order in orders:
+        coupled = snapshots[order] - snapshots[order + 1]
+        coupled *= diag[:, None]
+        coupled.reshape(-1)[:: diag.size + 1] += 1.0
+        pairs.append((snapshots[order], coupled))
+    return pairs
 
 
 def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:

@@ -8,9 +8,11 @@ with per-trial seeds split deterministically from one root seed, so results
 are reproducible regardless of scheme or trial count.  One engine serves
 every scheme and series order of a job, sharing each draw, its Gram (built
 in real arithmetic from the draw's real and imaginary parts), one ``eigh``
-(ZF, MMSE) and one Neumann pass (NS-ZF); rates cover the SNR grid.  The
-closed forms of a job are one ``(streams, SNR)`` table per scheme, computed
-with the per-stream formulas' operations in their order.
+(ZF, MMSE) and one Neumann pass (NS-ZF, which also yields each order's
+coupled matrix); every spec's powers on a draw fill one buffer, and one
+SINR and one ``log2`` evaluation give all their rates over the SNR grid.
+The closed forms of a job are one ``(streams, SNR)`` table per scheme,
+computed with the per-stream formulas' operations in their order.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .precoding import (
     Precoder,
     SingularChannelError,
     _active_block,
-    _inverse_core,
     _mmse_energy,
-    _mrt_scale,
-    _neumann_series,
+    _neumann_coupled,
     _require_cells,
     _zf_filter,
 )
@@ -98,19 +98,17 @@ def _canonical_scheme(scheme: str) -> str:
     return tag
 
 
-def _signal_and_interference(coupled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stream |desired|^2 and total |cross-talk|^2 of a K×K coupled matrix."""
-    powers = np.abs(coupled) ** 2
-    signal = np.diagonal(powers).copy()
-    interference = powers.sum(axis=1) - signal
-    return signal, interference
+def _coupled_powers(squares: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
+    """Stacked per-stream |desired|² and |cross-talk|² of ``C diag(s)`` from |C|² and s²."""
+    signal = np.diagonal(squares, axis1=-2, axis2=-1) * scale_sq
+    return np.array([signal, (squares @ scale_sq[..., None])[..., 0] - signal])
 
 
 def _sinr(signal: np.ndarray, interference: np.ndarray, p_u, noise_var) -> np.ndarray:
     """Capped SINR, zero where the signal is zero; broadcasts over SNR columns."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = p_u * signal / (p_u * interference + noise_var)
-    capped = np.minimum(np.nan_to_num(ratio, posinf=SINR_CAP), SINR_CAP)
+    capped = np.minimum(np.nan_to_num(ratio, copy=False, posinf=SINR_CAP), SINR_CAP)
     return np.where(signal > 0.0, capped, 0.0)
 
 
@@ -149,42 +147,54 @@ def per_stream_sinr(
         raise ValueError(
             f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
         )
-    signal, interference = _signal_and_interference(h_a @ v)
-    return _sinr(signal, interference, p_u, noise_var)
+    coupled = h_a @ v
+    powers = _coupled_powers(coupled.real**2 + coupled.imag**2, np.ones(h_a.shape[0]))
+    return _sinr(*powers, p_u, noise_var)
 
 
-def _draw_powers(gram: np.ndarray, specs: list, loading: np.ndarray) -> list:
-    """Signal and interference of every spec on one draw; ``None`` if it rejects it."""
-    tags = {tag for tag, _ in specs}
-    if tags != {"MRT"}:
-        active, g_aa = _active_block(gram)
-    if tags & {"ZF", "MMSE"}:  # one eigh serves both; one Horner pass all NS-ZF orders
+def _draw_powers(gram: np.ndarray, specs: list, loading: np.ndarray) -> tuple:
+    """Active-stream mask, powers ``(2, specs, active streams, SNR)`` and rejections.
+
+    One buffer holds every spec's signal and interference on one draw; the
+    rows of a spec that rejects it stay zero.
+    """
+    rows = {tag: [k for k, (spec, _) in enumerate(specs) if spec == tag] for tag in _SCHEMES}
+    active, g_aa = _active_block(gram)
+    streams = g_aa.shape[0]
+    power = np.zeros((2, len(specs), streams, loading.size))
+    rejected = np.zeros(len(specs), dtype=bool)
+    if rows["MRT"]:  # X = I, s² = 1/tr G
+        scale_sq = np.full(streams, 1.0 / np.trace(g_aa).real)
+        mrt = _coupled_powers(g_aa.real**2 + g_aa.imag**2, scale_sq)
+        power[:, rows["MRT"]] = mrt[:, None, :, None]
+    if rows["ZF"] or rows["MMSE"]:
         eigenvalues, u = np.linalg.eigh(g_aa)
-        w = np.abs(u) ** 2
-    if "NS-ZF" in tags:
-        series = _neumann_series(g_aa, [order for tag, order in specs if tag == "NS-ZF"])
-    powers: list[tuple[np.ndarray, np.ndarray] | None] = []
-    for tag, order in specs:
+        w = u.real**2 + u.imag**2
+    if rows["ZF"]:  # G X diag(s) = diag(s), s_i² = 1/(|A| (W/λ)_i)
         try:
-            if tag == "MRT":
-                powers.append(_signal_and_interference(gram * _mrt_scale(gram)))
-            elif tag == "NS-ZF":
-                _, gx, scale = _inverse_core(gram, active, series[order])
-                powers.append(_signal_and_interference(gx * scale))
-            elif tag == "ZF":  # G X diag(s) = diag(s), s_i² = 1/(|A| (W/λ)_i), W = |U|²
-                signal = np.zeros(gram.shape[0])
-                signal[active] = 1.0 / (g_aa.shape[0] * (w @ _zf_filter(eigenvalues)))
-                powers.append((signal, np.zeros_like(signal)))
-            else:  # MMSE: G X diag(s) = U λ/(λ+a) Uᴴ / sqrt(Σ λ/(λ+a)²)
-                gain = eigenvalues[:, None] / (eigenvalues[:, None] + loading)
-                diagonal = w @ gain
-                mmse = np.zeros((2, gram.shape[0], loading.size))
-                mmse[0, active] = diagonal**2
-                mmse[1, active] = w @ gain**2 - diagonal**2
-                powers.append(tuple(mmse / _mmse_energy(eigenvalues, loading)))
+            power[0, rows["ZF"]] = (1.0 / (streams * (w @ _zf_filter(eigenvalues))))[:, None]
         except SingularChannelError:
-            powers.append(None)
-    return powers
+            rejected[rows["ZF"]] = True
+    if rows["MMSE"]:  # G X diag(s) = U λ/(λ+a) Uᴴ / sqrt(Σ λ/(λ+a)²)
+        gain = eigenvalues[:, None] / (eigenvalues[:, None] + loading)
+        diagonal = w @ gain
+        energy = _mmse_energy(eigenvalues, loading)
+        power[0, rows["MMSE"]] = diagonal**2 / energy
+        power[1, rows["MMSE"]] = (w @ gain**2 - diagonal**2) / energy
+    if rows["NS-ZF"]:  # G X diag(s), s_j² = 1/(|A| e_j), e_j = (Xᴴ G X)_jj
+        pairs = _neumann_coupled(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
+        energy = np.empty((len(pairs), streams))
+        squares = np.empty((len(pairs), streams, streams))
+        for k, (series, coupled) in enumerate(pairs):
+            energy[k] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
+            squares[k] = coupled.real**2 + coupled.imag**2
+        singular = np.any(energy <= 0.0, axis=1)
+        energy[singular] = 1.0  # those rows are zeroed next
+        series_powers = _coupled_powers(squares, 1.0 / (streams * energy))
+        series_powers[:, singular] = 0.0
+        power[:, rows["NS-ZF"]] = series_powers[..., None]
+        rejected[rows["NS-ZF"]] = singular
+    return active, power, rejected
 
 
 def _simulate(
@@ -194,7 +204,8 @@ def _simulate(
 
     Each ``(trial, attempt)`` draw goes to every spec still pending for the
     trial; one that rejects it waits for ``attempt + 1``, so each spec sees
-    the draws, rejections and warning it would see alone.
+    the draws, rejections and warning it would see alone.  The pending
+    specs' rates come from one SINR and one ``log2`` evaluation per draw.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
     if trials < 1:
@@ -206,25 +217,25 @@ def _simulate(
     streams = sigma.matrix.shape[0]
     loading = streams / 10.0 ** (np.asarray(grid) / 10.0)
 
-    accum = np.zeros((len(specs), streams, len(grid)))
+    live = np.any(sigma.matrix != 0.0, axis=1)  # the others have G_ii = 0 on every draw
+    accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
-    rejections = [0] * len(specs)
+    rejections = np.zeros(len(specs), dtype=int)
     for trial in range(trials):
-        pending = list(range(len(specs)))
+        pending = np.arange(len(specs))
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(sigma, root))
-            powers = _draw_powers(gram, [specs[i] for i in pending], loading)
-            for index, power in zip(pending, powers):
-                if power is None:
-                    rejections[index] += 1
-                    continue
-                signal, interference = (np.reshape(p, (streams, -1)) for p in power)
-                trial_se = np.log2(1.0 + _sinr(signal, interference, p_u, noise_var))
-                accum[index] += trial_se
-                accum_sq[index] += trial_se**2
-            pending = [index for index, power in zip(pending, powers) if power is None]
-            if not pending:
+            active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], loading)
+            trial_se = np.log2(1.0 + _sinr(power[0], power[1], p_u, noise_var))
+            # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
+            whole = pending.size == len(specs) and active.sum() == accum.shape[1]
+            rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
+            accum[rows] += trial_se
+            accum_sq[rows] += trial_se**2
+            rejections[pending[rejected]] += 1
+            pending = pending[rejected]
+            if not pending.size:
                 break
         else:
             raise SingularChannelError(
@@ -232,13 +243,14 @@ def _simulate(
             )
 
     results = []
-    for (tag, _), count, total, total_sq in zip(specs, rejections, accum, accum_sq):
+    for (tag, _), count, total, total_sq in zip(specs, rejections.tolist(), accum, accum_sq):
         if count > 0.01 * trials:
             message = f"{count} singular draws rejected over {trials} trials"
             warnings.warn(message, RuntimeWarning, stacklevel=3)
-        per_stream = total / trials
-        variance = np.clip(total_sq / trials - per_stream**2, 0.0, None)
-        stderr = np.sqrt(variance / trials)
+        per_stream, stderr = np.zeros((2, streams, len(grid)))
+        per_stream[live] = total / trials
+        variance = np.clip(total_sq / trials - per_stream[live] ** 2, 0.0, None)
+        stderr[live] = np.sqrt(variance / trials)
         results.append(
             SEResult(per_stream, per_stream.sum(axis=0), trials, grid, tag, count, stderr)
         )

@@ -58,7 +58,7 @@ class VarianceMap:
         sigma = np.asarray(self.normalized_sigma, dtype=float)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized_sigma", sigma)
-        if raw.shape != (self.lattice.cardinality,):
+        if raw.shape != (len(self.lattice.cells),):
             raise ValueError("raw values must align with the lattice cells")
         if sigma.shape != raw.shape:
             raise ValueError("normalized_sigma must align with the lattice cells")
@@ -293,7 +293,7 @@ def separable_sigma(
     tx_sigma = tx_map.normalized_sigma.copy()
     return SeparableSigma(
         matrix=np.outer(rx_stacked, tx_sigma),
-        per_user_rows=rx_map.lattice.cardinality,
+        per_user_rows=len(rx_map.lattice.cells),
         rx_sigma=rx_stacked,
         tx_sigma=tx_sigma,
     )

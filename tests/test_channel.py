@@ -30,7 +30,7 @@ def dead_cell_sigma(rx_map, tx_map, users):
     tx[2] = 0.0
     return SeparableSigma(
         matrix=np.outer(rx, tx),
-        per_user_rows=rx_map.lattice.cardinality,
+        per_user_rows=len(rx_map.lattice.cells),
         rx_sigma=rx,
         tx_sigma=tx,
     )

@@ -34,6 +34,22 @@ FROZEN_CARDINALITIES = [
 ]
 
 
+def loop_lattice(geometry):
+    """Cell-by-cell enumeration with alias groups, the reference for the NumPy pass."""
+    reach_x = math.ceil(geometry.n_h * geometry.spacing)
+    reach_y = math.ceil(geometry.n_v * geometry.spacing)
+    groups = {}
+    for lx in range(-reach_x, reach_x + 1):
+        for ly in range(-reach_y, reach_y + 1):
+            ax = lx / (geometry.n_h * geometry.spacing)
+            ay = ly / (geometry.n_v * geometry.spacing)
+            if ax * ax + ay * ay <= 1.0 + 1e-12:
+                key = (lx % geometry.n_h, ly % geometry.n_v)
+                groups.setdefault(key, []).append((lx, ly))
+    kept = [min(group, key=lambda c: (c[0] ** 2 + c[1] ** 2, c[0], c[1])) for group in groups.values()]
+    return tuple(sorted(kept, key=lambda c: (c[1], c[0])))
+
+
 def small_geometries():
     return [
         ArrayGeometry(3, 3, 1 / 3),
@@ -97,24 +113,23 @@ class TestLatticeEllipse:
     @pytest.mark.parametrize("n_h, n_v, spacing, expected", FROZEN_CARDINALITIES)
     def test_frozen_cardinalities(self, n_h, n_v, spacing, expected):
         lattice = lattice_ellipse(ArrayGeometry(n_h, n_v, spacing))
-        assert lattice.cardinality == expected
         assert len(lattice.cells) == expected
 
     def test_cardinality_tracks_disk_area(self):
         lattice = lattice_ellipse(ArrayGeometry(12, 12, 1 / 3))
-        assert abs(lattice.cardinality - math.floor(math.pi * 16)) <= 2
+        assert abs(len(lattice.cells) - math.floor(math.pi * 16)) <= 2
 
     def test_cardinality_quadruples_when_aperture_doubles(self):
         pairs = [((12, 1 / 3), (24, 1 / 3)), ((30, 1 / 3), (60, 1 / 3))]
         for (side_a, d), (side_b, _) in pairs:
-            small = lattice_ellipse(ArrayGeometry(side_a, side_a, d)).cardinality
-            large = lattice_ellipse(ArrayGeometry(side_b, side_b, d)).cardinality
+            small = len(lattice_ellipse(ArrayGeometry(side_a, side_a, d)).cells)
+            large = len(lattice_ellipse(ArrayGeometry(side_b, side_b, d)).cells)
             assert 3.5 <= large / small <= 4.5
 
     def test_patch_count_covers_cell_count(self):
         for geometry in small_geometries():
             lattice = lattice_ellipse(geometry)
-            assert geometry.num_patches >= lattice.cardinality
+            assert geometry.num_patches >= len(lattice.cells)
 
     def test_half_wavelength_aliases_keep_one_representative(self):
         # At half-wavelength pitch the two rim cells on each axis sample the
@@ -158,6 +173,15 @@ class TestLatticeEllipse:
                 if level(lx, ly) < 1.0 - 1e-9:
                     assert (lx, ly) in cells
 
+    @pytest.mark.parametrize(
+        "n_h, n_v, spacing",
+        [(12, 12, 1 / 2), (7, 5, 0.37), (60, 60, 1 / 3), (2, 997, 1 / 3)],
+        ids=["aliasing", "odd", "large", "strip"],
+    )
+    def test_cells_and_order_match_a_loop_enumeration(self, n_h, n_v, spacing):
+        geometry = ArrayGeometry(n_h, n_v, spacing)
+        assert lattice_ellipse(geometry).cells == loop_lattice(geometry)
+
     def test_rejects_duplicate_cells(self):
         with pytest.raises(ValueError):
             WavenumberLattice(cells=((0, 0), (0, 0)))
@@ -186,7 +210,7 @@ class TestHarmonicBasis:
             lattice = lattice_ellipse(geometry)
             basis = harmonic_basis(geometry, lattice, receive=receive)
             gram = basis.matrix.conj().T @ basis.matrix
-            deviation = np.abs(gram - np.eye(lattice.cardinality)).max()
+            deviation = np.abs(gram - np.eye(len(lattice.cells))).max()
             assert deviation < 1e-10
 
     def test_receive_basis_conjugates_the_transmit_one(self):

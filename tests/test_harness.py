@@ -8,6 +8,7 @@ import pytest
 
 from holosim import (
     mrt_theoretical_bound,
+    precoding,
     rate,
     separable_sigma,
     variance_map,
@@ -274,10 +275,19 @@ class TestRunners:
         vmap = run_variance_map(ArrayGeometry(6, 6, 1 / 3), out)
         header, rows = read_csv(out)
         assert header == ["lx", "ly", "raw", "sigma", "config_hash"]
-        assert len(rows) == vmap.lattice.cardinality == 13
+        assert len(rows) == len(vmap.lattice.cells) == 13
         hashes = {row[-1] for row in rows}
         assert len(hashes) == 1
         assert len(hashes.pop()) == 12
+
+    def test_variance_map_config_line_holds_only_the_configuration(self, tmp_path):
+        # A computed total in the hashed line would tie every row's hash to
+        # round-off in the integration.
+        out = tmp_path / "vmap.csv"
+        run_variance_map(ArrayGeometry(6, 6, 1 / 3), out)
+        line = out.read_text(encoding="utf-8").splitlines()[0]
+        config = json.loads(line.removeprefix("# config "))
+        assert config == {"surface": [6, 6, 1 / 3], "wavelength": 1.0}
 
     def test_eigvals_artifact_is_normalized(self, tmp_path):
         out = tmp_path / "eig.csv"
@@ -329,6 +339,17 @@ class TestRunners:
         _, rows = read_csv(out)
         assert {row[1] for row in rows} == {"ZF", "NS-ZF-2", "NS-ZF-3"}
 
+    def test_se_job_builds_each_lattice_once(self, tmp_path, count_calls):
+        # The feasibility check reads the cell counts off the variance
+        # matrix, so only the two variance maps enumerate a lattice.
+        from holosim import harness, spectrum
+
+        lattices = count_calls(harness, "lattice_ellipse")
+        in_maps = count_calls(spectrum, "lattice_ellipse")
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
+        run_se_sim(config, tmp_path / "se.csv", include_theory=True)
+        assert len(lattices) + len(in_maps) == 2
+
     @pytest.mark.parametrize("orders", [(3, 3), (3, -1)], ids=["repeated", "negative"])
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
         self, tmp_path, count_calls, orders
@@ -376,6 +397,17 @@ class TestRunPreset:
         assert run_preset("fig8", scale=0.25, trials=3, out=str(tmp_path)) == 0
         assert len(draws) == 3
 
+
+    def test_series_preset_makes_one_eigh_and_one_horner_pass_per_draw(
+        self, tmp_path, count_calls
+    ):
+        # Exact ZF reads the eigendecomposition, the four series orders and
+        # their coupled matrices one Horner pass.
+        eighs = count_calls(np.linalg, "eigh")
+        passes = count_calls(precoding, "_neumann_series")
+        assert run_preset("fig8", scale=0.25, trials=3, out=str(tmp_path)) == 0
+        assert len(eighs) == 3
+        assert len(passes) == 3
 
 class TestCLI:
     def test_variance_map_command(self, tmp_path):

@@ -186,6 +186,21 @@ class TestNeumannInverse:
         for order, value in snapshots.items():
             np.testing.assert_array_equal(value, neumann_inverse(gram, order))
 
+    def test_coupled_matrices_from_the_pass_equal_the_products(self):
+        from holosim.precoding import _neumann_coupled
+
+        for seed in range(5):
+            h_a = random_realization(6, 11, seed=seed).h_a
+            gram = h_a @ h_a.conj().T
+            orders = (7, 0, 2, 1, 4)
+            pairs = _neumann_coupled(gram, orders)
+            assert len(pairs) == len(orders)
+            for order, (series, coupled) in zip(orders, pairs):
+                np.testing.assert_array_equal(series, neumann_inverse(gram, order))
+                product = gram @ series
+                error = np.abs(coupled - product).max() / np.abs(product).max()
+                assert error < 1e-13
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="square"):
             neumann_inverse(np.ones((2, 3)), 1)

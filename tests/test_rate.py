@@ -205,6 +205,33 @@ class TestSimulatedSE:
         )
         np.testing.assert_array_equal(result.per_stream[1], 0.0)
 
+    @pytest.mark.parametrize("order", [0, 1, 3, 7])
+    def test_monte_carlo_matches_the_public_series_at_every_order(self, order):
+        # The engine reads each order's coupled matrix from the Horner pass
+        # instead of forming G X; one trial still gives the public rates.
+        rx = np.array([1.0, 0.0, 2.0, 0.5])
+        tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
+        sigma = SeparableSigma(
+            matrix=np.outer(rx, tx), per_user_rows=2, rx_sigma=rx, tx_sigma=tx
+        )
+        grid = [-5.0, 10.0, 25.0]
+        realization = draw_wavenumber_channel(
+            sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
+        )
+        precoder = ns_zf(realization, order)
+        expected = np.column_stack(
+            [
+                np.log2(1.0 + per_stream_sinr(realization, precoder, snr, 1.0))
+                for snr in 10.0 ** (np.asarray(grid) / 10.0)
+            ]
+        )
+        result = simulated_se(
+            sigma, "ns-zf", grid, trials=1, seed=17, ns_iterations=order
+        )
+        assert result.rejections == 0
+        np.testing.assert_allclose(result.per_stream, expected, rtol=1e-10)
+        np.testing.assert_array_equal(result.per_stream[1], 0.0)
+
     def test_zero_forcing_rejects_more_streams_than_cells(self):
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed"):
@@ -275,6 +302,33 @@ class TestSharedEngine:
             np.testing.assert_array_equal(result.per_stream, alone.per_stream)
             np.testing.assert_array_equal(
                 result.per_stream_stderr, alone.per_stream_stderr
+            )
+
+    def test_every_scheme_and_series_order_matches_its_separate_run(self):
+        # The forced-redraw ensemble above, with all four schemes and four
+        # series orders in one job: one buffer, one SINR and one log2 per
+        # draw must leave each spec's estimate bit for bit as it is alone.
+        rx = np.array([1.0] * 7 + [1e-5])
+        tx = np.ones(9)
+        sigma = SeparableSigma(
+            matrix=np.outer(rx, tx), per_user_rows=8, rx_sigma=rx, tx_sigma=tx
+        )
+        specs = [("MRT", None), ("ZF", None), ("MMSE", None)]
+        specs += [("NS-ZF", order) for order in (0, 1, 2, 7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            joint = rate._simulate(sigma, specs, [0.0, 20.0], 40, 3)
+            alone = [
+                simulated_se(sigma, tag, [0.0, 20.0], trials=40, seed=3, ns_iterations=order or 0)
+                for tag, order in specs
+            ]
+        assert [r.rejections for r in joint][:3] == [0, 2, 0]
+        for together, separate in zip(joint, alone):
+            assert together.scheme == separate.scheme
+            assert together.rejections == separate.rejections
+            np.testing.assert_array_equal(together.per_stream, separate.per_stream)
+            np.testing.assert_array_equal(
+                together.per_stream_stderr, separate.per_stream_stderr
             )
 
     def test_matched_transmission_needs_no_eigendecomposition(self, count_calls):

@@ -248,8 +248,8 @@ class TestSeparableSigma:
 
     def test_user_blocks_are_identical(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        n_r = rx_map_small.lattice.cardinality
-        assert sigma.matrix.shape == (3 * n_r, tx_map_medium.lattice.cardinality)
+        n_r = len(rx_map_small.lattice.cells)
+        assert sigma.matrix.shape == (3 * n_r, len(tx_map_medium.lattice.cells))
         assert sigma.per_user_rows == n_r
         np.testing.assert_array_equal(sigma.matrix[:n_r], sigma.matrix[n_r : 2 * n_r])
         np.testing.assert_array_equal(sigma.matrix[:n_r], sigma.matrix[2 * n_r :])
