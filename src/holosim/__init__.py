@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .harness import (
     ScenarioConfig,
-    check_feasibility,
     parse_config,
     run_preset,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "zf_theoretical",
     "ScenarioConfig",
     "parse_config",
-    "check_feasibility",
     "run_preset",
     "__version__",
 ]

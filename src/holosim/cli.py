@@ -89,6 +89,9 @@ def _config_from_args(args: argparse.Namespace) -> harness.ScenarioConfig:
     orders = _order_list(getattr(args, "iters", None), ())
     if len(orders) > 1 and args.command != "ns-compare":
         raise ValueError(f"invalid value for iters: {args.iters!r}")
+    if args.command == "ns-compare" and args.scheme is not None:
+        raise ValueError(f"invalid value for scheme: {args.scheme!r} (ns-compare runs ZF "
+                         "and its series orders)")
     return harness.parse_config(
         path=getattr(args, "config", None),
         ns=args.ns,

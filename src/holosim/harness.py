@@ -7,8 +7,9 @@ starts with a comment line holding the fully resolved configuration as
 canonical JSON; a short hash of that JSON is appended to every row so each
 row is self-describing, and identical configurations produce byte-identical
 files.  One column-wise writer serves every artifact: SE blocks (Monte Carlo
-and closed-form alike) become four columns, and each float column is
-formatted in one pass.
+and the public closed forms alike) become four columns, and each float
+column is formatted in one pass.  The presets are one table of series, each
+a surface pair, a user count, its schemes and the runner that writes it.
 """
 
 from __future__ import annotations
@@ -18,21 +19,27 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .channel import correlation_eigenvalues
-from .geometry import ArrayGeometry, lattice_ellipse
-from .rate import SEResult, _canonical_scheme, _simulate, _theory_table
+from .geometry import ArrayGeometry
+from .rate import (
+    SEResult,
+    _canonical_scheme,
+    _simulate,
+    mrt_theoretical_bound,
+    zf_theoretical,
+)
 from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
 
 __all__ = [
     "ScenarioConfig",
     "parse_config",
-    "check_feasibility",
     "run_preset",
     "run_variance_map",
     "run_eigvals",
@@ -44,8 +51,6 @@ __all__ = [
 
 _DEFAULT_SNR = tuple(float(v) for v in range(-10, 31, 5))
 _THEORY_TAGS = {"MRT": "MRT-BOUND", "ZF": "ZF-THEORY"}
-
-PRESET_NAMES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 
 @dataclass(frozen=True)
@@ -215,31 +220,18 @@ def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
     )
 
 
-def check_feasibility(config: ScenarioConfig) -> tuple[int, int]:
-    """Verify the stream count fits the transmit aperture for inversion.
+def _check_fit(schemes, sigma: SeparableSigma) -> None:
+    """Raise if ``schemes`` hold ZF or NS-ZF and the streams outnumber the cells.
 
-    Args:
-        config: Scenario whose lattices are constructed and counted.
-
-    Returns:
-        ``(rx_cells, tx_cells)`` per-user receive and transmit cell counts.
-
-    Raises:
-        ValueError: If ZF or NS-ZF is requested and the total stream count
-            exceeds the transmit cell count.
+    The counts are read off the variance matrix, whose lattices the job has
+    already built.
     """
-    rx_cells = len(lattice_ellipse(config.rx).cells)
-    tx_cells = len(lattice_ellipse(config.tx).cells)
-    _check_fit(config, rx_cells, tx_cells)
-    return rx_cells, tx_cells
-
-
-def _check_fit(config: ScenarioConfig, rx_cells: int, tx_cells: int) -> None:
-    """The check of :func:`check_feasibility`; jobs count cells off their variance matrix."""
-    if {"ZF", "NS-ZF"} & set(config.schemes) and config.users * rx_cells > tx_cells:
+    rx_cells, tx_cells = sigma.per_user_rows, sigma.tx_sigma.size
+    users = sigma.rx_sigma.size // rx_cells
+    if {"ZF", "NS-ZF"} & set(schemes) and users * rx_cells > tx_cells:
         raise ValueError(
             f"zero-forcing requires total streams K = users x rx_cells "
-            f"({config.users} x {rx_cells} = {config.users * rx_cells}) to be "
+            f"({users} x {rx_cells} = {users * rx_cells}) to be "
             f"at most the transmit cell count n_s = {tx_cells}"
         )
 
@@ -310,8 +302,11 @@ def run_eigvals(config: ScenarioConfig, out: Path) -> np.ndarray:
     return normalized
 
 
-def _se_columns(blocks: list[tuple], grid, sigma: SeparableSigma) -> list:
-    """CSV columns of ``(tag, per_stream, sum_se)`` blocks sharing one SNR grid.
+_SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
+
+
+def _write_se(out: Path, payload: dict, blocks: list, grid, sigma: SeparableSigma) -> None:
+    """Write ``(tag, per_stream, sum_se)`` blocks sharing one SNR grid as one CSV.
 
     Each block writes, per SNR point, one row per stream and then the sum.
     """
@@ -319,22 +314,21 @@ def _se_columns(blocks: list[tuple], grid, sigma: SeparableSigma) -> list:
     labels = [f"{i // per_user + 1},{i % per_user + 1}" for i in range(sigma.rx_sigma.size)]
     labels.append("all,sum")
     rows = len(grid) * len(labels)
-    return [
+    columns = [
         np.tile(np.repeat(np.asarray(grid, dtype=float), len(labels)), len(blocks)),
         [tag for tag, _, _ in blocks for _ in range(rows)],
         labels * (len(grid) * len(blocks)),
         np.array([np.vstack([values, sums]).T for _, values, sums in blocks]).ravel(),
     ]
+    _write_csv(out, payload, _SE_COLUMNS, columns)
 
 
 def _theory_block(config: ScenarioConfig, sigma: SeparableSigma, scheme: str) -> tuple:
     """Closed-form ``(tag, per_stream, sum_se)`` block of one scheme at unit noise."""
+    formula = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
     p_u = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    table = _theory_table(scheme, sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
+    table = formula(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
     return _THEORY_TAGS[scheme], table, table.sum(axis=0)
-
-
-_SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
 
 def _sigma(config: ScenarioConfig) -> SeparableSigma:
@@ -362,7 +356,7 @@ def run_se_sim(
         The per-scheme estimates, keyed by scheme tag.
     """
     sigma = _sigma(config)
-    _check_fit(config, sigma.per_user_rows, sigma.tx_sigma.size)
+    _check_fit(config.schemes, sigma)
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
@@ -370,8 +364,7 @@ def run_se_sim(
         blocks.append((scheme, result.per_stream, result.sum_se))
         if include_theory and scheme in _THEORY_TAGS:
             blocks.append(_theory_block(config, sigma, scheme))
-    columns = _se_columns(blocks, config.snr_grid_db, sigma)
-    _write_csv(out, _config_payload(config), _SE_COLUMNS, columns)
+    _write_se(out, _config_payload(config), blocks, config.snr_grid_db, sigma)
     return dict(zip(config.schemes, estimates))
 
 
@@ -382,8 +375,7 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
             raise ValueError(f"no closed form available for scheme {scheme!r}")
     sigma = _sigma(config)
     blocks = [_theory_block(config, sigma, scheme) for scheme in config.schemes]
-    columns = _se_columns(blocks, config.snr_grid_db, sigma)
-    _write_csv(out, _config_payload(config), _SE_COLUMNS, columns)
+    _write_se(out, _config_payload(config), blocks, config.snr_grid_db, sigma)
 
 
 def run_ns_compare(
@@ -397,14 +389,13 @@ def run_ns_compare(
     if len(set(iterations)) < len(iterations) or min(iterations, default=0) < 0:
         raise ValueError(f"invalid value for iters: {iterations!r} (repeated or negative)")
     sigma = _sigma(config)
-    _check_fit(replace(config, schemes=("ZF",)), sigma.per_user_rows, sigma.tx_sigma.size)
+    _check_fit(("ZF",), sigma)
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = [(tag, result.per_stream, result.sum_se) for tag, result in zip(tags, estimates)]
-    columns = _se_columns(blocks, config.snr_grid_db, sigma)
     payload = _config_payload(config, ns_orders=list(iterations))
-    _write_csv(out, payload, _SE_COLUMNS, columns)
+    _write_se(out, payload, blocks, config.snr_grid_db, sigma)
     return dict(zip(tags, estimates))
 
 
@@ -425,63 +416,64 @@ def _geometry_for(count: int, spacing: float, scale: float) -> ArrayGeometry:
     return ArrayGeometry(*sides, spacing)
 
 
+# Each job calls its runner by name when it runs, so a runner replaced on
+# the module after import is the one that runs.
+def _eigvals_job(config: ScenarioConfig, out: Path) -> None:
+    run_eigvals(config, out)
+
+
+def _se_job(config: ScenarioConfig, out: Path) -> None:
+    run_se_sim(config, out, include_theory=True)
+
+
+def _ns_job(config: ScenarioConfig, out: Path) -> None:
+    run_ns_compare(config, (2, 3, 4, 7), out)
+
+
+_THIRD, _SIXTH = 1.0 / 3.0, 1.0 / 6.0
+_ALL = ("MRT", "ZF", "MMSE")
+# name -> [(stem, (ns, delta_s, nr, delta_r, users, schemes), job)]
+_PRESETS = {
+    "fig3": [(f"fig3_dr{_spacing_tag(dr)}", (900, _THIRD, 576, dr, 1, ("MRT",)), _eigvals_job)
+             for dr in (_SIXTH, _THIRD, 0.5)],
+    "fig4": [(f"fig4_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("ZF", "MMSE")), _se_job)
+             for ns in (576, 900, 3600)],
+    "fig5": [(f"fig5_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("MRT",)), _se_job)
+             for ns in (144, 576, 900)],
+    "fig6": [(f"fig6_nr{nr}", (900, _SIXTH, nr, _SIXTH, 3, _ALL), _se_job)
+             for nr in (72, 144, 288)],
+    "fig7": [(f"fig7_ds{_spacing_tag(ds)}", (3600, ds, 144, _THIRD, 1, _ALL), _se_job)
+             for ds in (_SIXTH, 1.0 / 15.0)],
+    "fig8": [("fig8", (729, _THIRD, 144, _THIRD, 1, ("ZF",)), _ns_job)],
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset_jobs(
     name: str,
     *,
     scale: float = 1.0,
     trials: int | None = None,
     seed: int | None = None,
-) -> list[tuple[str, ScenarioConfig, str, tuple]]:
-    """Expand a preset name into (stem, config, kind, detail) jobs.
+) -> list[tuple[str, ScenarioConfig, Callable[[ScenarioConfig, Path], None]]]:
+    """Expand a preset name into ``(stem, config, job)`` triples.
 
-    Kinds are ``"eigvals"``, ``"se"`` (Monte Carlo plus closed forms where
-    available), and ``"ns"`` (exact-versus-series comparison whose detail
-    carries the series orders).
+    ``job(config, out)`` writes the series to ``out``: the correlation
+    spectrum (``fig3``), the Monte Carlo estimates with the closed forms
+    where available, or exact ZF against series orders 2, 3, 4 and 7
+    (``fig8``).
     """
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-
-    def cfg(ns, ds, nr, dr, users, schemes) -> ScenarioConfig:
-        config = ScenarioConfig(
-            tx=_geometry_for(ns, ds, scale),
-            rx=_geometry_for(nr, dr, scale),
-            users=users,
-            schemes=schemes,
-        )
-        if trials is not None:
-            config = replace(config, trials=trials)
-        if seed is not None:
-            config = replace(config, seed=seed)
-        return config
-
-    third = 1.0 / 3.0
-    sixth = 1.0 / 6.0
-    jobs: list[tuple[str, ScenarioConfig, str, tuple]] = []
-    if name == "fig3":
-        for dr in (sixth, third, 0.5):
-            config = cfg(900, third, 576, dr, 1, ("MRT",))
-            jobs.append((f"fig3_dr{_spacing_tag(dr)}", config, "eigvals", ()))
-    elif name == "fig4":
-        for ns in (576, 900, 3600):
-            config = cfg(ns, third, 144, third, 3, ("ZF", "MMSE"))
-            jobs.append((f"fig4_ns{ns}", config, "se", ()))
-    elif name == "fig5":
-        for ns in (144, 576, 900):
-            config = cfg(ns, third, 144, third, 3, ("MRT",))
-            jobs.append((f"fig5_ns{ns}", config, "se", ()))
-    elif name == "fig6":
-        for nr in (72, 144, 288):
-            config = cfg(900, sixth, nr, sixth, 3, ("MRT", "ZF", "MMSE"))
-            jobs.append((f"fig6_nr{nr}", config, "se", ()))
-    elif name == "fig7":
-        for ds in (sixth, 1.0 / 15.0):
-            config = cfg(3600, ds, 144, third, 1, ("MRT", "ZF", "MMSE"))
-            jobs.append((f"fig7_ds{_spacing_tag(ds)}", config, "se", ()))
-    else:
-        config = cfg(729, third, 144, third, 1, ("ZF",))
-        jobs.append(("fig8", config, "ns", (2, 3, 4, 7)))
+    overrides = {"trials": trials, "seed": seed}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    jobs = []
+    for stem, (ns, ds, nr, dr, users, schemes), job in _PRESETS[name]:
+        tx, rx = _geometry_for(ns, ds, scale), _geometry_for(nr, dr, scale)
+        config = ScenarioConfig(tx=tx, rx=rx, users=users, schemes=schemes, **overrides)
+        jobs.append((stem, config, job))
     return jobs
 
 
@@ -508,16 +500,8 @@ def run_preset(
         diagnostic on standard error).
     """
     try:
-        jobs = preset_jobs(name, scale=scale, trials=trials, seed=seed)
-        out_dir = Path(out)
-        for stem, config, kind, detail in jobs:
-            target = out_dir / f"{stem}.csv"
-            if kind == "eigvals":
-                run_eigvals(config, target)
-            elif kind == "se":
-                run_se_sim(config, target, include_theory=True)
-            else:
-                run_ns_compare(config, detail, target)
+        for stem, config, job in preset_jobs(name, scale=scale, trials=trials, seed=seed):
+            job(config, Path(out) / f"{stem}.csv")
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into status
         print(f"holosim preset {name}: {exc}", file=sys.stderr)
         return 1

@@ -49,20 +49,13 @@ class Precoder:
         v: Complex matrix of shape ``(tx_cells, streams)`` with unit
             Frobenius norm; column ``i`` precodes stream ``i``.
         scheme: One of ``"MRT"``, ``"ZF"``, ``"MMSE"``, ``"NS-ZF"``.
-        alpha: Scalar normalization applied on top of any per-column
-            scaling.
         ns_iterations: Series order used by the ``"NS-ZF"`` scheme, ``None``
             otherwise.
-        column_gains: For the inverting schemes, the per-stream channel
-            gains ``1/‖f_i‖`` of the unnormalized solution columns (zero for
-            excluded streams); ``None`` for schemes that do not solve.
     """
 
     v: np.ndarray
     scheme: str
-    alpha: float
     ns_iterations: int | None = None
-    column_gains: np.ndarray | None = None
 
 
 def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,10 +83,12 @@ def _mmse_energy(eigenvalues: np.ndarray, loading) -> np.ndarray:
 
 
 def _require_cells(rows: np.ndarray) -> None:
-    """Raise if more rows are nonzero than there are transmit cells."""
-    active = int(np.count_nonzero(np.any(rows != 0.0, axis=1)))
-    if active > rows.shape[1]:
-        raise ValueError(f"{active} active streams exceed {rows.shape[1]} transmit cells")
+    """Raise if more rows (streams) than columns (transmit cells) are nonzero."""
+    nonzero = rows != 0.0
+    streams = int(np.count_nonzero(np.any(nonzero, axis=1)))
+    cells = int(np.count_nonzero(np.any(nonzero, axis=0)))
+    if streams > cells:
+        raise ValueError(f"{streams} active streams exceed {cells} active transmit cells")
 
 
 def mrt(realization: ChannelRealization) -> Precoder:
@@ -114,7 +109,7 @@ def mrt(realization: ChannelRealization) -> Precoder:
     if total == 0.0:
         raise ValueError("cannot match an all-zero channel")
     scale = 1.0 / np.sqrt(total)
-    return Precoder(v=h_a.conj().T * scale, scheme="MRT", alpha=scale)
+    return Precoder(v=h_a.conj().T * scale, scheme="MRT")
 
 
 def _zero_forcing(
@@ -138,14 +133,7 @@ def _zero_forcing(
     scale[active] = 1.0 / (np.sqrt(energy.size) * np.sqrt(energy))
     x = np.zeros_like(gram)
     x[np.ix_(active, active)] = block
-    alpha = 1.0 / np.sqrt(np.count_nonzero(scale))
-    return Precoder(
-        v=h_a.conj().T @ (x * scale),
-        scheme=scheme,
-        alpha=alpha,
-        ns_iterations=iterations,
-        column_gains=scale / alpha,
-    )
+    return Precoder(v=h_a.conj().T @ (x * scale), scheme=scheme, ns_iterations=iterations)
 
 
 def zf(realization: ChannelRealization) -> Precoder:
@@ -162,8 +150,8 @@ def zf(realization: ChannelRealization) -> Precoder:
             as active streams.
 
     Returns:
-        The precoder, with ``column_gains`` recording each stream's
-        pseudo-inverse column gain.
+        The precoder; each active stream's column has norm
+        ``1/sqrt(active streams)``.
 
     Raises:
         SingularChannelError: If the Gram block of the active streams has
@@ -205,7 +193,7 @@ def mmse(realization: ChannelRealization, snr: float) -> Precoder:
     x = np.zeros_like(gram)
     x[np.ix_(active, active)] = (u / (eigenvalues + loading)) @ u.conj().T
     scale = 1.0 / np.sqrt(_mmse_energy(eigenvalues, loading)[0])
-    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MMSE", alpha=float(scale))
+    return Precoder(v=h_a.conj().T @ (x * scale), scheme="MMSE")
 
 
 def neumann_inverse(w_tilde: np.ndarray, iterations: int) -> np.ndarray:

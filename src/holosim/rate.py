@@ -11,8 +11,9 @@ in real arithmetic from the draw's real and imaginary parts), one ``eigh``
 (ZF, MMSE) and one Neumann pass (NS-ZF, which also yields each order's
 coupled matrix); every spec's powers on a draw fill one buffer, and one
 SINR and one ``log2`` evaluation give all their rates over the SNR grid.
-The closed forms of a job are one ``(streams, SNR)`` table per scheme,
-computed with the per-stream formulas' operations in their order.
+The closed forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`,
+are vectorized: each gives every stream at every power as one
+``(streams, powers)`` table.
 """
 
 from __future__ import annotations
@@ -316,65 +317,22 @@ def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:
     return rx, tx, powers
 
 
-def _theory_table(scheme: str, rx_sigma, tx_sigma, p_u, noise_var: float) -> np.ndarray:
-    """Closed-form SE of every stream at every power, shape ``(streams, powers)``.
+def _log2_1p(ratio: np.ndarray) -> np.ndarray:
+    """``log2(1 + ratio)`` with libm's ``log2``, one entry at a time.
 
-    ``scheme`` is ``"MRT"`` (:func:`mrt_theoretical_bound`) or ``"ZF"``
-    (:func:`zf_theoretical`); each entry is computed with the same operations
-    in the same order as the per-stream formula, so it equals that formula
-    bit for bit.
+    NumPy's SIMD ``log2`` differs from libm's in the last bit on some
+    inputs; the closed-form CSV rows stay those of the per-stream formula.
     """
-    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
-    if scheme == "MRT":
-        if tx.size <= 2:
-            raise ValueError("the closed form requires more than two transmit cells")
-        own = (rx**2)[:, None]
-        total_rx = float(np.sum(rx**2))
-        total_tx = float(np.sum(tx**2))
-        cross_tx = float(np.sum(tx**4)) / total_tx
-        numerator = p_u * total_tx * own**2
-        denominator = p_u * cross_tx * own * (total_rx - own) + noise_var * total_rx
-        ratio = numerator / denominator
-    else:
-        active_streams = int(np.count_nonzero(rx > 0.0))
-        active_cells = int(np.count_nonzero(tx > 0.0))
-        if active_streams > active_cells:
-            raise ValueError(
-                f"{active_streams} active streams exceed {active_cells} active "
-                f"transmit cells"
-            )
-        avg_tx = float(np.sum(tx**2)) / active_cells
-        # With no live stream this is 0/0; every row is then masked to 0 below.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (
-                (p_u / (active_streams * noise_var))
-                * (active_cells - active_streams + 1)
-                * rx[:, None] ** 2
-                * avg_tx
-            )
-    # libm's log2, not NumPy's SIMD one, which differs in the last bit on
-    # some inputs; the closed-form CSV rows stay those of the scalar formula.
-    values = np.reshape([math.log2(v) for v in (1.0 + ratio).ravel().tolist()], ratio.shape)
-    if scheme == "ZF":
-        values[rx == 0.0] = 0.0
-    return values
-
-
-def _theory_value(scheme, rx_sigma, tx_sigma, p_u, noise_var, stream: int) -> float:
-    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
-    if not 0 <= stream < rx.size:
-        raise ValueError(f"stream {stream} out of range for {rx.size} streams")
-    return float(_theory_table(scheme, rx, tx, p_u, noise_var)[stream, 0])
+    return np.reshape([math.log2(v) for v in (1.0 + ratio).ravel().tolist()], ratio.shape)
 
 
 def mrt_theoretical_bound(
     rx_sigma: np.ndarray,
     tx_sigma: np.ndarray,
-    p_u: float,
+    p_u,
     noise_var: float,
-    stream: int,
-) -> float:
-    """Closed-form approximation of the MRT per-stream SE.
+) -> np.ndarray:
+    """Closed-form approximation of the MRT per-stream SE at every power.
 
     Each power in the SINR of the unit-Frobenius matched precoder is
     replaced by its ensemble average (valid for many transmit cells), with
@@ -398,28 +356,35 @@ def mrt_theoretical_bound(
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
         tx_sigma: Transmit scale factors (more than two cells required).
-        p_u: Transmit power.
+        p_u: Transmit power, a scalar or a vector of powers.
         noise_var: Noise variance.
-        stream: Stream index the value is computed for.
 
     Returns:
-        Spectral efficiency in bits/s/Hz.
+        Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
 
     Raises:
         ValueError: On empty vectors, invalid scalars, or too few transmit
             cells.
     """
-    return _theory_value("MRT", rx_sigma, tx_sigma, p_u, noise_var, stream)
+    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    if tx.size <= 2:
+        raise ValueError("the closed form requires more than two transmit cells")
+    own = (rx**2)[:, None]
+    total_rx = float(np.sum(rx**2))
+    total_tx = float(np.sum(tx**2))
+    cross_tx = float(np.sum(tx**4)) / total_tx
+    numerator = p_u * total_tx * own**2
+    denominator = p_u * cross_tx * own * (total_rx - own) + noise_var * total_rx
+    return _log2_1p(numerator / denominator)
 
 
 def zf_theoretical(
     rx_sigma: np.ndarray,
     tx_sigma: np.ndarray,
-    p_u: float,
+    p_u,
     noise_var: float,
-    stream: int,
-) -> float:
-    """Closed-form approximation of the ZF per-stream SE.
+) -> np.ndarray:
+    """Closed-form approximation of the ZF per-stream SE at every power.
 
     Only streams and transmit cells with nonzero scale factors take part in
     zero-forcing, so the degrees-of-freedom factor and the power split count
@@ -428,15 +393,34 @@ def zf_theoretical(
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
         tx_sigma: Transmit scale factors.
-        p_u: Transmit power.
+        p_u: Transmit power, a scalar or a vector of powers.
         noise_var: Noise variance.
-        stream: Stream index the value is computed for.
 
     Returns:
-        Spectral efficiency in bits/s/Hz; zero for a stream with zero scale.
+        Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``;
+        zero on the rows of streams with zero scale.
 
     Raises:
         ValueError: If more streams than transmit cells are active, or on
             invalid arguments.
     """
-    return _theory_value("ZF", rx_sigma, tx_sigma, p_u, noise_var, stream)
+    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    active_streams = int(np.count_nonzero(rx > 0.0))
+    active_cells = int(np.count_nonzero(tx > 0.0))
+    if active_streams > active_cells:
+        raise ValueError(
+            f"{active_streams} active streams exceed {active_cells} active "
+            f"transmit cells"
+        )
+    avg_tx = float(np.sum(tx**2)) / active_cells
+    # With no live stream this is 0/0; every row is then masked to 0 below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (
+            (p_u / (active_streams * noise_var))
+            * (active_cells - active_streams + 1)
+            * rx[:, None] ** 2
+            * avg_tx
+        )
+    values = _log2_1p(ratio)
+    values[rx == 0.0] = 0.0
+    return values

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holosim import (
+    harness,
     mrt_theoretical_bound,
     precoding,
     rate,
@@ -18,7 +19,7 @@ from holosim.cli import main
 from holosim.harness import (
     PRESET_NAMES,
     ScenarioConfig,
-    check_feasibility,
+    _config_payload,
     parse_config,
     preset_jobs,
     run_eigvals,
@@ -144,20 +145,32 @@ class TestScenarioConfig:
 
 
 class TestFeasibility:
-    def test_overloaded_inversion_is_rejected_with_counts(self):
-        config = parse_config(ns=144, nr=144, users=3)
+    def test_overloaded_inversion_is_rejected_with_counts(self, tmp_path, count_calls):
+        draws = count_calls(rate, "_draw_parts")
+        out = tmp_path / "se.csv"
+        config = parse_config(ns=144, nr=144, users=3, snr="10", trials=2)
         with pytest.raises(ValueError) as excinfo:
-            check_feasibility(config)
+            run_se_sim(config, out)
         message = str(excinfo.value)
         assert "3 x 49 = 147" in message
         assert "n_s = 49" in message
+        assert draws == []
+        assert not out.exists()
 
-    def test_matching_only_runs_at_any_load(self):
-        config = parse_config(ns=144, nr=144, users=3, scheme="mrt")
-        assert check_feasibility(config) == (49, 49)
+    def test_matching_only_runs_at_any_load(self, tmp_path):
+        config = parse_config(ns=144, nr=144, users=3, snr="10", trials=2, scheme="mrt")
+        results = run_se_sim(config, tmp_path / "se.csv")
+        assert results["MRT"].per_stream.shape == (147, 1)
 
-    def test_counts_for_the_default_scenario(self):
-        assert check_feasibility(parse_config()) == (49, 317)
+    def test_counts_for_the_default_scenario(self, tmp_path):
+        # The default surfaces have 49 receive and 317 transmit cells; a
+        # seventh user is the first that overloads zero-forcing.
+        config = parse_config(users=7, snr="10", trials=1, scheme="zf")
+        with pytest.raises(ValueError) as excinfo:
+            run_se_sim(config, tmp_path / "se.csv")
+        message = str(excinfo.value)
+        assert "7 x 49 = 343" in message
+        assert "n_s = 317" in message
 
 
 class TestPresetJobs:
@@ -168,51 +181,90 @@ class TestPresetJobs:
         with pytest.raises(ValueError, match="scale"):
             preset_jobs("fig3", scale=0.0)
 
-    def test_spectrum_family_sweeps_receive_spacing(self):
+    def test_spectrum_family_sweeps_receive_spacing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_eigvals", lambda *args: calls.append(args))
         jobs = preset_jobs("fig3")
         assert [stem for stem, *_ in jobs] == [
             "fig3_dr1_6",
             "fig3_dr1_3",
             "fig3_dr1_2",
         ]
-        for (_, config, kind, detail), spacing in zip(jobs, (1 / 6, 1 / 3, 0.5)):
-            assert kind == "eigvals"
-            assert detail == ()
+        for (_, config, job), spacing in zip(jobs, (1 / 6, 1 / 3, 0.5)):
+            job(config, tmp_path / "x.csv")
+            assert calls.pop() == (config, tmp_path / "x.csv")
             assert config.users == 1
             assert config.schemes == ("MRT",)
             assert (config.rx.n_h, config.rx.n_v) == (24, 24)
             assert config.rx.spacing == pytest.approx(spacing)
             assert (config.tx.n_h, config.tx.n_v) == (30, 30)
 
-    def test_spacing_family_compares_dense_and_sparse_transmit(self):
+    def test_spacing_family_compares_dense_and_sparse_transmit(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_se_sim", lambda *args, **kw: calls.append((args, kw)))
         jobs = preset_jobs("fig7")
         assert [stem for stem, *_ in jobs] == ["fig7_ds1_6", "fig7_ds1_15"]
-        for (_, config, kind, _), spacing in zip(jobs, (1 / 6, 1 / 15)):
-            assert kind == "se"
+        for (_, config, job), spacing in zip(jobs, (1 / 6, 1 / 15)):
+            job(config, tmp_path / "x.csv")
+            assert calls.pop() == ((config, tmp_path / "x.csv"), {"include_theory": True})
             assert config.users == 1
             assert (config.tx.n_h, config.tx.n_v) == (60, 60)
             assert config.tx.spacing == pytest.approx(spacing)
 
-    def test_series_family_carries_the_order_sweep(self):
-        ((stem, config, kind, detail),) = preset_jobs("fig8")
+    def test_series_family_carries_the_order_sweep(self, tmp_path, monkeypatch):
+        ((stem, config, job),) = preset_jobs("fig8")
         assert stem == "fig8"
-        assert kind == "ns"
-        assert detail == (2, 3, 4, 7)
+        calls = []
+        monkeypatch.setattr(harness, "run_ns_compare", lambda *args: calls.append(args))
+        job(config, tmp_path / "fig8.csv")
+        assert calls == [(config, (2, 3, 4, 7), tmp_path / "fig8.csv")]
         assert (config.tx.n_h, config.tx.n_v) == (27, 27)
         assert (config.rx.n_h, config.rx.n_v) == (12, 12)
         assert config.users == 1
         assert config.schemes == ("ZF",)
 
     def test_scale_shrinks_every_surface(self):
-        ((_, config, _, _),) = preset_jobs("fig8", scale=0.25)
+        ((_, config, _),) = preset_jobs("fig8", scale=0.25)
         assert (config.tx.n_h, config.tx.n_v) == (14, 14)
         assert (config.rx.n_h, config.rx.n_v) == (6, 6)
         assert config.tx.spacing == pytest.approx(1 / 3)
 
     def test_trial_and_seed_overrides(self):
-        ((_, config, _, _),) = preset_jobs("fig8", trials=5, seed=7)
+        ((_, config, _),) = preset_jobs("fig8", trials=5, seed=7)
         assert config.trials == 5
         assert config.seed == 7
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_native_jobs_keep_their_stems_and_configurations(self, name):
+        expected = [(stem, digest) for preset, stem, digest in NATIVE_JOB_HASHES
+                    if preset == name]
+        jobs = []
+        for stem, config, _ in preset_jobs(name):
+            canonical = json.dumps(_config_payload(config), sort_keys=True,
+                                   separators=(",", ":"))
+            jobs.append((stem, hashlib.sha1(canonical.encode("utf-8")).hexdigest()))
+        assert jobs == expected
+
+
+# SHA-1 of every native-scale job's canonical configuration: a change here
+# rewrites the config line and every row's hash of that series.
+NATIVE_JOB_HASHES = [
+    ("fig3", "fig3_dr1_6", "503345bf39cf4275f4bfc94efd0529ca74af6f62"),
+    ("fig3", "fig3_dr1_3", "8ca4dba863b0d56dc1f16c01a3c58bf101fe4498"),
+    ("fig3", "fig3_dr1_2", "0e795f010ce6baaa1766e19f9eaacb798030e082"),
+    ("fig4", "fig4_ns576", "fa512b29f76aca19c4a7bfc2a847add633513650"),
+    ("fig4", "fig4_ns900", "5013bc00e1547692b0aaae3436cda8513bdde56d"),
+    ("fig4", "fig4_ns3600", "2b09dfff0dd2aebce8db9d336a674e54e69c063b"),
+    ("fig5", "fig5_ns144", "7b309a3ba504fd6f405687740b4993770e34d7b2"),
+    ("fig5", "fig5_ns576", "1f7620d6115e53256df227b71891c65dd1020b2d"),
+    ("fig5", "fig5_ns900", "659a24d42966bfb6a279d41f8d9b9644abd6af4e"),
+    ("fig6", "fig6_nr72", "94b4470ca91827442973092739c61f5265f03486"),
+    ("fig6", "fig6_nr144", "176a801825ba7390f96892e273fe696836fe67c4"),
+    ("fig6", "fig6_nr288", "a4dbeb9045d3f44cf6110310906b2b2cff4238f1"),
+    ("fig7", "fig7_ds1_6", "e6ee5ca478f407287fa23bc7901b153bf60bacfe"),
+    ("fig7", "fig7_ds1_15", "3a42b3c8e739ca4293ce4eb08ab15036a6624a19"),
+    ("fig8", "fig8", "a20c1dd3a8cc728f918b28bc751902243b17f420"),
+]
 
 
 def reference_csv(path, header, rows):
@@ -253,10 +305,7 @@ class TestColumnWriter:
                 rows.append((snr_db, scheme, "all", "sum", result.sum_se[col]))
             for snr_db in config.snr_grid_db:
                 p_u = 10.0 ** (snr_db / 10.0)
-                values = [
-                    fn(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0, k)
-                    for k in range(sigma.rx_sigma.size)
-                ]
+                values = fn(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)[:, 0].tolist()
                 for k, value in enumerate(values):
                     rows.append((snr_db, tag, k // per_user + 1, k % per_user + 1, value))
                 rows.append((snr_db, tag, "all", "sum", sum(values)))
@@ -342,13 +391,22 @@ class TestRunners:
     def test_se_job_builds_each_lattice_once(self, tmp_path, count_calls):
         # The feasibility check reads the cell counts off the variance
         # matrix, so only the two variance maps enumerate a lattice.
-        from holosim import harness, spectrum
+        from holosim import spectrum
 
-        lattices = count_calls(harness, "lattice_ellipse")
+        assert not hasattr(harness, "lattice_ellipse")
         in_maps = count_calls(spectrum, "lattice_ellipse")
         config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
         run_se_sim(config, tmp_path / "se.csv", include_theory=True)
-        assert len(lattices) + len(in_maps) == 2
+        assert len(in_maps) == 2
+
+    def test_se_job_calls_the_public_closed_forms_by_name(self, tmp_path, count_calls):
+        # Looked up on the module when the job runs, so a wrapper installed
+        # after import sees one call per scheme and job.
+        bounds = count_calls(harness, "mrt_theoretical_bound")
+        nulling = count_calls(harness, "zf_theoretical")
+        config = parse_config(ns=144, nr=36, users=1, snr="0,10", trials=2, scheme="mrt,zf")
+        run_se_sim(config, tmp_path / "se.csv", include_theory=True)
+        assert len(bounds) == len(nulling) == 1
 
     @pytest.mark.parametrize("orders", [(3, 3), (3, -1)], ids=["repeated", "negative"])
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
@@ -457,6 +515,20 @@ class TestCLI:
         )
         assert status == 1
         assert "invalid value for iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ns_compare_command_rejects_a_scheme(self, tmp_path, capsys):
+        # ns-compare always runs ZF and its series orders.
+        out = tmp_path / "ns.csv"
+        status = main(
+            [
+                "ns-compare", "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "2", "--scheme", "mmse",
+                "--iters", "2,3", "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for scheme" in capsys.readouterr().err
         assert not out.exists()
 
     def test_se_sim_command_rejects_a_repeated_scheme(self, tmp_path, capsys):

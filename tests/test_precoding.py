@@ -46,12 +46,13 @@ def column_directions(v):
 
 class TestMRT:
     def test_single_entry_channel(self):
-        precoder = mrt(realization_from([[3.0 + 4.0j]]))
+        realization = realization_from([[3.0 + 4.0j]])
+        precoder = mrt(realization)
         np.testing.assert_allclose(precoder.v, [[0.6 - 0.8j]])
-        assert precoder.alpha == pytest.approx(0.2)
+        # |h|^2 / ||h||_F: the whole channel gain on the one stream.
+        assert (realization.h_a @ precoder.v)[0, 0] == pytest.approx(5.0)
         assert precoder.scheme == "MRT"
         assert precoder.ns_iterations is None
-        assert precoder.column_gains is None
 
     def test_matches_the_conjugated_channel(self):
         realization = random_realization(3, 7, seed=2)
@@ -68,10 +69,10 @@ class TestMRT:
 
 class TestZF:
     def test_identity_channel(self):
-        precoder = zf(realization_from(np.eye(3)))
+        realization = realization_from(np.eye(3))
+        precoder = zf(realization)
         np.testing.assert_allclose(precoder.v, np.eye(3) / math.sqrt(3.0))
-        assert precoder.alpha == pytest.approx(1.0 / math.sqrt(3.0))
-        np.testing.assert_allclose(precoder.column_gains, 1.0)
+        np.testing.assert_allclose(realization.h_a @ precoder.v, np.eye(3) / math.sqrt(3.0))
 
     def test_nulls_cross_talk(self):
         realization = random_realization(4, 9, seed=3)
@@ -86,20 +87,23 @@ class TestZF:
         reference = np.linalg.pinv(realization.h_a)
         expected = 1.0 / (2.0 * np.linalg.norm(reference, axis=0))
         np.testing.assert_allclose(coupled, expected, atol=1e-10)
-        np.testing.assert_allclose(
-            precoder.column_gains, 1.0 / np.linalg.norm(reference, axis=0), rtol=1e-10
-        )
+        # Every column carries an equal share of the unit power.
+        np.testing.assert_allclose(np.linalg.norm(precoder.v, axis=0), 0.5, rtol=1e-10)
 
     def test_skips_dead_streams(self):
         realization = realization_from([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
         precoder = zf(realization)
         np.testing.assert_allclose(precoder.v[:, 1], 0.0)
-        np.testing.assert_allclose(precoder.column_gains, [1.0, 0.0, 2.0])
+        # Two live streams share the power; each keeps its own channel gain.
+        gains = np.diagonal(realization.h_a @ precoder.v)
+        np.testing.assert_allclose(gains, np.array([1.0, 0.0, 2.0]) / math.sqrt(2.0))
         assert np.linalg.norm(precoder.v) == pytest.approx(1.0)
-        assert precoder.alpha == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_rejects_repeated_rows(self):
         with pytest.raises(SingularChannelError):
+            zf(realization_from([[1.0, 2.0], [1.0, 2.0]]))
+        # With a dead transmit cell the two streams share one live cell.
+        with pytest.raises(ValueError, match="2 active streams exceed 1 active"):
             zf(realization_from([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_rejects_more_streams_than_cells(self):
@@ -222,7 +226,11 @@ class TestNSZF:
         series = ns_zf(realization, 50)
         exact = zf(realization)
         np.testing.assert_allclose(series.v, exact.v, atol=1e-8)
-        np.testing.assert_allclose(series.column_gains, exact.column_gains, rtol=1e-6)
+        np.testing.assert_allclose(
+            np.diagonal(realization.h_a @ series.v),
+            np.diagonal(realization.h_a @ exact.v),
+            rtol=1e-6,
+        )
 
     def test_records_the_series_order(self, realization):
         assert ns_zf(realization).ns_iterations == 3
@@ -233,7 +241,7 @@ class TestNSZF:
         realization = realization_from([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         precoder = ns_zf(realization, 3)
         np.testing.assert_allclose(precoder.v[:, 1], 0.0)
-        np.testing.assert_allclose(precoder.column_gains, [1.0, 0.0])
+        np.testing.assert_allclose(np.diagonal(realization.h_a @ precoder.v), [1.0, 0.0])
         assert np.linalg.norm(precoder.v) == pytest.approx(1.0)
 
 

@@ -48,7 +48,8 @@ class TestPerStreamSINR:
         realization = realization_from([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
         precoder = zf(realization)
         sinr = per_stream_sinr(realization, precoder, p_u=2.0, noise_var=0.5)
-        expected = 2.0 * (precoder.alpha * precoder.column_gains) ** 2 / 0.5
+        gains = np.diagonal(realization.h_a @ precoder.v)
+        expected = 2.0 * np.abs(gains) ** 2 / 0.5
         np.testing.assert_allclose(sinr, expected, rtol=1e-12)
         assert sinr[1] == 0.0
 
@@ -236,6 +237,22 @@ class TestSimulatedSE:
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed"):
                 simulated_se(uniform_sigma(5, 3), scheme, [10.0], trials=2, seed=0)
+
+    def test_zero_forcing_counts_only_live_transmit_cells(self, count_calls):
+        # Three streams on two live cells of three: every Gram has rank 2.
+        tx = np.array([1.0, 1.0, 0.0])
+        sigma = SeparableSigma(
+            matrix=np.outer(np.ones(3), tx), per_user_rows=3, rx_sigma=np.ones(3), tx_sigma=tx
+        )
+        draws = count_calls(rate, "_draw_parts")
+        realization = realization_from([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        for precode in (zf, ns_zf):
+            with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
+                precode(realization)
+        for scheme in ("zf", "ns-zf"):
+            with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
+                simulated_se(sigma, scheme, [10.0], trials=2, seed=0)
+        assert draws == []
 
     def test_noise_variance_cancels_against_matched_power(self):
         sigma = uniform_sigma(3, 6)
@@ -437,7 +454,7 @@ class TestTheoryTable:
             ("MRT", scalar_mrt_bound, mrt_theoretical_bound),
             ("ZF", scalar_zf, zf_theoretical),
         ):
-            table = rate._theory_table(scheme, rx, tx, powers, 0.7)
+            table = public(rx, tx, powers, 0.7)
             expected = np.array(
                 [[scalar(rx, tx, p_u, 0.7, k) for p_u in powers] for k in range(rx.size)]
             )
@@ -446,9 +463,9 @@ class TestTheoryTable:
             # Column sums add the rows in order, like a running sum per power.
             running = [sum(expected[:, col].tolist()) for col in range(len(powers))]
             assert table.sum(axis=0).tolist() == running
-            for k in (0, 4, rx.size - 1):
-                assert public(rx, tx, powers[3], 0.7, k) == expected[k, 3]
-        assert rate._theory_table("ZF", rx, tx, powers, 0.7)[4].tolist() == [0.0] * 9
+            # A scalar power gives one column.
+            assert np.array_equal(public(rx, tx, powers[3], 0.7), expected[:, 3:4])
+        assert zf_theoretical(rx, tx, powers, 0.7)[4].tolist() == [0.0] * 9
 
     @pytest.mark.parametrize(
         "scheme, args, match",
@@ -463,71 +480,62 @@ class TestTheoryTable:
     def test_table_raises_the_scalar_errors(self, scheme, args, match):
         public = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
         with pytest.raises(ValueError, match=match):
-            rate._theory_table(scheme, *args)
-        with pytest.raises(ValueError, match=match):
-            public(*args, 0)
+            public(*args)
 
 
 class TestTheoreticalExpressions:
     def test_single_stream_matched_bound_reduces_to_snr_formula(self):
-        value = mrt_theoretical_bound(
-            np.array([2.0]), np.ones(3), p_u=4.0, noise_var=0.5, stream=0
-        )
+        (value,) = mrt_theoretical_bound(np.array([2.0]), np.ones(3), p_u=4.0, noise_var=0.5)[0]
         assert value == pytest.approx(math.log2(1.0 + 4.0 * 3.0 * 4.0 / 0.5), rel=1e-12)
 
     def test_matched_cross_talk_uses_the_fourth_transmit_moment(self):
         # E|h_0 h_1^H|^2 = s_0^2 s_1^2 sum(t^4): with t = (1, 1, 2) the
         # cross-talk factor is sum(t^4) / sum(t^2) = 18 / 6 = 3, not the
         # mean power sum(t^2) / N = 2.  SINR = 6 / (3 * 1 * 4 + 5) = 6 / 17.
-        value = mrt_theoretical_bound(
-            np.array([1.0, 2.0]), np.array([1.0, 1.0, 2.0]), 1.0, 1.0, 0
-        )
-        assert value == pytest.approx(math.log2(1.0 + 6.0 / 17.0), rel=1e-12)
+        value = mrt_theoretical_bound(np.array([1.0, 2.0]), np.array([1.0, 1.0, 2.0]), 1.0, 1.0)
+        assert value[0, 0] == pytest.approx(math.log2(1.0 + 6.0 / 17.0), rel=1e-12)
 
     def test_matched_bound_shrinks_as_streams_are_added(self):
-        lone = mrt_theoretical_bound(np.ones(1), np.ones(8), 2.0, 1.0, 0)
-        crowded = mrt_theoretical_bound(np.ones(3), np.ones(8), 2.0, 1.0, 0)
-        assert crowded < lone
+        lone = mrt_theoretical_bound(np.ones(1), np.ones(8), 2.0, 1.0)
+        crowded = mrt_theoretical_bound(np.ones(3), np.ones(8), 2.0, 1.0)
+        assert crowded[0, 0] < lone[0, 0]
 
     def test_classical_identity_nulling_formula(self):
-        value = zf_theoretical(np.ones(4), np.ones(10), p_u=2.0, noise_var=1.0, stream=0)
-        assert value == pytest.approx(math.log2(1.0 + (2.0 / 4.0) * 7.0), rel=1e-12)
+        value = zf_theoretical(np.ones(4), np.ones(10), p_u=2.0, noise_var=1.0)
+        assert value[0, 0] == pytest.approx(math.log2(1.0 + (2.0 / 4.0) * 7.0), rel=1e-12)
 
     def test_square_nulling_loses_all_array_gain(self):
-        value = zf_theoretical(np.ones(5), np.ones(5), p_u=5.0, noise_var=1.0, stream=2)
-        assert value == pytest.approx(1.0, rel=1e-12)
+        value = zf_theoretical(np.ones(5), np.ones(5), p_u=5.0, noise_var=1.0)
+        assert value[2, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_nulling_skips_dead_streams(self):
         rx = np.array([1.0, 0.0, 2.0])
-        assert zf_theoretical(rx, np.ones(4), 1.0, 1.0, 1) == 0.0
+        value = zf_theoretical(rx, np.ones(4), 1.0, 1.0)
+        assert value[1, 0] == 0.0
         # Only two live streams share the power and count against the cells.
-        value = zf_theoretical(rx, np.ones(4), 1.0, 1.0, 2)
-        assert value == pytest.approx(math.log2(1.0 + 0.5 * 3.0 * 4.0), rel=1e-12)
+        assert value[2, 0] == pytest.approx(math.log2(1.0 + 0.5 * 3.0 * 4.0), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            mrt_theoretical_bound(np.array([]), np.ones(3), 1.0, 1.0, 0)
+            mrt_theoretical_bound(np.array([]), np.ones(3), 1.0, 1.0)
         with pytest.raises(ValueError, match="more than two"):
-            mrt_theoretical_bound(np.ones(2), np.ones(2), 1.0, 1.0, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            zf_theoretical(np.ones(2), np.ones(4), 1.0, 1.0, 2)
+            mrt_theoretical_bound(np.ones(2), np.ones(2), 1.0, 1.0)
         with pytest.raises(ValueError, match="exceed"):
-            zf_theoretical(np.ones(5), np.ones(3), 1.0, 1.0, 0)
+            zf_theoretical(np.ones(5), np.ones(3), 1.0, 1.0)
         with pytest.raises(ValueError):
-            zf_theoretical(np.ones(2), np.ones(4), 0.0, 1.0, 0)
+            zf_theoretical(np.ones(2), np.ones(4), 0.0, 1.0)
         with pytest.raises(ValueError):
-            zf_theoretical(np.ones(2), np.ones(4), 1.0, 0.0, 0)
+            zf_theoretical(np.ones(2), np.ones(4), [1.0, -1.0], 1.0)
+        with pytest.raises(ValueError):
+            zf_theoretical(np.ones(2), np.ones(4), 1.0, 0.0)
 
     def test_nulling_formula_tracks_simulation(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
         result = simulated_se(sigma, "zf", [0.0, 20.0], trials=300, seed=42)
+        p_u = [10.0 ** (snr_db / 10.0) for snr_db in result.snr_grid_db]
+        theory = zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0).sum(axis=0)
         for col, snr_db in enumerate(result.snr_grid_db):
-            p_u = 10.0 ** (snr_db / 10.0)
-            theory = sum(
-                zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0, k)
-                for k in range(sigma.matrix.shape[0])
-            )
-            gap = abs(theory - result.sum_se[col]) / result.sum_se[col]
+            gap = abs(theory[col] - result.sum_se[col]) / result.sum_se[col]
             assert gap < (0.10 if snr_db == 0.0 else 0.15)
 
     def test_both_formulas_grow_with_more_transmit_cells(self, rx_map_small):
@@ -538,9 +546,7 @@ class TestTheoreticalExpressions:
             sigma = separable_sigma(rx_map_small, tx_map, 1)
             result = simulated_se(sigma, "zf", [10.0], trials=100, seed=3)
             simulated.append(result.sum_se[0] / sigma.matrix.shape[0])
-            theory.append(
-                zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, 10.0, 1.0, 0)
-            )
+            theory.append(zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, 10.0, 1.0)[0, 0])
         assert simulated == sorted(simulated)
         assert theory == sorted(theory)
         assert simulated[0] > 0.0 and theory[0] > 0.0
