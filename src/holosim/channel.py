@@ -36,12 +36,10 @@ class ChannelRealization:
         h_a: Complex matrix of shape ``(users * per_user_rows, tx_cells)``;
             each user occupies a contiguous block of rows.
         per_user_rows: Receive-cell count of a single user block.
-        seed: Seed material that produced the draw.
     """
 
     h_a: np.ndarray
     per_user_rows: int
-    seed: object
 
     @property
     def num_users(self) -> int:
@@ -123,9 +121,7 @@ def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
         The realization.
     """
     parts = _draw_parts(sigma, seed)
-    return ChannelRealization(
-        h_a=parts[0] + 1j * parts[1], per_user_rows=sigma.per_user_rows, seed=seed
-    )
+    return ChannelRealization(h_a=parts[0] + 1j * parts[1], per_user_rows=sigma.per_user_rows)
 
 
 def assemble_element_channel(

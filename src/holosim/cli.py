@@ -85,59 +85,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> harness.ScenarioConfig:
-    orders = _order_list(getattr(args, "iters", None), ())
-    if len(orders) > 1 and args.command != "ns-compare":
-        raise ValueError(f"invalid value for iters: {args.iters!r}")
-    if args.command == "ns-compare" and args.scheme is not None:
-        raise ValueError(f"invalid value for scheme: {args.scheme!r} (ns-compare runs ZF "
-                         "and its series orders)")
-    return harness.parse_config(
-        path=getattr(args, "config", None),
-        ns=args.ns,
-        nr=getattr(args, "nr", None),
-        delta_s=args.delta_s,
-        delta_r=getattr(args, "delta_r", None),
-        users=getattr(args, "users", None),
-        snr=getattr(args, "snr", None),
-        trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", None),
-        scheme=getattr(args, "scheme", None),
-        iters=orders[0] if orders else None,
-    )
-
-
-def _order_list(value, default: tuple[int, ...]) -> tuple[int, ...]:
-    if value is None:
-        return default
-    try:
-        orders = tuple(int(part) for part in str(value).split(","))
-    except ValueError as exc:
-        raise ValueError(f"invalid value for iters: {value!r}") from exc
-    if not orders:
-        raise ValueError(f"invalid value for iters: {value!r}")
-    return orders
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit status."""
     args = _build_parser().parse_args(argv)
+    # Every other option is a setting, read like the same key of a --config file.
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config", "out", "theory")}
+    path = vars(args).get("config")
     try:
         if args.command == "variance-map":
-            config = harness.parse_config(ns=args.ns, delta_s=args.delta_s)
-            harness.run_variance_map(config.tx, Path(args.out))
+            harness.run_variance_map(harness.parse_config(**flags).tx, Path(args.out))
         elif args.command == "eigvals":
-            config = _config_from_args(args)
-            harness.run_eigvals(config, Path(args.out))
+            harness.run_eigvals(harness.parse_config(**flags), Path(args.out))
         elif args.command == "se-sim":
-            config = _config_from_args(args)
+            config = harness.parse_config(path, **flags)
             harness.run_se_sim(config, Path(args.out), include_theory=args.theory)
         elif args.command == "se-theory":
-            config = _config_from_args(args)
-            harness.run_se_theory(config, Path(args.out))
+            harness.run_se_theory(harness.parse_config(path, **flags), Path(args.out))
         elif args.command == "ns-compare":
-            config = _config_from_args(args)
-            orders = _order_list(args.iters, (2, 3, 4, 7))
+            config, orders = harness.parse_ns_compare(path, **flags)
             harness.run_ns_compare(config, orders, Path(args.out))
         else:
             return harness.run_preset(

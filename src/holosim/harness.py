@@ -40,6 +40,7 @@ from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
 __all__ = [
     "ScenarioConfig",
     "parse_config",
+    "parse_ns_compare",
     "run_preset",
     "run_variance_map",
     "run_eigvals",
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 _DEFAULT_SNR = tuple(float(v) for v in range(-10, 31, 5))
+_NS_ORDERS = (2, 3, 4, 7)
+_SETTING_KEYS = ("ns", "nr", "delta_s", "delta_r", "users", "snr", "trials", "seed", "scheme",
+                 "iters")
+_THIRD, _SIXTH = 1.0 / 3.0, 1.0 / 6.0
 _THEORY_TAGS = {"MRT": "MRT-BOUND", "ZF": "ZF-THEORY"}
 
 
@@ -78,13 +83,15 @@ class ScenarioConfig:
     ns_iterations: int = 3
 
     def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ValueError(f"users must be at least 1, got {self.users!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials!r}")
+        for field, least in {"users": 1, "trials": 1, "seed": 0, "ns_iterations": 0}.items():
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if not grid:
             raise ValueError("snr grid must be nonempty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError(f"invalid value for snr: {grid!r} (must be finite)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -92,10 +99,6 @@ class ScenarioConfig:
         if len(set(schemes)) < len(schemes):
             raise ValueError(f"invalid value for scheme: {self.schemes!r} (repeated)")
         object.__setattr__(self, "schemes", schemes)
-        if self.ns_iterations < 0:
-            raise ValueError(
-                f"ns_iterations must be nonnegative, got {self.ns_iterations!r}"
-            )
 
 
 def _near_square(count: int) -> tuple[int, int]:
@@ -121,11 +124,11 @@ def _parse_spacing(value, field: str) -> float:
 
 
 def _parse_snr(value, field: str = "snr") -> tuple[float, ...]:
-    """Parse an SNR grid given as ``a:b:step`` or a comma list."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return tuple(float(v) for v in value)
+    """Parse an SNR grid given as ``a:b:step``, a comma list or a sequence."""
     text = str(value).strip()
     try:
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return tuple(float(v) for v in value)
         if ":" in text:
             lo_s, hi_s, step_s = text.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -134,17 +137,18 @@ def _parse_snr(value, field: str = "snr") -> tuple[float, ...]:
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(lo + k * step for k in range(count))
         return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"invalid value for {field}: {value!r}") from exc
 
 
-def _parse_int(value, field: str, minimum: int) -> int:
+def _parse_int(value, field: str) -> int:
+    """Convert an integer literal or an integral float (JSON ``1e3``); never truncate."""
     try:
         parsed = int(value)
-    except (TypeError, ValueError) as exc:
+        if isinstance(value, float) and parsed != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid value for {field}: {value!r}") from exc
-    if parsed < minimum:
-        raise ValueError(f"invalid value for {field}: {value!r} (minimum {minimum})")
     return parsed
 
 
@@ -154,16 +158,63 @@ def _parse_schemes(value) -> tuple[str, ...]:
     return tuple(part for part in str(value).split(",") if part.strip())
 
 
+def _surface(count, spacing, count_key: str, spacing_key: str) -> ArrayGeometry:
+    """Near-square surface of ``count`` patches ``spacing`` wavelengths apart."""
+    patches = _parse_int(count, count_key)
+    if patches < 1:
+        raise ValueError(f"invalid value for {count_key}: {count!r} (minimum 1)")
+    return ArrayGeometry(*_near_square(patches), _parse_spacing(spacing, spacing_key))
+
+
+def _load_settings(path: str | None, flags: dict) -> dict:
+    """Only the keys the JSON file and the non-``None`` flags give (flags win), unconverted."""
+    settings = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                settings = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid value for config file {path}: {exc}") from exc
+        unknown = set(settings) - set(_SETTING_KEYS)
+        if unknown:
+            raise ValueError(f"invalid value for config file {path}: unknown "
+                             f"fields {sorted(unknown)}")
+    for key, value in flags.items():
+        if key not in _SETTING_KEYS:
+            raise ValueError(f"invalid value for flag {key!r}: unknown field")
+        if value is not None:
+            settings[key] = value
+    return settings
+
+
+def _scenario(settings: dict, **fields) -> ScenarioConfig:
+    """Convert loaded settings; a run key left out keeps its ``ScenarioConfig`` default."""
+    tx = _surface(settings.get("ns", 900), settings.get("delta_s", _THIRD), "ns", "delta-s")
+    rx = _surface(settings.get("nr", 144), settings.get("delta_r", _THIRD), "nr", "delta-r")
+    for key, field in (("users", "users"), ("trials", "trials"), ("seed", "seed"),
+                       ("iters", "ns_iterations")):
+        if key in settings:
+            fields[field] = _parse_int(settings[key], key)
+    if "snr" in settings:
+        fields["snr_grid_db"] = _parse_snr(settings["snr"])
+    if "scheme" in settings:
+        fields["schemes"] = _parse_schemes(settings["scheme"])
+    return ScenarioConfig(tx=tx, rx=rx, **fields)
+
+
 def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
     """Build a scenario from an optional JSON file plus flag overrides.
 
-    Recognized keys (file and flags alike): ``ns``, ``nr`` (patch counts,
-    factored into near-square grids), ``delta_s``, ``delta_r`` (spacings as
-    rational-of-wavelength literals such as ``"1/6"``), ``users``, ``snr``
-    (``a:b:step`` or a comma list), ``trials``, ``seed``, ``scheme`` (comma
-    list), and ``iters``.  Flags override file values; anything
-    left unset falls back to the defaults (three users, 800 trials, series
-    order 3, seed 42, SNR −10..30 dB in steps of 5, all of MRT/ZF/MMSE).
+    The file and the flags are read the same way and share these keys:
+    ``ns``, ``nr`` (patch counts, factored into near-square grids),
+    ``delta_s``, ``delta_r`` (spacings as rational-of-wavelength literals
+    such as ``"1/6"``), ``users``, ``snr`` (``a:b:step``, a comma list or a
+    JSON list), ``trials``, ``seed``, ``scheme`` (comma or JSON list) and
+    ``iters`` (one series order).  Flags override file values.  The surfaces
+    default to 900 transmit and 144 receive patches at one-third wavelength;
+    every other key left unset keeps its :class:`ScenarioConfig` default,
+    which also checks every range.  Counts must be integral: ``2.7`` is an
+    error, JSON ``1e3`` is 1000.
 
     Args:
         path: Optional JSON file of settings.
@@ -173,51 +224,28 @@ def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
         The resolved scenario.
 
     Raises:
-        ValueError: On a malformed value, naming the offending field.
+        ValueError: On a malformed or out-of-range value, naming the field.
     """
-    settings: dict = {
-        "ns": 900,
-        "nr": 144,
-        "delta_s": 1.0 / 3.0,
-        "delta_r": 1.0 / 3.0,
-        "users": 3,
-        "snr": _DEFAULT_SNR,
-        "trials": 800,
-        "seed": 42,
-        "scheme": ("MRT", "ZF", "MMSE"),
-        "iters": 3,
-    }
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid value for config file {path}: {exc}") from exc
-        unknown = set(loaded) - set(settings)
-        if unknown:
-            raise ValueError(f"invalid value for config file {path}: unknown "
-                             f"fields {sorted(unknown)}")
-        settings.update(loaded)
-    for key, value in flags.items():
-        if key not in settings:
-            raise ValueError(f"invalid value for flag {key!r}: unknown field")
-        if value is not None:
-            settings[key] = value
+    return _scenario(_load_settings(path, flags))
 
-    tx_side = _near_square(_parse_int(settings["ns"], "ns", 1))
-    rx_side = _near_square(_parse_int(settings["nr"], "nr", 1))
-    tx = ArrayGeometry(tx_side[0], tx_side[1], _parse_spacing(settings["delta_s"], "delta-s"))
-    rx = ArrayGeometry(rx_side[0], rx_side[1], _parse_spacing(settings["delta_r"], "delta-r"))
-    return ScenarioConfig(
-        tx=tx,
-        rx=rx,
-        users=_parse_int(settings["users"], "users", 1),
-        snr_grid_db=_parse_snr(settings["snr"]),
-        trials=_parse_int(settings["trials"], "trials", 1),
-        seed=_parse_int(settings["seed"], "seed", 0),
-        schemes=_parse_schemes(settings["scheme"]),
-        ns_iterations=_parse_int(settings["iters"], "iters", 0),
-    )
+
+def parse_ns_compare(path: str | None = None, **flags) -> tuple[ScenarioConfig, tuple]:
+    """Read an exact-ZF-against-series scenario and its orders like :func:`parse_config`.
+
+    ``iters`` holds the series orders, as a comma list or a JSON list
+    (default 2, 3, 4 and 7, as in the ``fig8`` preset).  The run is always
+    exact ZF, so a ``scheme`` from either source is an error, and the
+    scenario keeps the default ``ns_iterations`` as the preset's does.
+    """
+    settings = _load_settings(path, flags)
+    if "scheme" in settings:
+        raise ValueError(f"invalid value for scheme: {settings['scheme']!r} (ns-compare "
+                         "runs ZF and its series orders)")
+    orders = settings.pop("iters", _NS_ORDERS)
+    if not isinstance(orders, (list, tuple)):
+        orders = orders.split(",") if isinstance(orders, str) else [orders]
+    config = _scenario(settings, schemes=("ZF",))
+    return config, tuple(_parse_int(order, "iters") for order in orders)
 
 
 def _check_fit(schemes, sigma: SeparableSigma) -> None:
@@ -427,10 +455,9 @@ def _se_job(config: ScenarioConfig, out: Path) -> None:
 
 
 def _ns_job(config: ScenarioConfig, out: Path) -> None:
-    run_ns_compare(config, (2, 3, 4, 7), out)
+    run_ns_compare(config, _NS_ORDERS, out)
 
 
-_THIRD, _SIXTH = 1.0 / 3.0, 1.0 / 6.0
 _ALL = ("MRT", "ZF", "MMSE")
 # name -> [(stem, (ns, delta_s, nr, delta_r, users, schemes), job)]
 _PRESETS = {

@@ -107,6 +107,35 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown"):
             parse_config(str(stray))
 
+    @pytest.mark.parametrize("key", ["users", "trials", "seed", "ns", "nr", "iters"])
+    def test_fractional_counts_are_rejected_not_truncated(self, key):
+        with pytest.raises(ValueError, match=f"invalid value for {key}: 2.5"):
+            parse_config(**{key: 2.5})
+
+    def test_integral_floats_still_parse(self, tmp_path):
+        settings = tmp_path / "scenario.json"
+        settings.write_text('{"trials": 1e3, "users": 2.0}')
+        config = parse_config(str(settings))
+        assert (config.trials, config.users) == (1000, 2)
+
+    def test_series_orders_are_whole_numbers(self):
+        assert harness.parse_ns_compare(iters=4.0)[1] == (4,)
+        assert harness.parse_ns_compare(iters=[2, 7.0])[1] == (2, 7)
+        with pytest.raises(ValueError, match="invalid value for iters: 3.5"):
+            harness.parse_ns_compare(iters=[2, 3.5])
+
+    @pytest.mark.parametrize("snr", ["nan", "0,inf", "0:inf:5", [0.0, float("-inf")]],
+                             ids=["nan", "inf", "inf-range", "minus-inf-list"])
+    def test_non_finite_snr_points_are_rejected(self, snr):
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            parse_config(snr=snr)
+
+    def test_json_nan_snr_point_is_rejected(self, tmp_path):
+        settings = tmp_path / "scenario.json"
+        settings.write_text('{"snr": [0, NaN]}')
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            parse_config(str(settings))
+
     def test_output_directory_is_not_a_config_field(self, tmp_path):
         settings = tmp_path / "scenario.json"
         settings.write_text(json.dumps({"ns": 144, "out": "results"}))
@@ -130,6 +159,10 @@ class TestScenarioConfig:
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, schemes=("SVD",))
         with pytest.raises(ValueError, match="ns_iterations"):
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, ns_iterations=-1)
+        with pytest.raises(ValueError, match="invalid value for seed"):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, seed=-1)
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, snr_grid_db=(0.0, float("nan")))
 
     def test_rejects_a_scheme_repeated_after_canonicalization(self):
         with pytest.raises(ValueError, match="invalid value for scheme"):
@@ -467,7 +500,78 @@ class TestRunPreset:
         assert len(eighs) == 3
         assert len(passes) == 3
 
+    @pytest.mark.parametrize("name", ["fig3", "fig8"])
+    def test_negative_seed_fails_before_any_csv(self, tmp_path, capsys, name):
+        assert run_preset(name, trials=1, seed=-1, out=str(tmp_path)) == 1
+        assert "invalid value for seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+# Every se/ns preset series at --scale 0.25 and the command that writes it.
+SCALED_SERIES = [
+    ("fig4", "fig4_ns576", "se-sim --theory --ns 144 --nr 36 --scheme zf,mmse"),
+    ("fig4", "fig4_ns900", "se-sim --theory --ns 225 --nr 36 --scheme zf,mmse"),
+    ("fig4", "fig4_ns3600", "se-sim --theory --ns 900 --nr 36 --scheme zf,mmse"),
+    ("fig5", "fig5_ns144", "se-sim --theory --ns 36 --nr 36 --scheme mrt"),
+    ("fig5", "fig5_ns576", "se-sim --theory --ns 144 --nr 36 --scheme mrt"),
+    ("fig5", "fig5_ns900", "se-sim --theory --ns 225 --nr 36 --scheme mrt"),
+    ("fig6", "fig6_nr72", "se-sim --theory --ns 225 --delta-s 1/6 --nr 16 --delta-r 1/6"),
+    ("fig6", "fig6_nr144", "se-sim --theory --ns 225 --delta-s 1/6 --nr 36 --delta-r 1/6"),
+    ("fig6", "fig6_nr288", "se-sim --theory --ns 225 --delta-s 1/6 --nr 72 --delta-r 1/6"),
+    ("fig7", "fig7_ds1_6", "se-sim --theory --ns 900 --delta-s 1/6 --nr 36 --users 1"),
+    ("fig7", "fig7_ds1_15", "se-sim --theory --ns 900 --delta-s 1/15 --nr 36 --users 1"),
+    ("fig8", "fig8", "ns-compare --ns 196 --nr 36 --users 1 --iters 2,3,4,7"),
+]
+
+
 class TestCLI:
+    @pytest.mark.parametrize(
+        ("name", "stem", "command"), SCALED_SERIES, ids=[stem for _, stem, _ in SCALED_SERIES]
+    )
+    def test_command_reproduces_the_preset_series(self, tmp_path, name, stem, command):
+        ((config, job),) = [
+            (config, job)
+            for series, config, job in preset_jobs(name, scale=0.25, trials=2, seed=5)
+            if series == stem
+        ]
+        job(config, tmp_path / "preset.csv")
+        out = tmp_path / "cli.csv"
+        assert main([*command.split(), "--trials", "2", "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "preset.csv").read_bytes()
+
+    def test_ns_compare_reads_its_orders_from_a_file(self, tmp_path):
+        settings = tmp_path / "ns.json"
+        settings.write_text(json.dumps(
+            {"ns": 144, "nr": 36, "users": 1, "snr": "10", "trials": 2, "iters": [2, 3, 4, 7]}
+        ))
+        from_file = tmp_path / "file.csv"
+        assert main(["ns-compare", "--config", str(settings), "--out", str(from_file)]) == 0
+        from_flags = tmp_path / "flags.csv"
+        status = main(
+            [
+                "ns-compare", "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "2", "--iters", "2,3,4,7",
+                "--out", str(from_flags),
+            ]
+        )
+        assert status == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_ns_compare_rejects_a_scheme_from_a_file(self, tmp_path, capsys):
+        settings = tmp_path / "ns.json"
+        settings.write_text(json.dumps({"scheme": "mmse"}))
+        out = tmp_path / "ns.csv"
+        status = main(
+            [
+                "ns-compare", "--config", str(settings), "--ns", "144", "--nr", "36",
+                "--users", "1", "--snr", "10", "--trials", "2", "--iters", "2,3",
+                "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for scheme" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_variance_map_command(self, tmp_path):
         out = tmp_path / "vmap.csv"
         assert main(["variance-map", "--ns", "36", "--out", str(out)]) == 0

@@ -24,9 +24,7 @@ from holosim.spectrum import SeparableSigma
 
 def realization_from(matrix, per_user_rows=None):
     h_a = np.asarray(matrix, dtype=complex)
-    return ChannelRealization(
-        h_a=h_a, per_user_rows=per_user_rows or h_a.shape[0], seed=None
-    )
+    return ChannelRealization(h_a=h_a, per_user_rows=per_user_rows or h_a.shape[0])
 
 
 def random_realization(rows, cols, seed):

@@ -31,7 +31,7 @@ from holosim.spectrum import SeparableSigma
 
 def realization_from(matrix):
     h_a = np.asarray(matrix, dtype=complex)
-    return ChannelRealization(h_a=h_a, per_user_rows=h_a.shape[0], seed=None)
+    return ChannelRealization(h_a=h_a, per_user_rows=h_a.shape[0])
 
 
 def uniform_sigma(rows, cols, per_user_rows=None):
@@ -79,9 +79,7 @@ class TestPerStreamSINR:
         sigma = uniform_sigma(3, 6)
         realization = draw_wavenumber_channel(sigma, 12)
         phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=6))
-        shifted = ChannelRealization(
-            h_a=realization.h_a * phases, per_user_rows=3, seed=None
-        )
+        shifted = ChannelRealization(h_a=realization.h_a * phases, per_user_rows=3)
         builders = [
             mrt,
             zf,
