@@ -1,12 +1,13 @@
 """Random wavenumber-domain channels and their correlation spectra.
 
 A channel realization lives in the wavenumber domain: one complex coupling
-coefficient per (receive cell, transmit cell) pair, drawn independently with
-the per-cell scale factors supplied by the variance maps.  Element-domain
-channels are recovered by sandwiching the realization between harmonic bases.
-The Monte Carlo engine reads each draw as its real and imaginary parts and
-forms the Gram matrix from them in real arithmetic, never holding the complex
-matrix.  The correlation structure is separable, which keeps its eigen-analysis
+coefficient per (receive cell, transmit cell) pair, drawn independently and
+scaled by the receive factor of its row and the transmit factor of its
+column, both supplied by the variance maps.  Element-domain channels are
+recovered by sandwiching the realization between harmonic bases.  The Monte
+Carlo engine reads each draw as its real and imaginary parts and forms the
+Gram matrix from them in real arithmetic, never holding the complex matrix.
+The correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries.
 """
 
@@ -76,13 +77,14 @@ def _draw_parts(sigma: SeparableSigma, seed) -> np.ndarray:
     """Real and imaginary parts, shape ``(2, K, N)``, of one scaled draw.
 
     One ``standard_normal((2, K, N))`` call consumes the stream in the same
-    order as separate real and imaginary draws, and the in-place scaling by
-    ``1/sqrt(2)`` and then by ``sigma.matrix`` rounds exactly like the
-    complex formula, so ``parts[0] + 1j * parts[1]`` is the complex draw.
+    order as separate real and imaginary draws; the draw is then scaled in
+    place, rows by ``rx_sigma / sqrt(2)`` and columns by ``tx_sigma``, so no
+    K×N scale matrix is formed.
     """
-    parts = np.random.default_rng(seed).standard_normal((2, *sigma.matrix.shape))
-    parts *= 1.0 / np.sqrt(2.0)
-    parts *= sigma.matrix
+    rx, tx = sigma.rx_sigma, sigma.tx_sigma
+    parts = np.random.default_rng(seed).standard_normal((2, rx.size, tx.size))
+    parts *= (rx / np.sqrt(2.0))[:, None]
+    parts *= tx
     return parts
 
 
@@ -105,14 +107,14 @@ def _gram(parts: np.ndarray) -> np.ndarray:
 def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
     """Draw one wavenumber-domain channel with the given per-cell scales.
 
-    Every entry is an independent circular complex Gaussian of unit variance
-    (real and imaginary parts of variance one half each) multiplied by the
-    matching entry of ``sigma.matrix``.  The draw is deterministic in the
-    seed, and the Monte Carlo engine reads the same numbers as real parts
-    without building the complex matrix.
+    Every entry ``(i, j)`` is an independent circular complex Gaussian of
+    unit variance (real and imaginary parts of variance one half each)
+    multiplied by ``sigma.rx_sigma[i] * sigma.tx_sigma[j]``.  The draw is
+    deterministic in the seed, and the Monte Carlo engine reads the same
+    numbers as real parts without building the complex matrix.
 
     Args:
-        sigma: Stacked per-user scale matrix.
+        sigma: Stacked per-user scale factors.
         seed: Anything accepted by :func:`numpy.random.default_rng` — an
             integer for standalone use, or a spawned seed sequence when a
             caller manages streams itself.

@@ -96,8 +96,8 @@ class ScenarioConfig:
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
         schemes = tuple(_canonical_scheme(s) for s in self.schemes)
-        if len(set(schemes)) < len(schemes):
-            raise ValueError(f"invalid value for scheme: {self.schemes!r} (repeated)")
+        if not schemes or len(set(schemes)) < len(schemes):
+            raise ValueError(f"invalid value for scheme: {self.schemes!r} (empty or repeated)")
         object.__setattr__(self, "schemes", schemes)
 
 
@@ -248,22 +248,6 @@ def parse_ns_compare(path: str | None = None, **flags) -> tuple[ScenarioConfig, 
     return config, tuple(_parse_int(order, "iters") for order in orders)
 
 
-def _check_fit(schemes, sigma: SeparableSigma) -> None:
-    """Raise if ``schemes`` hold ZF or NS-ZF and the streams outnumber the cells.
-
-    The counts are read off the variance matrix, whose lattices the job has
-    already built.
-    """
-    rx_cells, tx_cells = sigma.per_user_rows, sigma.tx_sigma.size
-    users = sigma.rx_sigma.size // rx_cells
-    if {"ZF", "NS-ZF"} & set(schemes) and users * rx_cells > tx_cells:
-        raise ValueError(
-            f"zero-forcing requires total streams K = users x rx_cells "
-            f"({users} x {rx_cells} = {users * rx_cells}) to be "
-            f"at most the transmit cell count n_s = {tx_cells}"
-        )
-
-
 def _config_payload(config: ScenarioConfig, **extra) -> dict:
     payload = {
         "tx": [config.tx.n_h, config.tx.n_v, config.tx.spacing],
@@ -360,9 +344,9 @@ def _theory_block(config: ScenarioConfig, sigma: SeparableSigma, scheme: str) ->
 
 
 def _sigma(config: ScenarioConfig) -> SeparableSigma:
-    """Separable variance matrix of the configured users and transmitter.
+    """Separable variance factors of the configured users and transmitter.
 
-    Each lattice is built once, by its variance map; see :func:`_check_fit`.
+    Each lattice is built once, by its variance map.
     """
     return separable_sigma(variance_map(config.rx), variance_map(config.tx), config.users)
 
@@ -384,7 +368,6 @@ def run_se_sim(
         The per-scheme estimates, keyed by scheme tag.
     """
     sigma = _sigma(config)
-    _check_fit(config.schemes, sigma)
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
@@ -411,13 +394,13 @@ def run_ns_compare(
 ) -> dict[str, SEResult]:
     """Compare exact ZF with the series scheme at several orders.
 
-    All orders share each draw and one Horner pass; a repeated or negative
-    order raises ``ValueError`` before any trial runs.
+    All orders share each draw and one Horner pass; an empty list or a
+    repeated or negative order raises ``ValueError`` before any trial runs.
     """
-    if len(set(iterations)) < len(iterations) or min(iterations, default=0) < 0:
-        raise ValueError(f"invalid value for iters: {iterations!r} (repeated or negative)")
+    if not iterations or len(set(iterations)) < len(iterations) or min(iterations) < 0:
+        raise ValueError(f"invalid value for iters: {iterations!r} (empty, repeated or "
+                         "negative)")
     sigma = _sigma(config)
-    _check_fit(("ZF",), sigma)
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)

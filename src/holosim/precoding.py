@@ -82,13 +82,12 @@ def _mmse_energy(eigenvalues: np.ndarray, loading) -> np.ndarray:
     return (lam / (lam + loading) ** 2).sum(axis=0)
 
 
-def _require_cells(rows: np.ndarray) -> None:
-    """Raise if more rows (streams) than columns (transmit cells) are nonzero."""
-    nonzero = rows != 0.0
-    streams = int(np.count_nonzero(np.any(nonzero, axis=1)))
-    cells = int(np.count_nonzero(np.any(nonzero, axis=0)))
+def _require_cells(live_streams: np.ndarray, live_cells: np.ndarray) -> tuple[int, int]:
+    """Live stream and cell counts; raise if the streams outnumber the cells (ZF's rule)."""
+    streams, cells = int(np.count_nonzero(live_streams)), int(np.count_nonzero(live_cells))
     if streams > cells:
         raise ValueError(f"{streams} active streams exceed {cells} active transmit cells")
+    return streams, cells
 
 
 def mrt(realization: ChannelRealization) -> Precoder:
@@ -117,7 +116,8 @@ def _zero_forcing(
 ) -> Precoder:
     """Package the ZF or NS-ZF core as a per-column normalized precoder."""
     h_a = realization.h_a
-    _require_cells(h_a)
+    nonzero = h_a != 0.0
+    _require_cells(nonzero.any(axis=1), nonzero.any(axis=0))
     gram = h_a @ h_a.conj().T
     active, g_aa = _active_block(gram)
     if iterations is None:

@@ -211,14 +211,15 @@ def _simulate(
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    rx_live, tx_live = sigma.rx_sigma != 0.0, sigma.tx_sigma != 0.0
+    live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
-        _require_cells(sigma.matrix)
+        _require_cells(live, tx_live & rx_live.any())
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
     p_u = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
-    streams = sigma.matrix.shape[0]
+    streams = sigma.rx_sigma.size
     loading = streams / 10.0 ** (np.asarray(grid) / 10.0)
 
-    live = np.any(sigma.matrix != 0.0, axis=1)  # the others have G_ii = 0 on every draw
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
     rejections = np.zeros(len(specs), dtype=int)
@@ -283,7 +284,7 @@ def simulated_se(
     draw among them, with bit-identical results.
 
     Args:
-        sigma: Stacked per-user scale matrix defining the ensemble.
+        sigma: Stacked per-user scale factors defining the ensemble.
         scheme: ``"mrt"``, ``"zf"``, ``"mmse"``, or ``"ns-zf"`` (any case).
         snr_grid_db: SNR grid in dB; transmit power is swept as
             ``noise_var * 10**(dB/10)``.
@@ -355,7 +356,7 @@ def mrt_theoretical_bound(
 
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
-        tx_sigma: Transmit scale factors (more than two cells required).
+        tx_sigma: Transmit scale factors (more than two live cells required).
         p_u: Transmit power, a scalar or a vector of powers.
         noise_var: Noise variance.
 
@@ -363,12 +364,12 @@ def mrt_theoretical_bound(
         Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
 
     Raises:
-        ValueError: On empty vectors, invalid scalars, or too few transmit
-            cells.
+        ValueError: On empty vectors, invalid scalars, or too few live
+            transmit cells.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
-    if tx.size <= 2:
-        raise ValueError("the closed form requires more than two transmit cells")
+    if np.count_nonzero(tx > 0.0) <= 2:
+        raise ValueError("the closed form requires more than two live transmit cells")
     own = (rx**2)[:, None]
     total_rx = float(np.sum(rx**2))
     total_tx = float(np.sum(tx**2))
@@ -405,13 +406,7 @@ def zf_theoretical(
             invalid arguments.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
-    active_streams = int(np.count_nonzero(rx > 0.0))
-    active_cells = int(np.count_nonzero(tx > 0.0))
-    if active_streams > active_cells:
-        raise ValueError(
-            f"{active_streams} active streams exceed {active_cells} active "
-            f"transmit cells"
-        )
+    active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
     avg_tx = float(np.sum(tx**2)) / active_cells
     # With no live stream this is 0/0; every row is then masked to 0 below.
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,7 +8,7 @@ closed-form antiderivative that keeps full precision up to the rim of the
 unit disk.  This module evaluates those integrals with NumPy over the
 first-orthant quarter of the enumeration rectangle covering the disk (mirror
 symmetry gives the other cells), assembles normalized variance maps from that
-one pass, and builds the separable variance matrix shared by all users.
+one pass, and builds the separable variance factors shared by all users.
 """
 
 from __future__ import annotations
@@ -77,20 +77,25 @@ class VarianceMap:
 
 @dataclass(frozen=True)
 class SeparableSigma:
-    """Stacked per-user variance scale matrix under separable scattering.
+    """Stacked per-user variance scales under separable scattering.
+
+    Coupling ``(i, j)`` has scale ``rx_sigma[i] * tx_sigma[j]``; only the
+    factor vectors are stored.
 
     Attributes:
-        matrix: Real array of shape ``(users * per_user_rows, tx_cells)``
-            with entry ``(i, j)`` equal to ``rx_sigma[i] * tx_sigma[j]``.
         per_user_rows: Receive-cell count of a single user block.
         rx_sigma: Stacked receive-side scale factors, one entry per row.
         tx_sigma: Transmit-side scale factors, one entry per column.
     """
 
-    matrix: np.ndarray
     per_user_rows: int
     rx_sigma: np.ndarray
     tx_sigma: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``(users * per_user_rows, tx_cells)`` scale matrix, formed on access."""
+        return np.outer(self.rx_sigma, self.tx_sigma)
 
 
 def _offcircle_sin(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -273,8 +278,8 @@ def separable_sigma(
 ) -> SeparableSigma:
     """Stack per-user receive scale vectors against the shared transmit one.
 
-    All users see the same isotropic statistics, so the stacked matrix is
-    ``users`` identical rank-one blocks.
+    All users see the same isotropic statistics, so the receive factors are
+    ``users`` copies of one vector.
 
     Args:
         rx_map: Variance map of one receive surface.
@@ -282,18 +287,15 @@ def separable_sigma(
         users: Number of receive surfaces served, at least 1.
 
     Returns:
-        The stacked scale matrix and its factor vectors.
+        The stacked factor vectors.
 
     Raises:
         ValueError: If ``users`` is not a positive integer.
     """
     if not isinstance(users, int) or users < 1:
         raise ValueError(f"users must be a positive integer, got {users!r}")
-    rx_stacked = np.tile(rx_map.normalized_sigma, users)
-    tx_sigma = tx_map.normalized_sigma.copy()
     return SeparableSigma(
-        matrix=np.outer(rx_stacked, tx_sigma),
         per_user_rows=len(rx_map.lattice.cells),
-        rx_sigma=rx_stacked,
-        tx_sigma=tx_sigma,
+        rx_sigma=np.tile(rx_map.normalized_sigma, users),
+        tx_sigma=tx_map.normalized_sigma.copy(),
     )

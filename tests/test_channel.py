@@ -29,7 +29,6 @@ def dead_cell_sigma(rx_map, tx_map, users):
     rx[1] = 0.0
     tx[2] = 0.0
     return SeparableSigma(
-        matrix=np.outer(rx, tx),
         per_user_rows=len(rx_map.lattice.cells),
         rx_sigma=rx,
         tx_sigma=tx,
@@ -39,7 +38,6 @@ def dead_cell_sigma(rx_map, tx_map, users):
 def uniform_sigma(rows, cols, per_user_rows=None, scale=1.0):
     value = float(scale)
     return SeparableSigma(
-        matrix=np.full((rows, cols), value),
         per_user_rows=per_user_rows or rows,
         rx_sigma=np.full(rows, value),
         tx_sigma=np.full(cols, 1.0),
@@ -80,9 +78,7 @@ class TestDrawWavenumberChannel:
 
     def test_entry_variance_follows_the_scale(self):
         # One entry with scale 2 must show sample variance 4 over many draws.
-        matrix = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         sigma = SeparableSigma(
-            matrix=matrix,
             per_user_rows=2,
             rx_sigma=np.array([2.0, 1.0]),
             tx_sigma=np.array([1.0, 1.0, 1.0]),
@@ -95,10 +91,9 @@ class TestDrawWavenumberChannel:
 
     def test_covariance_matches_scale_matrix_entrywise(self):
         sigma = SeparableSigma(
-            matrix=np.array([[2.0, 1.0], [0.5, 1.5]]),
             per_user_rows=2,
-            rx_sigma=np.array([1.0, 1.0]),
-            tx_sigma=np.array([1.0, 1.0]),
+            rx_sigma=np.array([1.0, 0.5]),
+            tx_sigma=np.array([2.0, 3.0]),
         )
         draws = 3 * 10**4
         acc = np.zeros((2, 2))
@@ -124,13 +119,15 @@ class TestRealArithmeticKernel:
         seed = np.random.SeedSequence(entropy=5, spawn_key=(3, 1))
         h_a = draw_wavenumber_channel(sigma, seed).h_a
         parts = _draw_parts(sigma, seed)
-        assert parts.shape == (2, *sigma.matrix.shape)
+        shape = (sigma.rx_sigma.size, sigma.tx_sigma.size)
+        assert parts.shape == (2, *shape)
         assert np.array_equal(h_a, parts[0] + 1j * parts[1])
-        # The two-call complex formula the kernel's single call replaces.
+        # The two-call complex formula the kernel's single call replaces,
+        # scaled rows by rx/sqrt(2) and then columns by tx.
         rng = np.random.default_rng(seed)
-        shape = sigma.matrix.shape
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        assert np.array_equal(h_a, sigma.matrix * noise)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = (sigma.rx_sigma / np.sqrt(2.0))[:, None]
+        assert np.array_equal(h_a, noise * rows * sigma.tx_sigma)
 
     def test_gram_matches_the_complex_product_and_is_exactly_hermitian(
         self, rx_map_small, tx_map_medium

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from holosim import (
+    SeparableSigma,
     harness,
     mrt_theoretical_bound,
     precoding,
@@ -184,9 +185,8 @@ class TestFeasibility:
         config = parse_config(ns=144, nr=144, users=3, snr="10", trials=2)
         with pytest.raises(ValueError) as excinfo:
             run_se_sim(config, out)
-        message = str(excinfo.value)
-        assert "3 x 49 = 147" in message
-        assert "n_s = 49" in message
+        # 141 of the 147 streams and 47 of the 49 transmit cells are live.
+        assert str(excinfo.value) == "141 active streams exceed 47 active transmit cells"
         assert draws == []
         assert not out.exists()
 
@@ -196,14 +196,23 @@ class TestFeasibility:
         assert results["MRT"].per_stream.shape == (147, 1)
 
     def test_counts_for_the_default_scenario(self, tmp_path):
-        # The default surfaces have 49 receive and 317 transmit cells; a
-        # seventh user is the first that overloads zero-forcing.
+        # The default surfaces have 47 live receive cells (of 49) and 313
+        # live transmit cells (of 317); a seventh user is the first that
+        # overloads zero-forcing.
         config = parse_config(users=7, snr="10", trials=1, scheme="zf")
         with pytest.raises(ValueError) as excinfo:
             run_se_sim(config, tmp_path / "se.csv")
-        message = str(excinfo.value)
-        assert "7 x 49 = 343" in message
-        assert "n_s = 317" in message
+        assert str(excinfo.value) == "329 active streams exceed 313 active transmit cells"
+
+    def test_live_cells_decide_as_in_the_closed_form(self, tmp_path):
+        # 6 streams on 5 cells, of which 4 and 4 are live: se-theory and
+        # se-sim both accept it.
+        for command in ("se-theory", "se-sim"):
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--ns", "12", "--nr", "6", "--users", "2", "--snr", "10",
+                    "--trials", "3", "--scheme", "zf", "--out", str(out)]
+            assert main(argv) == 0
+            assert out.exists()
 
 
 class TestPresetJobs:
@@ -441,7 +450,9 @@ class TestRunners:
         run_se_sim(config, tmp_path / "se.csv", include_theory=True)
         assert len(bounds) == len(nulling) == 1
 
-    @pytest.mark.parametrize("orders", [(3, 3), (3, -1)], ids=["repeated", "negative"])
+    @pytest.mark.parametrize(
+        "orders", [(3, 3), (3, -1), ()], ids=["repeated", "negative", "empty"]
+    )
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
         self, tmp_path, count_calls, orders
     ):
@@ -460,10 +471,22 @@ class TestRunPreset:
         assert "unknown preset" in capsys.readouterr().err
 
     def test_infeasible_preset_reports_failure(self, tmp_path, capsys):
-        # Shrinking this family makes the stream count exceed the transmit
-        # cells, which must surface as a diagnostic, not a traceback.
-        assert run_preset("fig4", scale=0.05, trials=2, out=str(tmp_path)) == 1
-        assert "zero-forcing requires" in capsys.readouterr().err
+        # Shrinking this family leaves 3 live streams on 1 live transmit
+        # cell, which must surface as a diagnostic, not a traceback.
+        assert run_preset("fig7", scale=0.05, trials=2, out=str(tmp_path)) == 1
+        assert "exceed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["fig4", "fig8"])
+    def test_monte_carlo_presets_never_form_the_scale_matrix(
+        self, tmp_path, monkeypatch, capsys, name
+    ):
+        def refuse(sigma):
+            raise AssertionError("the K x N scale matrix was formed")
+
+        monkeypatch.setattr(SeparableSigma, "matrix", property(refuse))
+        assert run_preset(name, scale=0.25, trials=2, out=str(tmp_path)) == 0, (
+            capsys.readouterr().err
+        )
 
     def test_scaled_series_preset_writes_reproducible_csv(self, tmp_path):
         first_dir = tmp_path / "first"
@@ -642,6 +665,22 @@ class TestCLI:
                 "se-sim", "--ns", "144", "--nr", "36", "--users", "1",
                 "--snr", "10", "--trials", "2", "--scheme", "zf,ZF",
                 "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for scheme" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_se_sim_command_rejects_an_empty_scheme_list(self, tmp_path, capsys, source):
+        settings = tmp_path / "se.json"
+        settings.write_text(json.dumps({"scheme": []}))
+        given = ["--scheme", ","] if source == "flag" else ["--config", str(settings)]
+        out = tmp_path / "se.csv"
+        status = main(
+            [
+                "se-sim", "--ns", "144", "--nr", "36", "--users", "1",
+                "--snr", "10", "--trials", "1", *given, "--out", str(out),
             ]
         )
         assert status == 1

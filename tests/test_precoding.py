@@ -29,7 +29,6 @@ def realization_from(matrix, per_user_rows=None):
 
 def random_realization(rows, cols, seed):
     sigma = SeparableSigma(
-        matrix=np.ones((rows, cols)),
         per_user_rows=rows,
         rx_sigma=np.ones(rows),
         tx_sigma=np.ones(cols),

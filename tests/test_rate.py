@@ -36,7 +36,6 @@ def realization_from(matrix):
 
 def uniform_sigma(rows, cols, per_user_rows=None):
     return SeparableSigma(
-        matrix=np.ones((rows, cols)),
         per_user_rows=per_user_rows or rows,
         rx_sigma=np.ones(rows),
         tx_sigma=np.ones(cols),
@@ -185,9 +184,7 @@ class TestSimulatedSE:
         # same draw, dead stream included.
         rx = np.array([1.0, 0.0, 2.0, 0.5])
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        sigma = SeparableSigma(
-            matrix=np.outer(rx, tx), per_user_rows=2, rx_sigma=rx, tx_sigma=tx
-        )
+        sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
         realization = draw_wavenumber_channel(
             sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
@@ -210,9 +207,7 @@ class TestSimulatedSE:
         # instead of forming G X; one trial still gives the public rates.
         rx = np.array([1.0, 0.0, 2.0, 0.5])
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        sigma = SeparableSigma(
-            matrix=np.outer(rx, tx), per_user_rows=2, rx_sigma=rx, tx_sigma=tx
-        )
+        sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
         realization = draw_wavenumber_channel(
             sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
@@ -239,9 +234,7 @@ class TestSimulatedSE:
     def test_zero_forcing_counts_only_live_transmit_cells(self, count_calls):
         # Three streams on two live cells of three: every Gram has rank 2.
         tx = np.array([1.0, 1.0, 0.0])
-        sigma = SeparableSigma(
-            matrix=np.outer(np.ones(3), tx), per_user_rows=3, rx_sigma=np.ones(3), tx_sigma=tx
-        )
+        sigma = SeparableSigma(per_user_rows=3, rx_sigma=np.ones(3), tx_sigma=tx)
         draws = count_calls(rate, "_draw_parts")
         realization = realization_from([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         for precode in (zf, ns_zf):
@@ -283,9 +276,7 @@ class TestSharedEngine:
         # for zero-forcing, so ZF redraws while MRT and MMSE keep attempt 0.
         rx = np.array([1.0] * 7 + [1e-5])
         tx = np.ones(9)
-        sigma = SeparableSigma(
-            matrix=np.outer(rx, tx), per_user_rows=8, rx_sigma=rx, tx_sigma=tx
-        )
+        sigma = SeparableSigma(per_user_rows=8, rx_sigma=rx, tx_sigma=tx)
         monkeypatch.setattr(harness, "_sigma", lambda config: sigma)
         draws = count_calls(rate, "_draw_parts")
         eighs = count_calls(np.linalg, "eigh")
@@ -325,9 +316,7 @@ class TestSharedEngine:
         # draw must leave each spec's estimate bit for bit as it is alone.
         rx = np.array([1.0] * 7 + [1e-5])
         tx = np.ones(9)
-        sigma = SeparableSigma(
-            matrix=np.outer(rx, tx), per_user_rows=8, rx_sigma=rx, tx_sigma=tx
-        )
+        sigma = SeparableSigma(per_user_rows=8, rx_sigma=rx, tx_sigma=tx)
         specs = [("MRT", None), ("ZF", None), ("MMSE", None)]
         specs += [("NS-ZF", order) for order in (0, 1, 2, 7)]
         with warnings.catch_warnings():
@@ -473,6 +462,7 @@ class TestTheoryTable:
             ("ZF", (np.ones(2), np.ones(4), 1.0, 0.0), "positive"),
             ("MRT", (np.ones(2), np.ones(2), 1.0, 1.0), "more than two"),
             ("ZF", (np.ones(5), np.ones(3), 1.0, 1.0), "exceed"),
+            ("MRT", (np.ones(2), np.array([1.0, 0.0, 0.0]), 1.0, 1.0), "more than two"),
         ],
     )
     def test_table_raises_the_scalar_errors(self, scheme, args, match):

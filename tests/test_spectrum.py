@@ -239,7 +239,6 @@ class TestVarianceMap:
 class TestSeparableSigma:
     def test_uniform_factors_give_all_ones(self):
         sigma = SeparableSigma(
-            matrix=np.outer(np.ones(2), np.ones(3)),
             per_user_rows=2,
             rx_sigma=np.ones(2),
             tx_sigma=np.ones(3),
