@@ -11,7 +11,6 @@ presets that emit reproducible CSV artifacts.
 
 from .channel import (
     ChannelRealization,
-    CorrelationSpectrum,
     assemble_element_channel,
     correlation_eigenvalues,
     draw_wavenumber_channel,
@@ -34,7 +33,6 @@ from .precoding import (
     SingularChannelError,
     mmse,
     mrt,
-    neumann_inverse,
     ns_zf,
     zf,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "variance_map",
     "separable_sigma",
     "ChannelRealization",
-    "CorrelationSpectrum",
     "draw_wavenumber_channel",
     "assemble_element_channel",
     "correlation_eigenvalues",
@@ -80,7 +77,6 @@ __all__ = [
     "mrt",
     "zf",
     "mmse",
-    "neumann_inverse",
     "ns_zf",
     "SEResult",
     "SINR_CAP",

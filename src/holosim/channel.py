@@ -22,7 +22,6 @@ from .spectrum import SeparableSigma, VarianceMap
 
 __all__ = [
     "ChannelRealization",
-    "CorrelationSpectrum",
     "draw_wavenumber_channel",
     "assemble_element_channel",
     "correlation_eigenvalues",
@@ -50,27 +49,6 @@ class ChannelRealization:
         """Rows of ``h_a`` belonging to one user (0-based index)."""
         lo = user * self.per_user_rows
         return self.h_a[lo : lo + self.per_user_rows]
-
-
-@dataclass(frozen=True)
-class CorrelationSpectrum:
-    """Eigenvalues of one user's element-domain correlation matrix.
-
-    Attributes:
-        eigenvalues: Nonincreasing nonnegative reals, padded with zeros to
-            the full element-domain dimension.
-    """
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(vals < -1e-9):
-            raise ValueError("eigenvalues must be nonnegative")
-        vals = np.clip(vals, 0.0, None)
-        if np.any(np.diff(vals) > 0.0):
-            raise ValueError("eigenvalues must be nonincreasing")
-        object.__setattr__(self, "eigenvalues", vals)
 
 
 def _draw_parts(sigma: SeparableSigma, seed) -> np.ndarray:
@@ -171,9 +149,7 @@ def assemble_element_channel(
     return np.vstack(blocks)
 
 
-def correlation_eigenvalues(
-    rx_map: VarianceMap, tx_map: VarianceMap
-) -> CorrelationSpectrum:
+def correlation_eigenvalues(rx_map: VarianceMap, tx_map: VarianceMap) -> np.ndarray:
     """Eigenvalues of one user's element-domain correlation matrix.
 
     The correlation matrix factors through semi-unitary bases acting on a
@@ -187,12 +163,9 @@ def correlation_eigenvalues(
         tx_map: Variance map of the transmit surface.
 
     Returns:
-        The padded, sorted spectrum.
+        The nonincreasing, nonnegative spectrum, zero-padded.
     """
-    products = np.outer(
-        rx_map.normalized_sigma**2, tx_map.normalized_sigma**2
-    ).ravel()
-    full_dim = rx_map.num_patches * tx_map.num_patches
-    padded = np.zeros(full_dim)
+    products = np.outer(rx_map.normalized_sigma**2, tx_map.normalized_sigma**2).ravel()
+    padded = np.zeros(rx_map.num_patches * tx_map.num_patches)
     padded[: products.size] = np.sort(products)[::-1]
-    return CorrelationSpectrum(eigenvalues=padded)
+    return padded

@@ -305,7 +305,7 @@ def run_eigvals(config: ScenarioConfig, out: Path) -> np.ndarray:
     """Write one user's correlation spectrum, normalized to its largest."""
     rx_map = variance_map(config.rx)
     tx_map = variance_map(config.tx)
-    spectrum = correlation_eigenvalues(rx_map, tx_map).eigenvalues
+    spectrum = correlation_eigenvalues(rx_map, tx_map)
     top = spectrum[0] if spectrum.size and spectrum[0] > 0.0 else 1.0
     normalized = spectrum / top
     payload = _config_payload(config, artifact="eigvals")

@@ -6,11 +6,11 @@ simulation matches the one assumed by the closed-form expressions.  Monte
 Carlo estimates average the per-stream rates over independent channel draws
 with per-trial seeds split deterministically from one root seed, so results
 are reproducible regardless of scheme or trial count.  One engine serves
-every scheme and series order of a job, sharing each draw, its Gram (built
-in real arithmetic from the draw's real and imaginary parts), one ``eigh``
-(ZF, MMSE) and one Neumann pass (NS-ZF, which also yields each order's
-coupled matrix); every spec's powers on a draw fill one buffer, and one
-SINR and one ``log2`` evaluation give all their rates over the SNR grid.
+every scheme and series order of a job, sharing each draw and its Gram
+(built in real arithmetic from the draw's real and imaginary parts), and
+reads each scheme's powers from its core in :mod:`holosim.precoding`, the
+one behind the public precoders.  Every spec's powers on a draw fill one
+buffer; one SINR and one ``log2`` evaluation give all their rates.
 The closed forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`,
 are vectorized: each gives every stream at every power as one
 ``(streams, powers)`` table.
@@ -29,10 +29,13 @@ from .precoding import (
     Precoder,
     SingularChannelError,
     _active_block,
-    _mmse_energy,
-    _neumann_coupled,
+    _coupled_powers,
+    _mmse_core,
+    _mrt_core,
+    _ns_zf_core,
     _require_cells,
-    _zf_filter,
+    _spectrum,
+    _zf_core,
 )
 from .spectrum import SeparableSigma
 
@@ -99,12 +102,6 @@ def _canonical_scheme(scheme: str) -> str:
     return tag
 
 
-def _coupled_powers(squares: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
-    """Stacked per-stream |desired|² and |cross-talk|² of ``C diag(s)`` from |C|² and s²."""
-    signal = np.diagonal(squares, axis1=-2, axis2=-1) * scale_sq
-    return np.array([signal, (squares @ scale_sq[..., None])[..., 0] - signal])
-
-
 def _sinr(signal: np.ndarray, interference: np.ndarray, p_u, noise_var) -> np.ndarray:
     """Capped SINR, zero where the signal is zero; broadcasts over SNR columns."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,48 +150,31 @@ def per_stream_sinr(
     return _sinr(*powers, p_u, noise_var)
 
 
-def _draw_powers(gram: np.ndarray, specs: list, loading: np.ndarray) -> tuple:
+def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     """Active-stream mask, powers ``(2, specs, active streams, SNR)`` and rejections.
 
-    One buffer holds every spec's signal and interference on one draw; the
-    rows of a spec that rejects it stay zero.
+    One buffer holds every spec's signal and interference on one draw; ZF
+    and MMSE share one ``eigh``, and a spec that rejects the draw keeps
+    zero rows.
     """
     rows = {tag: [k for k, (spec, _) in enumerate(specs) if spec == tag] for tag in _SCHEMES}
     active, g_aa = _active_block(gram)
-    streams = g_aa.shape[0]
-    power = np.zeros((2, len(specs), streams, loading.size))
+    power = np.zeros((2, len(specs), g_aa.shape[0], snr.size))
     rejected = np.zeros(len(specs), dtype=bool)
-    if rows["MRT"]:  # X = I, s² = 1/tr G
-        scale_sq = np.full(streams, 1.0 / np.trace(g_aa).real)
-        mrt = _coupled_powers(g_aa.real**2 + g_aa.imag**2, scale_sq)
-        power[:, rows["MRT"]] = mrt[:, None, :, None]
+    if rows["MRT"]:
+        power[:, rows["MRT"]] = _mrt_core(g_aa)[2][:, None, :, None]
     if rows["ZF"] or rows["MMSE"]:
-        eigenvalues, u = np.linalg.eigh(g_aa)
-        w = u.real**2 + u.imag**2
-    if rows["ZF"]:  # G X diag(s) = diag(s), s_i² = 1/(|A| (W/λ)_i)
-        try:
-            power[0, rows["ZF"]] = (1.0 / (streams * (w @ _zf_filter(eigenvalues))))[:, None]
-        except SingularChannelError:
-            rejected[rows["ZF"]] = True
-    if rows["MMSE"]:  # G X diag(s) = U λ/(λ+a) Uᴴ / sqrt(Σ λ/(λ+a)²)
-        gain = eigenvalues[:, None] / (eigenvalues[:, None] + loading)
-        diagonal = w @ gain
-        energy = _mmse_energy(eigenvalues, loading)
-        power[0, rows["MMSE"]] = diagonal**2 / energy
-        power[1, rows["MMSE"]] = (w @ gain**2 - diagonal**2) / energy
-    if rows["NS-ZF"]:  # G X diag(s), s_j² = 1/(|A| e_j), e_j = (Xᴴ G X)_jj
-        pairs = _neumann_coupled(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
-        energy = np.empty((len(pairs), streams))
-        squares = np.empty((len(pairs), streams, streams))
-        for k, (series, coupled) in enumerate(pairs):
-            energy[k] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
-            squares[k] = coupled.real**2 + coupled.imag**2
-        singular = np.any(energy <= 0.0, axis=1)
-        energy[singular] = 1.0  # those rows are zeroed next
-        series_powers = _coupled_powers(squares, 1.0 / (streams * energy))
-        series_powers[:, singular] = 0.0
+        spectrum = _spectrum(g_aa)
+    if rows["ZF"]:
+        _, scale_sq, zf_powers = _zf_core(spectrum)
+        power[:, rows["ZF"]] = zf_powers[:, None, :, None]
+        rejected[rows["ZF"]] = not np.all(scale_sq > 0.0)
+    if rows["MMSE"]:
+        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[2][:, None]
+    if rows["NS-ZF"]:
+        _, scale_sq, series_powers = _ns_zf_core(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
         power[:, rows["NS-ZF"]] = series_powers[..., None]
-        rejected[rows["NS-ZF"]] = singular
+        rejected[rows["NS-ZF"]] = ~np.all(scale_sq > 0.0, axis=1)
     return active, power, rejected
 
 
@@ -216,9 +196,9 @@ def _simulate(
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
         _require_cells(live, tx_live & rx_live.any())
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
-    p_u = noise_var * 10.0 ** (np.asarray(grid) / 10.0)
+    snr = 10.0 ** (np.asarray(grid) / 10.0)
+    p_u = noise_var * snr
     streams = sigma.rx_sigma.size
-    loading = streams / 10.0 ** (np.asarray(grid) / 10.0)
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
@@ -228,7 +208,7 @@ def _simulate(
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(sigma, root))
-            active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], loading)
+            active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
             trial_se = np.log2(1.0 + _sinr(power[0], power[1], p_u, noise_var))
             # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
             whole = pending.size == len(specs) and active.sum() == accum.shape[1]
@@ -313,6 +293,10 @@ def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:
     powers = np.atleast_1d(np.asarray(p_u, dtype=float))
     if rx.size == 0 or tx.size == 0:
         raise ValueError("sigma vectors must be nonempty")
+    if not np.any(rx > 0.0):
+        raise ValueError("rx_sigma has no live stream")
+    if not np.any(tx > 0.0):
+        raise ValueError("tx_sigma has no live cell")
     if not (np.all(powers > 0.0) and noise_var > 0.0):
         raise ValueError("p_u and noise_var must be positive")
     return rx, tx, powers
@@ -364,8 +348,8 @@ def mrt_theoretical_bound(
         Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
 
     Raises:
-        ValueError: On empty vectors, invalid scalars, or too few live
-            transmit cells.
+        ValueError: On empty vectors, invalid scalars, no live stream, or
+            too few live transmit cells.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     if np.count_nonzero(tx > 0.0) <= 2:
@@ -402,20 +386,18 @@ def zf_theoretical(
         zero on the rows of streams with zero scale.
 
     Raises:
-        ValueError: If more streams than transmit cells are active, or on
-            invalid arguments.
+        ValueError: If no stream or no transmit cell is live, if more
+            streams than transmit cells are live, or on invalid arguments.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
     avg_tx = float(np.sum(tx**2)) / active_cells
-    # With no live stream this is 0/0; every row is then masked to 0 below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (
-            (p_u / (active_streams * noise_var))
-            * (active_cells - active_streams + 1)
-            * rx[:, None] ** 2
-            * avg_tx
-        )
+    ratio = (
+        (p_u / (active_streams * noise_var))
+        * (active_cells - active_streams + 1)
+        * rx[:, None] ** 2
+        * avg_tx
+    )
     values = _log2_1p(ratio)
     values[rx == 0.0] = 0.0
     return values

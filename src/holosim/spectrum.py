@@ -92,11 +92,6 @@ class SeparableSigma:
     rx_sigma: np.ndarray
     tx_sigma: np.ndarray
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The ``(users * per_user_rows, tx_cells)`` scale matrix, formed on access."""
-        return np.outer(self.rx_sigma, self.tx_sigma)
-
 
 def _offcircle_sin(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Antiderivative of sqrt(1 - level**2 / sin(phi)**2) where it is real.

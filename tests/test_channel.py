@@ -7,7 +7,6 @@ import pytest
 
 from holosim import (
     ArrayGeometry,
-    CorrelationSpectrum,
     SeparableSigma,
     VarianceMap,
     WavenumberLattice,
@@ -99,7 +98,8 @@ class TestDrawWavenumberChannel:
         acc = np.zeros((2, 2))
         for k in range(draws):
             acc += np.abs(draw_wavenumber_channel(sigma, k).h_a) ** 2
-        np.testing.assert_allclose(acc / draws, sigma.matrix**2, rtol=0.05)
+        expected = np.outer(sigma.rx_sigma, sigma.tx_sigma) ** 2
+        np.testing.assert_allclose(acc / draws, expected, rtol=0.05)
 
     def test_user_blocks_are_uncorrelated(self):
         sigma = uniform_sigma(4, 3, per_user_rows=2)
@@ -204,7 +204,7 @@ class TestCorrelationEigenvalues:
     def test_two_by_two_toy_spectrum(self):
         rx_map = synthetic_map([1.0, 3.0])
         tx_map = synthetic_map([2.0, 4.0])
-        spectrum = correlation_eigenvalues(rx_map, tx_map).eigenvalues
+        spectrum = correlation_eigenvalues(rx_map, tx_map)
         # Padded with zeros to the full element-domain dimension 4 * 6.
         assert spectrum.size == 24
         np.testing.assert_allclose(spectrum[:4], [12.0, 6.0, 4.0, 2.0])
@@ -212,20 +212,20 @@ class TestCorrelationEigenvalues:
 
     def test_nonzero_count_is_the_cell_count_product(self):
         clean = variance_map(ArrayGeometry(14, 14, 1 / 6))  # no dead cells
-        spectrum = correlation_eigenvalues(clean, clean).eigenvalues
+        spectrum = correlation_eigenvalues(clean, clean)
         assert int(np.count_nonzero(spectrum)) == 21 * 21
         assert spectrum.size == 196 * 196
 
     def test_uniform_maps_give_a_flat_spectrum(self):
         rx_map = synthetic_map([2.0, 2.0, 2.0])
         tx_map = synthetic_map([1.0, 1.0])
-        spectrum = correlation_eigenvalues(rx_map, tx_map).eigenvalues
+        spectrum = correlation_eigenvalues(rx_map, tx_map)
         positive = spectrum[spectrum > 0]
         assert positive.size == 6
         np.testing.assert_allclose(positive, 2.0)
 
     def test_trace_equals_total_coupling_power(self, rx_map_small, tx_map_medium):
-        spectrum = correlation_eigenvalues(rx_map_small, tx_map_medium).eigenvalues
+        spectrum = correlation_eigenvalues(rx_map_small, tx_map_medium)
         expected = np.sum(rx_map_small.normalized_sigma**2) * np.sum(
             tx_map_medium.normalized_sigma**2
         )
@@ -248,7 +248,7 @@ class TestCorrelationEigenvalues:
             flat = element.reshape(-1)
             acc += np.outer(flat, flat.conj())
         empirical = np.linalg.eigvalsh(acc / draws)[::-1]
-        analytic = correlation_eigenvalues(vmap, vmap).eigenvalues
+        analytic = correlation_eigenvalues(vmap, vmap)
         positive = analytic > 1e-12
         np.testing.assert_allclose(
             empirical[positive], analytic[positive], rtol=0.04
@@ -260,22 +260,20 @@ class TestCorrelationEigenvalues:
         counts = []
         for spacing in (1 / 6, 1 / 3, 1 / 2):
             rx_map = variance_map(ArrayGeometry(12, 12, spacing))
-            spectrum = correlation_eigenvalues(rx_map, tx_map).eigenvalues
+            spectrum = correlation_eigenvalues(rx_map, tx_map)
             counts.append(int(np.sum(spectrum >= 0.01 * spectrum[0])))
         assert counts == [3443, 14711, 34741]
 
     def test_half_wavelength_spacing_is_still_correlated(self):
         rx_map = variance_map(ArrayGeometry(24, 24, 1 / 2))
         tx_map = variance_map(ArrayGeometry(30, 30, 1 / 3))
-        spectrum = correlation_eigenvalues(rx_map, tx_map).eigenvalues
+        spectrum = correlation_eigenvalues(rx_map, tx_map)
         leading = spectrum[: 439 * 317]
         positive = leading[leading > 0]
         assert positive.max() / positive.min() > 2.0
 
-    def test_rejects_increasing_order(self):
-        with pytest.raises(ValueError):
-            CorrelationSpectrum(eigenvalues=np.array([1.0, 2.0]))
-
-    def test_clips_tiny_negative_values(self):
-        spectrum = CorrelationSpectrum(eigenvalues=np.array([2.0, 1.0, -1e-12]))
-        assert spectrum.eigenvalues[-1] == 0.0
+    def test_spectrum_is_nonincreasing_and_nonnegative(self, rx_map_small, tx_map_medium):
+        spectrum = correlation_eigenvalues(rx_map_small, tx_map_medium)
+        assert spectrum.dtype == float and spectrum.ndim == 1
+        assert np.all(np.diff(spectrum) <= 0.0)
+        assert spectrum[-1] == 0.0 and np.all(spectrum >= 0.0)

@@ -12,13 +12,13 @@ from holosim import (
     draw_wavenumber_channel,
     mmse,
     mrt,
-    neumann_inverse,
     ns_zf,
     separable_sigma,
     simulated_se,
     variance_map,
     zf,
 )
+from holosim.precoding import _neumann_coupled, _neumann_series
 from holosim.spectrum import SeparableSigma
 
 
@@ -34,6 +34,26 @@ def random_realization(rows, cols, seed):
         tx_sigma=np.ones(cols),
     )
     return draw_wavenumber_channel(sigma, seed)
+
+
+def series_at(matrix, order):
+    """The order-``order`` Neumann series of ``matrix⁻¹``, from its own pass."""
+    return _neumann_series(matrix, (order,))[order]
+
+
+def jacobi_series(matrix, order):
+    """``Σₖ (−D⁻¹E)ᵏ D⁻¹`` for ``k = 0..order``, summed term by term."""
+    inv_diag = np.diag(1.0 / np.diag(matrix))
+    step = -inv_diag @ (matrix - np.diag(np.diag(matrix)))
+    return sum(np.linalg.matrix_power(step, k) @ inv_diag for k in range(order + 1))
+
+
+def dead_stream_realization():
+    """A 4-stream draw on 6 cells whose second stream is dead."""
+    rx = np.array([1.0, 0.0, 2.0, 0.5])
+    tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
+    sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
+    return draw_wavenumber_channel(sigma, 23)
 
 
 def column_directions(v):
@@ -134,6 +154,19 @@ class TestMMSE:
         matched = column_directions(mrt(realization).v)
         np.testing.assert_allclose(regularized, matched, atol=1e-8)
 
+    def test_finite_snr_matches_the_regularized_solve(self):
+        # Independent of the eigendecomposition: Hᴴ (G + aI)⁻¹ with the
+        # loading a = K/snr counting the dead stream, Frobenius-normalized.
+        realization = dead_stream_realization()
+        h_a, snr = realization.h_a, 10.0
+        loaded = h_a @ h_a.conj().T + (h_a.shape[0] / snr) * np.eye(h_a.shape[0])
+        reference = np.linalg.solve(loaded, h_a).conj().T
+        precoder = mmse(realization, snr)
+        np.testing.assert_allclose(
+            precoder.v, reference / np.linalg.norm(reference), rtol=0.0, atol=1e-12
+        )
+        np.testing.assert_array_equal(precoder.v[:, 1], 0.0)
+
     def test_rejects_nonpositive_snr(self):
         realization = random_realization(2, 4, seed=1)
         with pytest.raises(ValueError):
@@ -147,15 +180,15 @@ class TestNeumannInverse:
 
     def residual(self, iterations, matrix=None):
         matrix = self.TOY if matrix is None else matrix
-        series = neumann_inverse(matrix, iterations)
+        series = series_at(matrix, iterations)
         return np.linalg.norm(series @ matrix - np.eye(matrix.shape[0]))
 
     def test_diagonal_matrix_is_exact_at_order_zero(self):
-        series = neumann_inverse(np.diag([2.0, 4.0]), 0)
+        series = series_at(np.diag([2.0, 4.0]), 0)
         np.testing.assert_array_equal(series, np.diag([0.5, 0.25]))
 
     def test_order_zero_is_the_diagonal_inverse(self):
-        series = neumann_inverse(self.TOY, 0)
+        series = series_at(self.TOY, 0)
         np.testing.assert_array_equal(series, np.diag([0.5, 0.5]))
 
     def test_frozen_residual_of_the_dominant_diagonal_toy(self):
@@ -177,19 +210,24 @@ class TestNeumannInverse:
         assert residuals == sorted(residuals)
         assert residuals[-1] > residuals[0] > 1.0
 
-    def test_one_pass_snapshots_equal_separate_series(self):
-        from holosim.precoding import _neumann_series
+    def test_horner_pass_equals_the_summed_jacobi_terms(self):
+        h_a = random_realization(4, 9, seed=3).h_a
+        gram = h_a @ h_a.conj().T
+        snapshots = _neumann_series(gram, range(6))
+        for order, value in snapshots.items():
+            expected = jacobi_series(gram, order)
+            tolerance = 1e-12 * np.abs(expected).max()
+            np.testing.assert_allclose(value, expected, rtol=0.0, atol=tolerance)
 
+    def test_one_pass_snapshots_equal_separate_series(self):
         h_a = random_realization(4, 9, seed=3).h_a
         gram = h_a @ h_a.conj().T
         snapshots = _neumann_series(gram, (7, 2, 4, 3))
         assert sorted(snapshots) == [2, 3, 4, 7]
         for order, value in snapshots.items():
-            np.testing.assert_array_equal(value, neumann_inverse(gram, order))
+            np.testing.assert_array_equal(value, series_at(gram, order))
 
     def test_coupled_matrices_from_the_pass_equal_the_products(self):
-        from holosim.precoding import _neumann_coupled
-
         for seed in range(5):
             h_a = random_realization(6, 11, seed=seed).h_a
             gram = h_a @ h_a.conj().T
@@ -197,20 +235,20 @@ class TestNeumannInverse:
             pairs = _neumann_coupled(gram, orders)
             assert len(pairs) == len(orders)
             for order, (series, coupled) in zip(orders, pairs):
-                np.testing.assert_array_equal(series, neumann_inverse(gram, order))
+                np.testing.assert_array_equal(series, series_at(gram, order))
                 product = gram @ series
                 error = np.abs(coupled - product).max() / np.abs(product).max()
                 assert error < 1e-13
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="square"):
-            neumann_inverse(np.ones((2, 3)), 1)
+            series_at(np.ones((2, 3)), 1)
         with pytest.raises(ValueError, match="nonnegative"):
-            neumann_inverse(self.TOY, -1)
+            series_at(self.TOY, -1)
         with pytest.raises(ValueError, match="nonnegative"):
-            neumann_inverse(self.TOY, 1.5)
+            series_at(self.TOY, 1.5)
         with pytest.raises(ValueError, match="diagonal"):
-            neumann_inverse(np.array([[0.0, 1.0], [1.0, 1.0]]), 1)
+            series_at(np.array([[0.0, 1.0], [1.0, 1.0]]), 1)
 
 
 class TestNSZF:
@@ -233,6 +271,22 @@ class TestNSZF:
         assert ns_zf(realization).ns_iterations == 3
         assert ns_zf(realization, 7).ns_iterations == 7
         assert ns_zf(realization, 7).scheme == "NS-ZF"
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_the_explicit_jacobi_series(self, order):
+        # Independent of the Horner pass: the summed series on the live
+        # block, each column scaled to norm 1/sqrt(live streams).
+        realization = dead_stream_realization()
+        h_a = realization.h_a
+        live = np.flatnonzero(np.any(h_a != 0.0, axis=1))
+        block = h_a[live] @ h_a[live].conj().T
+        columns = h_a[live].conj().T @ jacobi_series(block, order)
+        columns /= np.linalg.norm(columns, axis=0) * math.sqrt(live.size)
+        expected = np.zeros(h_a.T.shape, dtype=complex)
+        expected[:, live] = columns
+        precoder = ns_zf(realization, order)
+        np.testing.assert_allclose(precoder.v, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(precoder.v[:, 1], 0.0)
 
     def test_zero_scale_on_a_dead_stream_is_fine(self):
         realization = realization_from([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

@@ -463,6 +463,10 @@ class TestTheoryTable:
             ("MRT", (np.ones(2), np.ones(2), 1.0, 1.0), "more than two"),
             ("ZF", (np.ones(5), np.ones(3), 1.0, 1.0), "exceed"),
             ("MRT", (np.ones(2), np.array([1.0, 0.0, 0.0]), 1.0, 1.0), "more than two"),
+            ("ZF", (np.zeros(2), np.zeros(3), 1.0, 1.0), "rx_sigma has no live stream"),
+            ("MRT", (np.zeros(2), np.ones(3), 1.0, 1.0), "rx_sigma has no live stream"),
+            ("ZF", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
+            ("MRT", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
         ],
     )
     def test_table_raises_the_scalar_errors(self, scheme, args, match):
@@ -533,7 +537,7 @@ class TestTheoreticalExpressions:
             tx_map = variance_map(ArrayGeometry(patches, patches, 1 / 3))
             sigma = separable_sigma(rx_map_small, tx_map, 1)
             result = simulated_se(sigma, "zf", [10.0], trials=100, seed=3)
-            simulated.append(result.sum_se[0] / sigma.matrix.shape[0])
+            simulated.append(result.sum_se[0] / sigma.rx_sigma.size)
             theory.append(zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, 10.0, 1.0)[0, 0])
         assert simulated == sorted(simulated)
         assert theory == sorted(theory)

@@ -243,27 +243,32 @@ class TestSeparableSigma:
             rx_sigma=np.ones(2),
             tx_sigma=np.ones(3),
         )
-        np.testing.assert_array_equal(sigma.matrix, np.ones((2, 3)))
+        np.testing.assert_array_equal(np.outer(sigma.rx_sigma, sigma.tx_sigma), np.ones((2, 3)))
 
     def test_user_blocks_are_identical(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
         n_r = len(rx_map_small.lattice.cells)
-        assert sigma.matrix.shape == (3 * n_r, len(tx_map_medium.lattice.cells))
+        assert sigma.rx_sigma.shape == (3 * n_r,)
+        assert sigma.tx_sigma.shape == (len(tx_map_medium.lattice.cells),)
         assert sigma.per_user_rows == n_r
-        np.testing.assert_array_equal(sigma.matrix[:n_r], sigma.matrix[n_r : 2 * n_r])
-        np.testing.assert_array_equal(sigma.matrix[:n_r], sigma.matrix[2 * n_r :])
+        np.testing.assert_array_equal(sigma.rx_sigma[:n_r], sigma.rx_sigma[n_r : 2 * n_r])
+        np.testing.assert_array_equal(sigma.rx_sigma[:n_r], sigma.rx_sigma[2 * n_r :])
 
     def test_block_is_rank_one(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
-        np.testing.assert_allclose(
-            sigma.matrix, np.outer(sigma.rx_sigma, sigma.tx_sigma), atol=1e-15
+        # The scale of coupling (i, j) is rx_sigma[i] * tx_sigma[j]: the
+        # factors are the two surfaces' normalized maps, the receive one
+        # repeated once per user.
+        sigma = separable_sigma(rx_map_small, tx_map_medium, 2)
+        np.testing.assert_array_equal(
+            sigma.rx_sigma, np.tile(rx_map_small.normalized_sigma, 2)
         )
+        np.testing.assert_array_equal(sigma.tx_sigma, tx_map_medium.normalized_sigma)
 
     def test_block_energy_is_the_patch_count_product(
         self, rx_map_small, tx_map_medium
     ):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
-        energy = np.linalg.norm(sigma.matrix) ** 2
+        energy = np.linalg.norm(np.outer(sigma.rx_sigma, sigma.tx_sigma)) ** 2
         assert energy == pytest.approx(36 * 196, rel=1e-9)
 
     @pytest.mark.parametrize("users", [0, -2, 1.5])
