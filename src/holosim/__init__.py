@@ -17,7 +17,6 @@ from .channel import (
 )
 from .geometry import (
     ArrayGeometry,
-    HarmonicBasis,
     WavenumberLattice,
     harmonic_basis,
     lattice_ellipse,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayGeometry",
     "WavenumberLattice",
-    "HarmonicBasis",
     "patch_positions",
     "lattice_ellipse",
     "harmonic_basis",

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HarmonicBasis
 from .spectrum import SeparableSigma, VarianceMap
 
 __all__ = [
@@ -106,8 +105,8 @@ def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
 
 def assemble_element_channel(
     realization: ChannelRealization,
-    rx_bases: list[HarmonicBasis],
-    tx_basis: HarmonicBasis,
+    rx_bases: list[np.ndarray],
+    tx_basis: np.ndarray,
 ) -> np.ndarray:
     """Map a wavenumber-domain realization to element-domain channels.
 
@@ -119,8 +118,8 @@ def assemble_element_channel(
 
     Args:
         realization: Stacked wavenumber-domain draw.
-        rx_bases: One receive basis per user, in user order.
-        tx_basis: Shared transmit basis.
+        rx_bases: One receive basis matrix per user, in user order.
+        tx_basis: Shared transmit basis matrix.
 
     Returns:
         Complex matrix with one block of receive-patch rows per user.
@@ -133,19 +132,19 @@ def assemble_element_channel(
             f"{len(rx_bases)} receive bases for {realization.num_users} users"
         )
     tx_cells = realization.h_a.shape[1]
-    if tx_basis.matrix.shape[1] != tx_cells:
+    if tx_basis.shape[1] != tx_cells:
         raise ValueError(
-            f"transmit basis spans {tx_basis.matrix.shape[1]} cells, "
+            f"transmit basis spans {tx_basis.shape[1]} cells, "
             f"realization has {tx_cells}"
         )
     blocks = []
     for user, basis in enumerate(rx_bases):
-        if basis.matrix.shape[1] != realization.per_user_rows:
+        if basis.shape[1] != realization.per_user_rows:
             raise ValueError(
-                f"receive basis {user} spans {basis.matrix.shape[1]} cells, "
+                f"receive basis {user} spans {basis.shape[1]} cells, "
                 f"blocks have {realization.per_user_rows}"
             )
-        blocks.append(basis.matrix @ realization.user_block(user) @ tx_basis.matrix.conj().T)
+        blocks.append(basis @ realization.user_block(user) @ tx_basis.conj().T)
     return np.vstack(blocks)
 
 

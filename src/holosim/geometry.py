@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "ArrayGeometry",
     "WavenumberLattice",
-    "HarmonicBasis",
     "patch_positions",
     "lattice_ellipse",
     "harmonic_basis",
@@ -33,33 +32,28 @@ class ArrayGeometry:
     """Uniform planar grid of patches lying in a single plane.
 
     The surface normal is the first coordinate axis; patches are spaced on a
-    regular grid along the remaining two axes.  ``spacing`` is expressed as a
-    fraction of the carrier wavelength, so the physical aperture lengths are
-    ``n_h * spacing * wavelength`` by ``n_v * spacing * wavelength``.
+    regular grid along the remaining two axes.  Every length is in carrier
+    wavelengths, the one unit of the model: the aperture lengths are
+    ``n_h * spacing`` by ``n_v * spacing``.
 
     Attributes:
         n_h: Patch count along the horizontal in-plane axis.
         n_v: Patch count along the vertical in-plane axis.
         spacing: Patch pitch in wavelengths (e.g. ``1/3`` for a third of a
             wavelength).
-        wavelength: Carrier wavelength setting the physical scale.  Defaults
-            to 1 so that lengths are read directly in wavelengths.
     """
 
     n_h: int
     n_v: int
     spacing: float
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_h, int) or self.n_h < 1:
-            raise ValueError(f"n_h must be a positive integer, got {self.n_h!r}")
-        if not isinstance(self.n_v, int) or self.n_v < 1:
-            raise ValueError(f"n_v must be a positive integer, got {self.n_v!r}")
-        if not self.spacing > 0.0:
+        for field in ("n_h", "n_v"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{field} must be a positive integer, got {value!r}")
+        if isinstance(self.spacing, bool) or not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        if not self.wavelength > 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength!r}")
 
     @property
     def num_patches(self) -> int:
@@ -68,13 +62,13 @@ class ArrayGeometry:
 
     @property
     def length_x(self) -> float:
-        """Horizontal aperture length in the same units as ``wavelength``."""
-        return self.n_h * self.spacing * self.wavelength
+        """Horizontal aperture length in wavelengths."""
+        return self.n_h * self.spacing
 
     @property
     def length_y(self) -> float:
-        """Vertical aperture length in the same units as ``wavelength``."""
-        return self.n_v * self.spacing * self.wavelength
+        """Vertical aperture length in wavelengths."""
+        return self.n_v * self.spacing
 
 
 @dataclass(frozen=True)
@@ -82,41 +76,23 @@ class WavenumberLattice:
     """Finite set of integer wavenumber cells supported by an aperture.
 
     Attributes:
-        cells: Ordered tuple of ``(lx, ly)`` integer cell indices.
+        cells: Read-only ``(cells, 2)`` int64 array of distinct ``(lx, ly)``
+            cell indices, one row per cell.
     """
 
-    cells: tuple[tuple[int, int], ...]
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = tuple((int(lx), int(ly)) for lx, ly in self.cells)
-        object.__setattr__(self, "cells", cells)
-        if len(set(cells)) != len(cells):
+        cells = np.array(self.cells, dtype=np.int64).reshape(-1, 2)
+        ordered = cells[np.lexsort(cells.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("lattice cells must be distinct")
-
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the cell indices as two integer arrays ``(lx, ly)``."""
-        arr = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Semi-unitary plane-wave basis for one surface.
-
-    Attributes:
-        matrix: Complex array of shape ``(num_patches, cells)`` whose
-            columns are unit-norm sampled plane-wave harmonics.
-        geometry: Surface the basis was built for.
-        lattice: Wavenumber cells indexing the columns.
-    """
-
-    matrix: np.ndarray
-    geometry: ArrayGeometry
-    lattice: WavenumberLattice
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
 
 
 def patch_positions(geometry: ArrayGeometry) -> np.ndarray:
-    """Return the physical coordinates of every patch on the surface.
+    """Return the coordinates of every patch on the surface, in wavelengths.
 
     Patches are numbered row-major along the horizontal axis first.  The
     returned array has shape ``(num_patches, 3)``; the first coordinate (the
@@ -126,19 +102,18 @@ def patch_positions(geometry: ArrayGeometry) -> np.ndarray:
         geometry: Surface description.
 
     Returns:
-        Float array of patch coordinates in the units of ``wavelength``.
+        Float array of patch coordinates in wavelengths.
     """
-    pitch = geometry.spacing * geometry.wavelength
     idx = np.arange(geometry.num_patches)
-    horiz = (idx % geometry.n_h) * pitch
-    vert = (idx // geometry.n_h) * pitch
+    horiz = (idx % geometry.n_h) * geometry.spacing
+    vert = (idx // geometry.n_h) * geometry.spacing
     return np.column_stack([np.zeros_like(horiz), horiz, vert])
 
 
 def _membership(lx, ly, geometry: ArrayGeometry):
     """Whether cells lie in the closed unit disk; integers or integer arrays."""
-    ax = lx / (geometry.n_h * geometry.spacing)
-    ay = ly / (geometry.n_v * geometry.spacing)
+    ax = lx / geometry.length_x
+    ay = ly / geometry.length_y
     return ax * ax + ay * ay <= 1.0 + _MEMBERSHIP_SLACK
 
 
@@ -146,8 +121,8 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     """Enumerate the propagating wavenumber cells of a surface.
 
     A cell ``(lx, ly)`` is kept when the scaled point
-    ``(lx * wavelength / length_x, ly * wavelength / length_y)`` lies inside
-    the closed unit disk.  Candidates are drawn from the symmetric integer
+    ``(lx / length_x, ly / length_y)`` lies inside the closed unit disk.
+    Candidates are drawn from the symmetric integer
     rectangle that covers the disk.  When the patch grid is too coarse to
     resolve every such cell as a distinct spatial frequency (half-wavelength
     spacing is the edge case), cells that alias onto the same sampled
@@ -161,8 +136,8 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     Returns:
         The cells sorted by vertical then horizontal index.
     """
-    reach_x = math.ceil(geometry.n_h * geometry.spacing)
-    reach_y = math.ceil(geometry.n_v * geometry.spacing)
+    reach_x = math.ceil(geometry.length_x)
+    reach_y = math.ceil(geometry.length_y)
     lx, ly = np.mgrid[-reach_x : reach_x + 1, -reach_y : reach_y + 1]
     inside = _membership(lx, ly, geometry)
     lx, ly = lx[inside], ly[inside]
@@ -172,7 +147,7 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     _, first = np.unique(alias[order], return_index=True)
     lx, ly = lx[order[first]], ly[order[first]]
     kept = np.lexsort((lx, ly))
-    return WavenumberLattice(cells=tuple(zip(lx[kept].tolist(), ly[kept].tolist())))
+    return WavenumberLattice(cells=np.column_stack([lx[kept], ly[kept]]))
 
 
 def harmonic_basis(
@@ -181,12 +156,12 @@ def harmonic_basis(
     *,
     receive: bool = False,
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> HarmonicBasis:
+) -> np.ndarray:
     """Build the matrix of sampled plane-wave harmonics for a surface.
 
     Column ``c`` samples the harmonic of cell ``(lx, ly)`` at every patch:
-    its in-plane phase advances by ``2*pi*lx/length_x`` per unit of
-    horizontal position and ``2*pi*ly/length_y`` per unit of vertical
+    its in-plane phase advances by ``2*pi*lx/length_x`` per wavelength of
+    horizontal position and ``2*pi*ly/length_y`` per wavelength of vertical
     position, while displacement along the surface normal contributes the
     propagating longitudinal wavenumber of the cell.  Transmit surfaces use a
     negative exponent and receive surfaces the positive one.  Each column is
@@ -197,44 +172,39 @@ def harmonic_basis(
         geometry: Surface the harmonics are sampled on.
         lattice: Wavenumber cells selecting the columns.
         receive: Use the receive-side sign convention for the exponent.
-        origin: Displacement of the surface's reference patch, in the same
-            coordinate frame and units as :func:`patch_positions`.  Offsets
-            within the surface plane and along the normal only multiply each
-            column by a unit-modulus phase.
+        origin: Displacement of the surface's reference patch, in
+            wavelengths, in the coordinate frame of :func:`patch_positions`.
+            Offsets within the surface plane and along the normal only
+            multiply each column by a unit-modulus phase.
 
     Returns:
-        The assembled basis.
+        Complex array of shape ``(num_patches, cells)`` whose columns are
+        unit-norm sampled plane-wave harmonics.
 
     Raises:
         ValueError: If some lattice cell is not a propagating cell of this
             geometry, i.e. the lattice and geometry do not match.
     """
-    for lx, ly in lattice.cells:
-        if not _membership(lx, ly, geometry):
-            raise ValueError(
-                f"cell ({lx}, {ly}) lies outside the propagating disk of the "
-                f"given geometry; lattice and geometry do not match"
-            )
+    lx, ly = lattice.cells.T
+    outside = ~_membership(lx, ly, geometry)
+    if outside.any():
+        bad_x, bad_y = lattice.cells[np.argmax(outside)]
+        raise ValueError(
+            f"cell ({bad_x}, {bad_y}) lies outside the propagating disk of the "
+            f"given geometry; lattice and geometry do not match"
+        )
     shift = np.asarray(origin, dtype=float)
     if shift.shape != (3,):
         raise ValueError(f"origin must be a 3-vector, got shape {shift.shape}")
-    pos = patch_positions(geometry) + shift
-    along_normal = pos[:, 0]
-    horiz = pos[:, 1]
-    vert = pos[:, 2]
+    along_normal, horiz, vert = (patch_positions(geometry) + shift).T
 
-    lx, ly = lattice.index_arrays()
-    wavenum = 2.0 * np.pi / geometry.wavelength
-    frac_x = lx * geometry.wavelength / geometry.length_x
-    frac_y = ly * geometry.wavelength / geometry.length_y
-    longitudinal = wavenum * np.sqrt(
-        np.clip(1.0 - frac_x**2 - frac_y**2, 0.0, None)
-    )
+    frac_x = lx / geometry.length_x
+    frac_y = ly / geometry.length_y
+    longitudinal = 2.0 * np.pi * np.sqrt(np.clip(1.0 - frac_x**2 - frac_y**2, 0.0, None))
     phase = (
-        2.0 * np.pi * np.outer(horiz, lx / geometry.length_x)
-        + 2.0 * np.pi * np.outer(vert, ly / geometry.length_y)
+        2.0 * np.pi * np.outer(horiz, frac_x)
+        + 2.0 * np.pi * np.outer(vert, frac_y)
         + np.outer(along_normal, longitudinal)
     )
     sign = 1.0 if receive else -1.0
-    matrix = np.exp(sign * 1j * phase) / math.sqrt(geometry.num_patches)
-    return HarmonicBasis(matrix=matrix, geometry=geometry, lattice=lattice)
+    return np.exp(sign * 1j * phase) / math.sqrt(geometry.num_patches)

@@ -85,7 +85,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for field, least in {"users": 1, "trials": 1, "seed": 0, "ns_iterations": 0}.items():
             value = getattr(self, field)
-            if value < least:
+            if isinstance(value, bool) or value < least:
                 raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if not grid:
@@ -111,7 +111,7 @@ def _near_square(count: int) -> tuple[int, int]:
 
 def _parse_spacing(value, field: str) -> float:
     """Parse a patch spacing given as a rational-of-wavelength literal."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         spacing = float(value)
     else:
         try:
@@ -145,7 +145,7 @@ def _parse_int(value, field: str) -> int:
     """Convert an integer literal or an integral float (JSON ``1e3``); never truncate."""
     try:
         parsed = int(value)
-        if isinstance(value, float) and parsed != value:
+        if isinstance(value, bool) or isinstance(value, float) and parsed != value:
             raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid value for {field}: {value!r}") from exc
@@ -252,7 +252,7 @@ def _config_payload(config: ScenarioConfig, **extra) -> dict:
     payload = {
         "tx": [config.tx.n_h, config.tx.n_v, config.tx.spacing],
         "rx": [config.rx.n_h, config.rx.n_v, config.rx.spacing],
-        "wavelength": config.tx.wavelength,
+        "wavelength": 1.0,
         "users": config.users,
         "snr_grid_db": list(config.snr_grid_db),
         "trials": config.trials,
@@ -293,10 +293,9 @@ def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
     vmap = variance_map(geometry)
     payload = {
         "surface": [geometry.n_h, geometry.n_v, geometry.spacing],
-        "wavelength": geometry.wavelength,
+        "wavelength": 1.0,
     }
-    lx, ly = vmap.lattice.index_arrays()
-    columns = [lx, ly, vmap.raw, vmap.normalized_sigma]
+    columns = [*vmap.lattice.cells.T, vmap.raw, vmap.normalized_sigma]
     _write_csv(out, payload, ["lx", "ly", "raw", "sigma"], columns)
     return vmap
 
@@ -475,8 +474,8 @@ def preset_jobs(
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     overrides = {"trials": trials, "seed": seed}
     overrides = {key: value for key, value in overrides.items() if value is not None}
     jobs = []

@@ -178,9 +178,7 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     return active, power, rejected
 
 
-def _simulate(
-    sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int, noise_var=1.0
-) -> list[SEResult]:
+def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int) -> list[SEResult]:
     """Monte Carlo engine shared by every ``(scheme, series order)`` of a job.
 
     Each ``(trial, attempt)`` draw goes to every spec still pending for the
@@ -197,7 +195,6 @@ def _simulate(
         _require_cells(live, tx_live & rx_live.any())
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
     snr = 10.0 ** (np.asarray(grid) / 10.0)
-    p_u = noise_var * snr
     streams = sigma.rx_sigma.size
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
@@ -209,7 +206,7 @@ def _simulate(
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(sigma, root))
             active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
-            trial_se = np.log2(1.0 + _sinr(power[0], power[1], p_u, noise_var))
+            trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr, 1.0))
             # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
             whole = pending.size == len(specs) and active.sum() == accum.shape[1]
             rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
@@ -247,7 +244,6 @@ def simulated_se(
     seed: int = 0,
     *,
     ns_iterations: int = 3,
-    noise_var: float = 1.0,
 ) -> SEResult:
     """Monte Carlo per-stream spectral efficiency over an SNR grid.
 
@@ -266,12 +262,11 @@ def simulated_se(
     Args:
         sigma: Stacked per-user scale factors defining the ensemble.
         scheme: ``"mrt"``, ``"zf"``, ``"mmse"``, or ``"ns-zf"`` (any case).
-        snr_grid_db: SNR grid in dB; transmit power is swept as
-            ``noise_var * 10**(dB/10)``.
+        snr_grid_db: SNR grid in dB; at unit noise variance the transmit
+            power is ``10**(dB/10)``.
         trials: Monte Carlo trials to average, at least 1.
         seed: Root seed of the deterministic per-trial splits.
         ns_iterations: Series order for the ``"ns-zf"`` scheme.
-        noise_var: Receiver noise variance.
 
     Returns:
         The averaged estimate.
@@ -282,9 +277,7 @@ def simulated_se(
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
-    return _simulate(
-        sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed, noise_var
-    )[0]
+    return _simulate(sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed)[0]
 
 
 def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:

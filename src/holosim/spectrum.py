@@ -159,14 +159,14 @@ def _fold(index: np.ndarray) -> np.ndarray:
     return np.where(index < 0, -index - 1, index)
 
 
-def _steps(length_x: float, length_y: float, wavelength: float) -> tuple[float, float]:
+def _steps(length_x: float, length_y: float) -> tuple[float, float]:
     """Cell widths in direction-cosine units, after checking the lengths."""
-    if not (length_x > 0.0 and length_y > 0.0 and wavelength > 0.0):
-        raise ValueError("lengths and wavelength must be positive")
-    return wavelength / length_x, wavelength / length_y
+    if not (length_x > 0.0 and length_y > 0.0):
+        raise ValueError("lengths must be positive")
+    return 1.0 / length_x, 1.0 / length_y
 
 
-def _quarter(length_x: float, length_y: float, wavelength: float) -> np.ndarray:
+def _quarter(length_x: float, length_y: float) -> np.ndarray:
     """Cell variances of the first orthant ``0..reach`` of the enumeration rectangle.
 
     The rectangle spans ``-reach..reach`` on each axis, ``reach`` the
@@ -174,10 +174,10 @@ def _quarter(length_x: float, length_y: float, wavelength: float) -> np.ndarray:
     symmetry gives every other cell, so one vectorized pass over this
     quarter evaluates all of it.
     """
-    steps = _steps(length_x, length_y, wavelength)
+    steps = _steps(length_x, length_y)
     return _first_orthant_mass(
-        np.arange(math.ceil(length_x / wavelength) + 1)[:, None],
-        np.arange(math.ceil(length_y / wavelength) + 1)[None, :],
+        np.arange(math.ceil(length_x) + 1)[:, None],
+        np.arange(math.ceil(length_y) + 1)[None, :],
         *steps,
     )
 
@@ -189,18 +189,11 @@ def _rectangle_total(quarter: np.ndarray) -> float:
     return float(quarter[np.ix_(fold_x, fold_y)].sum())
 
 
-def cell_variance(
-    lx: int,
-    ly: int,
-    length_x: float,
-    length_y: float,
-    *,
-    wavelength: float = 1.0,
-) -> float:
+def cell_variance(lx: int, ly: int, length_x: float, length_y: float) -> float:
     """Coupling variance captured by one wavenumber cell.
 
     The cell ``(lx, ly)`` covers the transverse-wavenumber rectangle
-    ``[lx, lx+1] * wavelength / length_x`` by the matching vertical interval.
+    ``[lx, lx+1] / length_x`` by the matching vertical interval.
     The returned value is the fraction of total hemisphere power whose
     transverse direction falls inside that rectangle, evaluated in polar
     coordinates: the radial integral is analytic and the azimuth integral is
@@ -211,9 +204,8 @@ def cell_variance(
     Args:
         lx: Horizontal integer cell index.
         ly: Vertical integer cell index.
-        length_x: Horizontal aperture length.
-        length_y: Vertical aperture length.
-        wavelength: Carrier wavelength in the same units as the lengths.
+        length_x: Horizontal aperture length in wavelengths.
+        length_y: Vertical aperture length in wavelengths.
 
     Returns:
         Nonnegative variance; exactly 0 for cells entirely outside the disk.
@@ -221,23 +213,18 @@ def cell_variance(
     Raises:
         ValueError: On invalid lengths.
     """
-    steps = _steps(length_x, length_y, wavelength)
+    steps = _steps(length_x, length_y)
     return float(_first_orthant_mass(_fold(np.asarray(lx)), _fold(np.asarray(ly)), *steps))
 
 
-def hemisphere_total(
-    length_x: float,
-    length_y: float,
-    *,
-    wavelength: float = 1.0,
-) -> float:
+def hemisphere_total(length_x: float, length_y: float) -> float:
     """Sum of cell variances over the full rectangle covering the disk.
 
     The enumeration rectangle spans the symmetric integer range that covers
     the unit disk on both axes, so the sum recovers the hemisphere total of
     one half regardless of aperture shape.
     """
-    return _rectangle_total(_quarter(length_x, length_y, wavelength))
+    return _rectangle_total(_quarter(length_x, length_y))
 
 
 def variance_map(geometry: ArrayGeometry) -> VarianceMap:
@@ -256,9 +243,8 @@ def variance_map(geometry: ArrayGeometry) -> VarianceMap:
         The assembled map.
     """
     lattice = lattice_ellipse(geometry)
-    quarter = _quarter(geometry.length_x, geometry.length_y, geometry.wavelength)
-    lx, ly = lattice.index_arrays()
-    raw = quarter[_fold(lx), _fold(ly)]
+    quarter = _quarter(geometry.length_x, geometry.length_y)
+    raw = quarter[_fold(lattice.cells[:, 0]), _fold(lattice.cells[:, 1])]
     sigma = np.sqrt(geometry.num_patches * raw / raw.sum())
     return VarianceMap(
         lattice=lattice,

@@ -73,7 +73,7 @@ class TestBasisOrthonormality:
             basis = harmonic_basis(
                 geometry, lattice_ellipse(geometry), receive=receive
             )
-            gram = basis.matrix.conj().T @ basis.matrix
+            gram = basis.conj().T @ basis
             defect = np.max(np.abs(gram - np.eye(gram.shape[0])))
             assert defect < 1e-10, (geometry, receive, defect)
 

@@ -169,10 +169,10 @@ class TestAssembleElementChannel:
     def test_bases_round_trip_the_draw(self, assembled):
         realization, rx_basis, tx_basis, element = assembled
         n_r = realization.per_user_rows
-        patches = rx_basis.geometry.num_patches
+        patches = rx_basis.shape[0]
         for user in range(realization.num_users):
             block = element[user * patches : (user + 1) * patches]
-            recovered = rx_basis.matrix.conj().T @ block @ tx_basis.matrix
+            recovered = rx_basis.conj().T @ block @ tx_basis
             np.testing.assert_allclose(
                 recovered,
                 realization.h_a[user * n_r : (user + 1) * n_r],

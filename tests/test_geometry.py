@@ -50,6 +50,11 @@ def loop_lattice(geometry):
     return tuple(sorted(kept, key=lambda c: (c[1], c[0])))
 
 
+def cell_set(lattice):
+    """The lattice's cells as a set of ``(lx, ly)`` tuples."""
+    return set(map(tuple, lattice.cells.tolist()))
+
+
 def small_geometries():
     return [
         ArrayGeometry(3, 3, 1 / 3),
@@ -67,22 +72,29 @@ class TestArrayGeometry:
         assert geometry.length_y == pytest.approx(4.0)
         assert geometry.num_patches == 144
 
-    def test_rectangular_aperture(self):
-        geometry = ArrayGeometry(8, 9, 1 / 6, wavelength=2.0)
-        assert geometry.length_x == pytest.approx(8 / 6 * 2.0)
-        assert geometry.length_y == pytest.approx(9 / 6 * 2.0)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n_h": 0, "n_v": 2, "spacing": 0.5},
             {"n_h": 2, "n_v": -1, "spacing": 0.5},
             {"n_h": 2, "n_v": 2, "spacing": 0.0},
-            {"n_h": 2, "n_v": 2, "spacing": 0.5, "wavelength": -1.0},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
+            ArrayGeometry(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_h": True, "n_v": 2, "spacing": 0.5}, "n_h must be a positive integer"),
+            ({"n_h": 2, "n_v": True, "spacing": 0.5}, "n_v must be a positive integer"),
+            ({"n_h": 2, "n_v": 2, "spacing": True}, "spacing must be positive"),
+        ],
+        ids=["n_h", "n_v", "spacing"],
+    )
+    def test_rejects_booleans(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             ArrayGeometry(**kwargs)
 
 
@@ -108,7 +120,7 @@ class TestPatchPositions:
 class TestLatticeEllipse:
     def test_unit_aperture_members(self):
         lattice = lattice_ellipse(ArrayGeometry(3, 3, 1 / 3))
-        assert set(lattice.cells) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+        assert cell_set(lattice) == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     @pytest.mark.parametrize("n_h, n_v, spacing, expected", FROZEN_CARDINALITIES)
     def test_frozen_cardinalities(self, n_h, n_v, spacing, expected):
@@ -135,7 +147,7 @@ class TestLatticeEllipse:
         # At half-wavelength pitch the two rim cells on each axis sample the
         # same harmonic, so only the lower-index one of each pair survives.
         lattice = lattice_ellipse(ArrayGeometry(24, 24, 1 / 2))
-        cells = set(lattice.cells)
+        cells = cell_set(lattice)
         assert (-12, 0) in cells and (12, 0) not in cells
         assert (0, -12) in cells and (0, 12) not in cells
 
@@ -146,7 +158,7 @@ class TestLatticeEllipse:
     )
     @settings(max_examples=50, deadline=None)
     def test_reflection_symmetry_below_critical_pitch(self, n_h, n_v, spacing):
-        cells = set(lattice_ellipse(ArrayGeometry(n_h, n_v, spacing)).cells)
+        cells = cell_set(lattice_ellipse(ArrayGeometry(n_h, n_v, spacing)))
         for lx, ly in cells:
             assert (-lx, ly) in cells
             assert (lx, -ly) in cells
@@ -159,7 +171,7 @@ class TestLatticeEllipse:
     @settings(max_examples=50, deadline=None)
     def test_members_match_disk_inequality(self, n_h, n_v, spacing):
         geometry = ArrayGeometry(n_h, n_v, spacing)
-        cells = set(lattice_ellipse(geometry).cells)
+        cells = cell_set(lattice_ellipse(geometry))
 
         def level(lx, ly):
             return (lx / geometry.length_x) ** 2 + (ly / geometry.length_y) ** 2
@@ -180,11 +192,41 @@ class TestLatticeEllipse:
     )
     def test_cells_and_order_match_a_loop_enumeration(self, n_h, n_v, spacing):
         geometry = ArrayGeometry(n_h, n_v, spacing)
-        assert lattice_ellipse(geometry).cells == loop_lattice(geometry)
+        cells = lattice_ellipse(geometry).cells.tolist()
+        assert tuple(map(tuple, cells)) == loop_lattice(geometry)
 
     def test_rejects_duplicate_cells(self):
         with pytest.raises(ValueError):
             WavenumberLattice(cells=((0, 0), (0, 0)))
+
+    def test_rejects_duplicate_rows_of_an_array(self):
+        with pytest.raises(ValueError, match="distinct"):
+            WavenumberLattice(cells=np.array([[1, 0], [0, 1], [1, 0]]))
+
+    def test_cells_are_a_read_only_int64_index_array(self):
+        geometry = ArrayGeometry(7, 5, 0.37)
+        cells = lattice_ellipse(geometry).cells
+        expected = loop_lattice(geometry)
+        assert cells.dtype == np.int64
+        assert cells.shape == (len(expected), 2)
+        assert cells.tolist() == [list(cell) for cell in expected]
+        assert not cells.flags.writeable
+        with pytest.raises(ValueError):
+            cells[0, 0] = 99
+
+    def test_lattice_from_a_list_of_pairs_equals_the_enumerated_one(self):
+        enumerated = lattice_ellipse(ArrayGeometry(12, 12, 1 / 3))
+        rebuilt = WavenumberLattice(cells=[tuple(cell) for cell in enumerated.cells.tolist()])
+        np.testing.assert_array_equal(rebuilt.cells, enumerated.cells)
+        assert rebuilt.cells.dtype == np.int64
+        assert not rebuilt.cells.flags.writeable
+
+    def test_lattice_keeps_its_own_copy_of_an_array(self):
+        source = np.array([[0, 0], [1, 0]])
+        lattice = WavenumberLattice(cells=source)
+        source[1, 0] = 5
+        np.testing.assert_array_equal(lattice.cells, [[0, 0], [1, 0]])
+        assert source.flags.writeable
 
 
 class TestHarmonicBasis:
@@ -192,16 +234,16 @@ class TestHarmonicBasis:
         geometry = ArrayGeometry(5, 4, 0.3)
         basis = harmonic_basis(geometry, WavenumberLattice(cells=((0, 0),)))
         np.testing.assert_allclose(
-            basis.matrix[:, 0], np.full(20, 1 / math.sqrt(20)), atol=1e-15
+            basis[:, 0], np.full(20, 1 / math.sqrt(20)), atol=1e-15
         )
 
     def test_distinct_cells_give_orthogonal_columns(self):
         geometry = ArrayGeometry(4, 4, 1 / 2)
         basis = harmonic_basis(geometry, WavenumberLattice(cells=((1, 0), (2, 0))))
-        inner = np.vdot(basis.matrix[:, 0], basis.matrix[:, 1])
+        inner = np.vdot(basis[:, 0], basis[:, 1])
         assert abs(inner) < 1e-12
         np.testing.assert_allclose(
-            np.linalg.norm(basis.matrix, axis=0), 1.0, atol=1e-12
+            np.linalg.norm(basis, axis=0), 1.0, atol=1e-12
         )
 
     @pytest.mark.parametrize("receive", [False, True])
@@ -209,7 +251,7 @@ class TestHarmonicBasis:
         for geometry in small_geometries():
             lattice = lattice_ellipse(geometry)
             basis = harmonic_basis(geometry, lattice, receive=receive)
-            gram = basis.matrix.conj().T @ basis.matrix
+            gram = basis.conj().T @ basis
             deviation = np.abs(gram - np.eye(len(lattice.cells))).max()
             assert deviation < 1e-10
 
@@ -218,15 +260,13 @@ class TestHarmonicBasis:
         lattice = lattice_ellipse(geometry)
         tx = harmonic_basis(geometry, lattice)
         rx = harmonic_basis(geometry, lattice, receive=True)
-        np.testing.assert_allclose(rx.matrix, tx.matrix.conj(), atol=1e-15)
+        np.testing.assert_allclose(rx, tx.conj(), atol=1e-15)
 
     def test_origin_shift_only_rotates_column_phases(self):
         geometry = ArrayGeometry(6, 6, 1 / 3)
         lattice = lattice_ellipse(geometry)
-        base = harmonic_basis(geometry, lattice).matrix
-        shifted = harmonic_basis(
-            geometry, lattice, origin=(25.0, 10.0, -3.5)
-        ).matrix
+        base = harmonic_basis(geometry, lattice)
+        shifted = harmonic_basis(geometry, lattice, origin=(25.0, 10.0, -3.5))
         np.testing.assert_allclose(np.abs(shifted), np.abs(base), atol=1e-12)
         ratio = shifted / base
         np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-10)
@@ -238,3 +278,17 @@ class TestHarmonicBasis:
         geometry = ArrayGeometry(12, 12, 1 / 3)
         with pytest.raises(ValueError, match="do not match"):
             harmonic_basis(geometry, WavenumberLattice(cells=((9, 0),)))
+
+    def test_mismatch_names_the_first_outside_cell(self):
+        geometry = ArrayGeometry(12, 12, 1 / 3)
+        lattice = WavenumberLattice(cells=((0, 0), (0, 9), (9, 0)))
+        with pytest.raises(ValueError, match=r"cell \(0, 9\) lies outside"):
+            harmonic_basis(geometry, lattice)
+
+    def test_returns_the_complex_matrix(self):
+        geometry = ArrayGeometry(6, 6, 1 / 3)
+        lattice = lattice_ellipse(geometry)
+        basis = harmonic_basis(geometry, lattice)
+        assert isinstance(basis, np.ndarray)
+        assert basis.dtype == complex
+        assert basis.shape == (geometry.num_patches, len(lattice.cells))

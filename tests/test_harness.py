@@ -113,6 +113,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"invalid value for {key}: 2.5"):
             parse_config(**{key: 2.5})
 
+    @pytest.mark.parametrize(
+        "key", ["users", "trials", "seed", "iters", "ns", "nr", "delta_s", "delta_r"]
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, key):
+        settings = tmp_path / "scenario.json"
+        settings.write_text(json.dumps({key: True}))
+        field = key.replace("_", "-")
+        with pytest.raises(ValueError, match=f"invalid value for {field}: True"):
+            parse_config(str(settings))
+
+    @pytest.mark.parametrize("orders", [True, [2, True]], ids=["scalar", "list"])
+    def test_series_orders_reject_booleans(self, orders):
+        with pytest.raises(ValueError, match="invalid value for iters: True"):
+            harness.parse_ns_compare(iters=orders)
+
     def test_integral_floats_still_parse(self, tmp_path):
         settings = tmp_path / "scenario.json"
         settings.write_text('{"trials": 1e3, "users": 2.0}')
@@ -164,6 +179,11 @@ class TestScenarioConfig:
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, seed=-1)
         with pytest.raises(ValueError, match="invalid value for snr"):
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, snr_grid_db=(0.0, float("nan")))
+
+    @pytest.mark.parametrize("field", ["users", "trials", "seed", "ns_iterations"])
+    def test_rejects_booleans(self, field):
+        with pytest.raises(ValueError, match=f"invalid value for {field}: True"):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, **{field: True})
 
     def test_rejects_a_scheme_repeated_after_canonicalization(self):
         with pytest.raises(ValueError, match="invalid value for scheme"):
@@ -713,6 +733,14 @@ class TestCLI:
         )
         assert status == 1
         assert "invalid value for delta-s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_preset_rejects_a_non_finite_scale_before_any_csv(self, tmp_path, capsys, scale):
+        status = main(["preset", "fig8", "--scale", scale, "--trials", "2",
+                       "--out", str(tmp_path)])
+        assert status == 1
+        assert "scale must be positive and finite, got" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_name_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

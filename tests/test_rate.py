@@ -245,14 +245,6 @@ class TestSimulatedSE:
                 simulated_se(sigma, scheme, [10.0], trials=2, seed=0)
         assert draws == []
 
-    def test_noise_variance_cancels_against_matched_power(self):
-        sigma = uniform_sigma(3, 6)
-        unit = simulated_se(sigma, "mmse", [0.0, 10.0], trials=6, seed=2)
-        rescaled = simulated_se(
-            sigma, "mmse", [0.0, 10.0], trials=6, seed=2, noise_var=4.0
-        )
-        np.testing.assert_allclose(rescaled.per_stream, unit.per_stream, rtol=1e-12)
-
     def test_sum_rows_match_per_stream_columns(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
         result = simulated_se(sigma, "mrt", [0.0, 10.0], trials=5, seed=1)
