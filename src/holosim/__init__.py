@@ -10,7 +10,6 @@ presets that emit reproducible CSV artifacts.
 """
 
 from .channel import (
-    ChannelRealization,
     assemble_element_channel,
     correlation_eigenvalues,
     draw_wavenumber_channel,
@@ -28,7 +27,6 @@ from .harness import (
     run_preset,
 )
 from .precoding import (
-    Precoder,
     SingularChannelError,
     mmse,
     mrt,
@@ -66,12 +64,10 @@ __all__ = [
     "hemisphere_total",
     "variance_map",
     "separable_sigma",
-    "ChannelRealization",
     "draw_wavenumber_channel",
     "assemble_element_channel",
     "correlation_eigenvalues",
     "SingularChannelError",
-    "Precoder",
     "mrt",
     "zf",
     "mmse",

@@ -1,53 +1,29 @@
 """Random wavenumber-domain channels and their correlation spectra.
 
-A channel realization lives in the wavenumber domain: one complex coupling
-coefficient per (receive cell, transmit cell) pair, drawn independently and
-scaled by the receive factor of its row and the transmit factor of its
-column, both supplied by the variance maps.  Element-domain channels are
-recovered by sandwiching the realization between harmonic bases.  The Monte
-Carlo engine reads each draw as its real and imaginary parts and forms the
-Gram matrix from them in real arithmetic, never holding the complex matrix.
-The correlation structure is separable, which keeps its eigen-analysis
-closed-form even for surfaces with hundreds of thousands of matrix entries.
+A channel draw is a plain complex ``(K, N)`` matrix in the wavenumber
+domain: one coupling coefficient per (receive cell, transmit cell) pair,
+drawn independently and scaled by the receive factor of its row and the
+transmit factor of its column, both supplied by the variance maps.  Users
+own contiguous row blocks, one row per cell of their receive basis, and
+element-domain channels are recovered by sandwiching each block between
+harmonic bases.  The Monte Carlo engine reads each draw as its real and
+imaginary parts and forms the Gram matrix from them in real arithmetic,
+never holding the complex matrix.  The correlation structure is separable,
+which keeps its eigen-analysis closed-form even for surfaces with hundreds
+of thousands of matrix entries.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectrum import SeparableSigma, VarianceMap
 
 __all__ = [
-    "ChannelRealization",
     "draw_wavenumber_channel",
     "assemble_element_channel",
     "correlation_eigenvalues",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One random draw of the stacked wavenumber-domain channel.
-
-    Attributes:
-        h_a: Complex matrix of shape ``(users * per_user_rows, tx_cells)``;
-            each user occupies a contiguous block of rows.
-        per_user_rows: Receive-cell count of a single user block.
-    """
-
-    h_a: np.ndarray
-    per_user_rows: int
-
-    @property
-    def num_users(self) -> int:
-        return self.h_a.shape[0] // self.per_user_rows
-
-    def user_block(self, user: int) -> np.ndarray:
-        """Rows of ``h_a`` belonging to one user (0-based index)."""
-        lo = user * self.per_user_rows
-        return self.h_a[lo : lo + self.per_user_rows]
 
 
 def _draw_parts(sigma: SeparableSigma, seed) -> np.ndarray:
@@ -81,7 +57,7 @@ def _gram(parts: np.ndarray) -> np.ndarray:
     return gram
 
 
-def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
+def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> np.ndarray:
     """Draw one wavenumber-domain channel with the given per-cell scales.
 
     Every entry ``(i, j)`` is an independent circular complex Gaussian of
@@ -97,27 +73,28 @@ def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> ChannelRealization:
             caller manages streams itself.
 
     Returns:
-        The realization.
+        The complex channel matrix of shape ``(K, N)``: one row per stacked
+        receive cell, one column per transmit cell.
     """
     parts = _draw_parts(sigma, seed)
-    return ChannelRealization(h_a=parts[0] + 1j * parts[1], per_user_rows=sigma.per_user_rows)
+    return parts[0] + 1j * parts[1]
 
 
 def assemble_element_channel(
-    realization: ChannelRealization,
+    h_a: np.ndarray,
     rx_bases: list[np.ndarray],
     tx_basis: np.ndarray,
 ) -> np.ndarray:
-    """Map a wavenumber-domain realization to element-domain channels.
+    """Map a wavenumber-domain draw to element-domain channels.
 
-    Each user block is expanded as ``U_rx @ block @ U_tx^H`` with that user's
-    receive basis, and the per-user results are stacked vertically.  Because
-    the bases are semi-unitary, the mapping is an isometry in Frobenius norm;
-    it exists for validation and inspection, while precoding itself stays in
-    the wavenumber domain.
+    User ``u`` owns the next ``rx_bases[u].shape[1]`` rows of ``h_a``; its
+    block is expanded as ``U_rx @ block @ U_tx^H`` and the per-user results
+    are stacked vertically.  Because the bases are semi-unitary, the mapping
+    is an isometry in Frobenius norm; it exists for validation and
+    inspection, while precoding itself stays in the wavenumber domain.
 
     Args:
-        realization: Stacked wavenumber-domain draw.
+        h_a: Stacked wavenumber-domain draw, shape ``(K, N)``.
         rx_bases: One receive basis matrix per user, in user order.
         tx_basis: Shared transmit basis matrix.
 
@@ -125,27 +102,15 @@ def assemble_element_channel(
         Complex matrix with one block of receive-patch rows per user.
 
     Raises:
-        ValueError: If basis shapes do not match the realization blocks.
+        ValueError: If the receive basis widths do not add up to ``K`` or
+            the transmit basis does not span ``N`` cells.
     """
-    if len(rx_bases) != realization.num_users:
-        raise ValueError(
-            f"{len(rx_bases)} receive bases for {realization.num_users} users"
-        )
-    tx_cells = realization.h_a.shape[1]
-    if tx_basis.shape[1] != tx_cells:
-        raise ValueError(
-            f"transmit basis spans {tx_basis.shape[1]} cells, "
-            f"realization has {tx_cells}"
-        )
-    blocks = []
-    for user, basis in enumerate(rx_bases):
-        if basis.shape[1] != realization.per_user_rows:
-            raise ValueError(
-                f"receive basis {user} spans {basis.shape[1]} cells, "
-                f"blocks have {realization.per_user_rows}"
-            )
-        blocks.append(basis @ realization.user_block(user) @ tx_basis.conj().T)
-    return np.vstack(blocks)
+    widths = [basis.shape[1] for basis in rx_bases]
+    spanned = (sum(widths), tx_basis.shape[1])
+    if spanned != h_a.shape:
+        raise ValueError(f"bases span {spanned} cells, draw has shape {h_a.shape}")
+    blocks = np.split(h_a, np.cumsum(widths)[:-1])
+    return np.vstack([u @ block @ tx_basis.conj().T for u, block in zip(rx_bases, blocks)])
 
 
 def correlation_eigenvalues(rx_map: VarianceMap, tx_map: VarianceMap) -> np.ndarray:

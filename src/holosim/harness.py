@@ -62,6 +62,9 @@ _THEORY_TAGS = {"MRT": "MRT-BOUND", "ZF": "ZF-THEORY"}
 class ScenarioConfig:
     """Fully resolved description of one experiment run.
 
+    The four counts must be plain ``int`` values: a ``bool``, a float or a
+    NumPy integer fails with ``invalid value for <field>``.
+
     Attributes:
         tx: Transmit surface geometry.
         rx: Receive surface geometry (shared by all users).
@@ -85,7 +88,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for field, least in {"users": 1, "trials": 1, "seed": 0, "ns_iterations": 0}.items():
             value = getattr(self, field)
-            if isinstance(value, bool) or value < least:
+            if type(value) is not int or value < least:
                 raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
         grid = tuple(float(v) for v in self.snr_grid_db)
         if not grid:
@@ -128,6 +131,8 @@ def _parse_snr(value, field: str = "snr") -> tuple[float, ...]:
     text = str(value).strip()
     try:
         if isinstance(value, (list, tuple, np.ndarray)):
+            if any(isinstance(v, (bool, np.bool_)) for v in value):
+                raise ValueError
             return tuple(float(v) for v in value)
         if ":" in text:
             lo_s, hi_s, step_s = text.split(":")
@@ -137,7 +142,7 @@ def _parse_snr(value, field: str = "snr") -> tuple[float, ...]:
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(lo + k * step for k in range(count))
         return tuple(float(v) for v in text.split(","))
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid value for {field}: {value!r}") from exc
 
 
@@ -317,9 +322,9 @@ _SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
 
 def _write_se(out: Path, payload: dict, blocks: list, grid, sigma: SeparableSigma) -> None:
-    """Write ``(tag, per_stream, sum_se)`` blocks sharing one SNR grid as one CSV.
+    """Write ``(tag, per_stream)`` blocks sharing one SNR grid as one CSV.
 
-    Each block writes, per SNR point, one row per stream and then the sum.
+    Each block writes, per SNR point, one row per stream and then their sum.
     """
     per_user = sigma.per_user_rows
     labels = [f"{i // per_user + 1},{i % per_user + 1}" for i in range(sigma.rx_sigma.size)]
@@ -327,19 +332,19 @@ def _write_se(out: Path, payload: dict, blocks: list, grid, sigma: SeparableSigm
     rows = len(grid) * len(labels)
     columns = [
         np.tile(np.repeat(np.asarray(grid, dtype=float), len(labels)), len(blocks)),
-        [tag for tag, _, _ in blocks for _ in range(rows)],
+        [tag for tag, _ in blocks for _ in range(rows)],
         labels * (len(grid) * len(blocks)),
-        np.array([np.vstack([values, sums]).T for _, values, sums in blocks]).ravel(),
+        np.array([np.vstack([values, values.sum(axis=0)]).T for _, values in blocks]).ravel(),
     ]
     _write_csv(out, payload, _SE_COLUMNS, columns)
 
 
 def _theory_block(config: ScenarioConfig, sigma: SeparableSigma, scheme: str) -> tuple:
-    """Closed-form ``(tag, per_stream, sum_se)`` block of one scheme at unit noise."""
+    """Closed-form ``(tag, per_stream)`` block of one scheme at unit noise."""
     formula = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
     p_u = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
     table = formula(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
-    return _THEORY_TAGS[scheme], table, table.sum(axis=0)
+    return _THEORY_TAGS[scheme], table
 
 
 def _sigma(config: ScenarioConfig) -> SeparableSigma:
@@ -371,7 +376,7 @@ def run_se_sim(
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
     for scheme, result in zip(config.schemes, estimates):
-        blocks.append((scheme, result.per_stream, result.sum_se))
+        blocks.append((scheme, result.per_stream))
         if include_theory and scheme in _THEORY_TAGS:
             blocks.append(_theory_block(config, sigma, scheme))
     _write_se(out, _config_payload(config), blocks, config.snr_grid_db, sigma)
@@ -403,7 +408,7 @@ def run_ns_compare(
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
     estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
-    blocks = [(tag, result.per_stream, result.sum_se) for tag, result in zip(tags, estimates)]
+    blocks = [(tag, result.per_stream) for tag, result in zip(tags, estimates)]
     payload = _config_payload(config, ns_orders=list(iterations))
     _write_se(out, payload, blocks, config.snr_grid_db, sigma)
     return dict(zip(tags, estimates))

@@ -8,22 +8,18 @@ interference powers of the coupled matrix ``H_a V = G X diag(s)``; a zero
 row of ``s²`` marks a draw the scheme rejects as singular.  MRT has
 ``X = I``; ZF and MMSE filter one ``eigh`` of ``G_AA`` with ``f = 1/λ`` or
 ``1/(λ + a)`` at every SNR; NS-ZF takes every series order, and its coupled
-matrix, from one Horner pass.  The public precoders form the unit-norm
-``V = H_aᴴ X diag(s)`` from a core, and the Monte Carlo engine of
-:mod:`holosim.rate` reads only its powers.
+matrix, from one Horner pass.  The public precoders take the ``(K, N)``
+channel matrix ``H_a`` and return the unit-norm ``(N, K)`` matrix
+``V = H_aᴴ X diag(s)`` formed from a core; the Monte Carlo engine of
+:mod:`holosim.rate` reads only the core's powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .channel import ChannelRealization
 
 __all__ = [
     "SingularChannelError",
-    "Precoder",
     "mrt",
     "zf",
     "mmse",
@@ -35,23 +31,6 @@ _CONDITION_LIMIT = 1e12
 
 class SingularChannelError(RuntimeError):
     """The channel Gram matrix is too ill-conditioned to invert."""
-
-
-@dataclass(frozen=True)
-class Precoder:
-    """Transmit matrix with bookkeeping for rate evaluation.
-
-    Attributes:
-        v: Complex matrix of shape ``(tx_cells, streams)`` with unit
-            Frobenius norm; column ``i`` precodes stream ``i``.
-        scheme: One of ``"MRT"``, ``"ZF"``, ``"MMSE"``, ``"NS-ZF"``.
-        ns_iterations: Series order used by the ``"NS-ZF"`` scheme, ``None``
-            otherwise.
-    """
-
-    v: np.ndarray
-    scheme: str
-    ns_iterations: int | None = None
 
 
 def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,14 +125,14 @@ def _neumann_series(w_tilde: np.ndarray, orders) -> dict[int, np.ndarray]:
     With ``w_tilde = D + E`` (diagonal and off-diagonal), ``X_k = D⁻¹ - Q_k``
     and ``Q_k = D⁻¹ E X_{k-1}``: one product per order, and ``X_0 = D⁻¹``.
     The series converges only if the spectral radius of ``D⁻¹ E`` is below
-    one.  Raises ``ValueError`` on a non-square input, a negative or
-    non-integer order, or a zero diagonal entry.
+    one.  Raises ``ValueError`` on a non-square input, a negative,
+    non-integer or boolean order, or a zero diagonal entry.
     """
     w_tilde = np.asarray(w_tilde)
     if w_tilde.ndim != 2 or w_tilde.shape[0] != w_tilde.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {w_tilde.shape}")
     for order in orders:
-        if not isinstance(order, (int, np.integer)) or order < 0:
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
             raise ValueError(f"iterations must be a nonnegative integer, got {order!r}")
     diag = np.diag(w_tilde)
     if np.any(diag == 0.0):
@@ -188,10 +167,13 @@ def _neumann_coupled(w_tilde: np.ndarray, orders) -> list[tuple[np.ndarray, np.n
     return pairs
 
 
-def _precode(realization: ChannelRealization, scheme: str, core, ns_iterations=None) -> Precoder:
-    """``V = H_aᴴ X diag(s)`` on the active streams, from ``(X, s²) = core(G_AA)``."""
-    h_a = realization.h_a
-    if scheme in ("ZF", "NS-ZF"):
+def _precode(h_a: np.ndarray, core, nulling: bool = False) -> np.ndarray:
+    """``V = H_aᴴ X diag(s)`` on the active streams, from ``(X, s²) = core(G_AA)``.
+
+    A ``nulling`` scheme (ZF, NS-ZF) first checks that the live streams fit
+    the live transmit cells.
+    """
+    if nulling:
         nonzero = h_a != 0.0
         _require_cells(nonzero.any(axis=1), nonzero.any(axis=0))
     active, g_aa = _active_block(h_a @ h_a.conj().T)
@@ -204,40 +186,40 @@ def _precode(realization: ChannelRealization, scheme: str, core, ns_iterations=N
     v = h_a[active].conj().T if x is None else h_a[active].conj().T @ x
     full = np.zeros(h_a.T.shape, dtype=complex)
     full[:, active] = v * np.sqrt(scale_sq)
-    return Precoder(v=full, scheme=scheme, ns_iterations=ns_iterations)
+    return full
 
 
-def mrt(realization: ChannelRealization) -> Precoder:
+def mrt(h_a: np.ndarray) -> np.ndarray:
     """Maximum-ratio transmission: match the channel, normalize total power.
 
     Args:
-        realization: Channel draw to precode.
+        h_a: Channel matrix of shape ``(K, N)``.
 
     Returns:
-        The precoder with ``v`` equal to the conjugate transpose of the
-        channel scaled to unit Frobenius norm.
+        The conjugate transpose of the channel scaled to unit Frobenius
+        norm, shape ``(N, K)``.
 
     Raises:
         ValueError: If the channel is identically zero.
     """
-    return _precode(realization, "MRT", _mrt_core)
+    return _precode(h_a, _mrt_core)
 
 
-def zf(realization: ChannelRealization) -> Precoder:
+def zf(h_a: np.ndarray) -> np.ndarray:
     """Zero-forcing precoding with per-column (vector) normalization.
 
     The right pseudo-inverse is formed on the streams with nonzero channel
     rows as ``G_AA⁻¹ = U Λ⁻¹ Uᴴ``, the eigendecomposition that the Monte
     Carlo engine shares with MMSE; each of its columns is scaled to equal
     power so that interference is nulled exactly and the power constraint
-    is met per realization.
+    is met per draw.
 
     Args:
-        realization: Channel draw; requires at least as many transmit cells
-            as active streams.
+        h_a: Channel matrix of shape ``(K, N)``; requires at least as many
+            live transmit cells as active streams.
 
     Returns:
-        The precoder; each active stream's column has norm
+        The ``(N, K)`` precoder; each active stream's column has norm
         ``1/sqrt(active streams)``.
 
     Raises:
@@ -247,10 +229,10 @@ def zf(realization: ChannelRealization) -> Precoder:
         ValueError: If there are more active streams than transmit cells or
             no active streams at all.
     """
-    return _precode(realization, "ZF", lambda g_aa: _zf_core(_spectrum(g_aa)))
+    return _precode(h_a, lambda g_aa: _zf_core(_spectrum(g_aa)), nulling=True)
 
 
-def mmse(realization: ChannelRealization, snr: float) -> Precoder:
+def mmse(h_a: np.ndarray, snr: float) -> np.ndarray:
     """Regularized inversion with noise loading matched to the SNR.
 
     The Gram matrix is loaded with ``a = streams / snr`` on the diagonal
@@ -261,22 +243,22 @@ def mmse(realization: ChannelRealization, snr: float) -> Precoder:
     transmission at low SNR and zero-forcing at high SNR.
 
     Args:
-        realization: Channel draw.
+        h_a: Channel matrix of shape ``(K, N)``.
         snr: Transmit power over noise variance; must be positive.
 
     Returns:
-        The precoder.
+        The unit-norm ``(N, K)`` precoder.
 
     Raises:
         ValueError: If ``snr`` is not positive or the channel is all zero.
     """
     if not snr > 0.0:
         raise ValueError(f"snr must be positive, got {snr!r}")
-    streams = realization.h_a.shape[0]
-    return _precode(realization, "MMSE", lambda g_aa: _mmse_core(_spectrum(g_aa), snr, streams))
+    streams = h_a.shape[0]
+    return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, streams))
 
 
-def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:
+def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
     """Zero-forcing with the Gram inverse replaced by a Neumann series.
 
     The series ``Σₖ (−D⁻¹E)ᵏ D⁻¹`` of the Jacobi splitting ``D + E`` of
@@ -289,11 +271,12 @@ def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:
     exact zero-forcing.
 
     Args:
-        realization: Channel draw.
-        iterations: Highest series order; defaults to 3.
+        h_a: Channel matrix of shape ``(K, N)``.
+        iterations: Highest series order, a nonnegative ``int``; defaults
+            to 3.
 
     Returns:
-        The precoder, with ``ns_iterations`` set.
+        The unit-norm ``(N, K)`` precoder.
 
     Raises:
         SingularChannelError: If a precoding column has zero energy.
@@ -305,4 +288,4 @@ def ns_zf(realization: ChannelRealization, iterations: int = 3) -> Precoder:
         series, scale_sq, _ = _ns_zf_core(g_aa, [iterations])
         return series[0], scale_sq[0]
 
-    return _precode(realization, "NS-ZF", core, iterations)
+    return _precode(h_a, core, nulling=True)

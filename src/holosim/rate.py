@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _draw_parts, _gram
+from .channel import _draw_parts, _gram
 from .precoding import (
-    Precoder,
     SingularChannelError,
     _active_block,
     _coupled_powers,
@@ -61,10 +60,9 @@ class SEResult:
     Attributes:
         per_stream: Real matrix of shape ``(streams, snr_points)`` in
             bits/s/Hz.
-        sum_se: Per-SNR column sums of ``per_stream``.
         trials: Number of accepted Monte Carlo trials averaged.
         snr_grid_db: SNR grid in dB, one entry per column.
-        scheme: Precoder scheme tag the estimate belongs to.
+        scheme: Precoding scheme tag the estimate belongs to.
         rejections: Channel draws discarded as numerically singular and
             redrawn.
         per_stream_stderr: Monte Carlo standard error of every ``per_stream``
@@ -72,7 +70,6 @@ class SEResult:
     """
 
     per_stream: np.ndarray
-    sum_se: np.ndarray
     trials: int
     snr_grid_db: tuple[float, ...]
     scheme: str
@@ -81,18 +78,19 @@ class SEResult:
 
     def __post_init__(self) -> None:
         per_stream = np.asarray(self.per_stream, dtype=float)
-        sum_se = np.asarray(self.sum_se, dtype=float)
         object.__setattr__(self, "per_stream", per_stream)
-        object.__setattr__(self, "sum_se", sum_se)
         object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
         if per_stream.ndim != 2 or per_stream.shape[1] != len(self.snr_grid_db):
             raise ValueError("per_stream must be streams x snr_points")
         if np.any(per_stream < 0.0):
             raise ValueError("spectral efficiencies must be nonnegative")
-        if not np.allclose(sum_se, per_stream.sum(axis=0), rtol=0.0, atol=1e-9):
-            raise ValueError("sum_se must equal the column sums of per_stream")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+
+    @property
+    def sum_se(self) -> np.ndarray:
+        """Per-SNR column sums of ``per_stream``."""
+        return self.per_stream.sum(axis=0)
 
 
 def _canonical_scheme(scheme: str) -> str:
@@ -111,8 +109,8 @@ def _sinr(signal: np.ndarray, interference: np.ndarray, p_u, noise_var) -> np.nd
 
 
 def per_stream_sinr(
-    realization: ChannelRealization,
-    precoder: Precoder,
+    h_a: np.ndarray,
+    v: np.ndarray,
     p_u: float,
     noise_var: float,
 ) -> np.ndarray:
@@ -124,8 +122,8 @@ def per_stream_sinr(
     that interference-free streams at zero noise stay finite.
 
     Args:
-        realization: Channel draw.
-        precoder: Precoder to evaluate.
+        h_a: Channel matrix of shape ``(K, N)``.
+        v: Precoding matrix of shape ``(N, K)``.
         p_u: Transmit power, positive.
         noise_var: Receiver noise variance, nonnegative.
 
@@ -140,7 +138,6 @@ def per_stream_sinr(
         raise ValueError(f"p_u must be positive, got {p_u!r}")
     if noise_var < 0.0:
         raise ValueError(f"noise_var must be nonnegative, got {noise_var!r}")
-    h_a, v = realization.h_a, precoder.v
     if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
         raise ValueError(
             f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
@@ -187,8 +184,8 @@ def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int)
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     rx_live, tx_live = sigma.rx_sigma != 0.0, sigma.tx_sigma != 0.0
     live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
@@ -230,9 +227,7 @@ def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int)
         per_stream[live] = total / trials
         variance = np.clip(total_sq / trials - per_stream[live] ** 2, 0.0, None)
         stderr[live] = np.sqrt(variance / trials)
-        results.append(
-            SEResult(per_stream, per_stream.sum(axis=0), trials, grid, tag, count, stderr)
-        )
+        results.append(SEResult(per_stream, trials, grid, tag, count, stderr))
     return results
 
 
@@ -272,8 +267,9 @@ def simulated_se(
         The averaged estimate.
 
     Raises:
-        ValueError: On an unknown scheme, a nonpositive trial count, or, for
-            ZF and NS-ZF, more active streams than transmit cells.
+        ValueError: On an unknown scheme, a trial count that is not an
+            integer of at least 1, a boolean or non-integer series order,
+            or, for ZF and NS-ZF, more active streams than transmit cells.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """

@@ -60,20 +60,19 @@ class TestDrawWavenumberChannel:
         sigma = uniform_sigma(3, 4)
         first = draw_wavenumber_channel(sigma, 7)
         second = draw_wavenumber_channel(sigma, 7)
-        np.testing.assert_array_equal(first.h_a, second.h_a)
-        assert first.per_user_rows == 3
+        np.testing.assert_array_equal(first, second)
+        assert first.shape == (3, 4) and first.dtype == complex
 
     def test_different_seeds_differ(self):
         sigma = uniform_sigma(3, 4)
         assert not np.array_equal(
-            draw_wavenumber_channel(sigma, 0).h_a,
-            draw_wavenumber_channel(sigma, 1).h_a,
+            draw_wavenumber_channel(sigma, 0),
+            draw_wavenumber_channel(sigma, 1),
         )
 
     def test_zero_scales_annihilate_the_draw(self):
         sigma = uniform_sigma(2, 3, scale=0.0)
-        realization = draw_wavenumber_channel(sigma, 5)
-        np.testing.assert_array_equal(realization.h_a, 0.0)
+        np.testing.assert_array_equal(draw_wavenumber_channel(sigma, 5), 0.0)
 
     def test_entry_variance_follows_the_scale(self):
         # One entry with scale 2 must show sample variance 4 over many draws.
@@ -85,7 +84,7 @@ class TestDrawWavenumberChannel:
         draws = 10**5
         acc = 0.0
         for k in range(draws):
-            acc += abs(draw_wavenumber_channel(sigma, k).h_a[0, 0]) ** 2
+            acc += abs(draw_wavenumber_channel(sigma, k)[0, 0]) ** 2
         assert acc / draws == pytest.approx(4.0, rel=0.05)
 
     def test_covariance_matches_scale_matrix_entrywise(self):
@@ -97,7 +96,7 @@ class TestDrawWavenumberChannel:
         draws = 3 * 10**4
         acc = np.zeros((2, 2))
         for k in range(draws):
-            acc += np.abs(draw_wavenumber_channel(sigma, k).h_a) ** 2
+            acc += np.abs(draw_wavenumber_channel(sigma, k)) ** 2
         expected = np.outer(sigma.rx_sigma, sigma.tx_sigma) ** 2
         np.testing.assert_allclose(acc / draws, expected, rtol=0.05)
 
@@ -106,7 +105,7 @@ class TestDrawWavenumberChannel:
         draws = 2 * 10**4
         cross = 0.0 + 0.0j
         for k in range(draws):
-            h = draw_wavenumber_channel(sigma, k).h_a
+            h = draw_wavenumber_channel(sigma, k)
             cross += h[0, 0] * np.conj(h[2, 0])
         assert abs(cross / draws) < 0.05
 
@@ -117,7 +116,7 @@ class TestRealArithmeticKernel:
     ):
         sigma = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
         seed = np.random.SeedSequence(entropy=5, spawn_key=(3, 1))
-        h_a = draw_wavenumber_channel(sigma, seed).h_a
+        h_a = draw_wavenumber_channel(sigma, seed)
         parts = _draw_parts(sigma, seed)
         shape = (sigma.rx_sigma.size, sigma.tx_sigma.size)
         assert parts.shape == (2, *shape)
@@ -154,30 +153,39 @@ class TestAssembleElementChannel:
         )
         tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
         sigma = separable_sigma(rx_map_small, tx_map_medium, 2)
-        realization = draw_wavenumber_channel(sigma, 13)
-        element = assemble_element_channel(
-            realization, [rx_basis, rx_basis], tx_basis
-        )
-        return realization, rx_basis, tx_basis, element
+        h_a = draw_wavenumber_channel(sigma, 13)
+        element = assemble_element_channel(h_a, [rx_basis, rx_basis], tx_basis)
+        return h_a, rx_basis, tx_basis, element
 
     def test_assembly_preserves_energy(self, assembled):
-        realization, _, _, element = assembled
-        assert np.linalg.norm(element) == pytest.approx(
-            np.linalg.norm(realization.h_a), abs=1e-9
-        )
+        h_a, _, _, element = assembled
+        assert np.linalg.norm(element) == pytest.approx(np.linalg.norm(h_a), abs=1e-9)
 
     def test_bases_round_trip_the_draw(self, assembled):
-        realization, rx_basis, tx_basis, element = assembled
-        n_r = realization.per_user_rows
+        h_a, rx_basis, tx_basis, element = assembled
+        n_r = rx_basis.shape[1]
         patches = rx_basis.shape[0]
-        for user in range(realization.num_users):
+        for user in range(2):
             block = element[user * patches : (user + 1) * patches]
             recovered = rx_basis.conj().T @ block @ tx_basis
             np.testing.assert_allclose(
-                recovered,
-                realization.h_a[user * n_r : (user + 1) * n_r],
-                atol=1e-9,
+                recovered, h_a[user * n_r : (user + 1) * n_r], atol=1e-9
             )
+
+    def test_each_user_takes_as_many_rows_as_its_basis_has_columns(self):
+        # Users of different receive surfaces: 13 rows, then 5.
+        geometries = [ArrayGeometry(6, 6, 1 / 3), ArrayGeometry(3, 3, 1 / 3)]
+        rx_bases = [harmonic_basis(g, lattice_ellipse(g), receive=True) for g in geometries]
+        tx_geometry = ArrayGeometry(8, 8, 1 / 3)
+        tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
+        widths = [basis.shape[1] for basis in rx_bases]
+        sigma = uniform_sigma(sum(widths), tx_basis.shape[1])
+        h_a = draw_wavenumber_channel(sigma, 2)
+        element = assemble_element_channel(h_a, rx_bases, tx_basis)
+        assert element.shape == (36 + 9, 64)
+        np.testing.assert_allclose(
+            rx_bases[1].conj().T @ element[36:] @ tx_basis, h_a[widths[0]:], atol=1e-9
+        )
 
     def test_single_cell_draw_assembles_rank_one(self):
         geometry = ArrayGeometry(2, 2, 1 / 2)
@@ -185,19 +193,18 @@ class TestAssembleElementChannel:
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
         sigma = uniform_sigma(1, 1)
-        realization = draw_wavenumber_channel(sigma, 0)
-        scale = realization.h_a[0, 0]
-        element = assemble_element_channel(realization, [rx_basis], tx_basis)
+        h_a = draw_wavenumber_channel(sigma, 0)
+        scale = h_a[0, 0]
+        element = assemble_element_channel(h_a, [rx_basis], tx_basis)
         np.testing.assert_allclose(element, scale * np.full((4, 4), 0.25), atol=1e-15)
 
     def test_rejects_mismatched_bases(self, assembled):
-        realization, rx_basis, tx_basis, _ = assembled
-        with pytest.raises(ValueError):
-            assemble_element_channel(realization, [rx_basis], tx_basis)
-        with pytest.raises(ValueError):
-            assemble_element_channel(
-                realization, [rx_basis, rx_basis], rx_basis
-            )
+        h_a, rx_basis, tx_basis, _ = assembled
+        rows, cols = h_a.shape
+        with pytest.raises(ValueError, match=rf"\({rows // 2}, {cols}\) cells, draw has shape"):
+            assemble_element_channel(h_a, [rx_basis], tx_basis)
+        with pytest.raises(ValueError, match=rf"\({rows}, {rows // 2}\) cells"):
+            assemble_element_channel(h_a, [rx_basis, rx_basis], rx_basis)
 
 
 class TestCorrelationEigenvalues:
@@ -243,8 +250,8 @@ class TestCorrelationEigenvalues:
         draws = 3 * 10**4
         acc = np.zeros((81, 81), dtype=complex)
         for k in range(draws):
-            realization = draw_wavenumber_channel(sigma, k)
-            element = assemble_element_channel(realization, [rx_basis], tx_basis)
+            h_a = draw_wavenumber_channel(sigma, k)
+            element = assemble_element_channel(h_a, [rx_basis], tx_basis)
             flat = element.reshape(-1)
             acc += np.outer(flat, flat.conj())
         empirical = np.linalg.eigvalsh(acc / draws)[::-1]

@@ -146,6 +146,13 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="invalid value for snr"):
             parse_config(snr=snr)
 
+    @pytest.mark.parametrize("snr", [[True, 10], [0, None]], ids=["boolean", "null"])
+    def test_json_snr_list_holds_only_numbers(self, tmp_path, snr):
+        settings = tmp_path / "scenario.json"
+        settings.write_text(json.dumps({"snr": snr}))
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            parse_config(str(settings))
+
     def test_json_nan_snr_point_is_rejected(self, tmp_path):
         settings = tmp_path / "scenario.json"
         settings.write_text('{"snr": [0, NaN]}')
@@ -184,6 +191,12 @@ class TestScenarioConfig:
     def test_rejects_booleans(self, field):
         with pytest.raises(ValueError, match=f"invalid value for {field}: True"):
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, **{field: True})
+
+    @pytest.mark.parametrize("field", ["users", "trials", "seed", "ns_iterations"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, np.int64(2)], ids=["fraction", "float", "numpy"])
+    def test_rejects_counts_that_are_not_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"invalid value for {field}: "):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, **{field: value})
 
     def test_rejects_a_scheme_repeated_after_canonicalization(self):
         with pytest.raises(ValueError, match="invalid value for scheme"):

@@ -1,4 +1,4 @@
-"""Precoder construction: matched, zero-forcing, regularized, and series."""
+"""Precoding matrices: matched, zero-forcing, regularized, and series."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from holosim import (
     ArrayGeometry,
-    ChannelRealization,
     SingularChannelError,
     draw_wavenumber_channel,
     mmse,
@@ -22,12 +21,11 @@ from holosim.precoding import _neumann_coupled, _neumann_series
 from holosim.spectrum import SeparableSigma
 
 
-def realization_from(matrix, per_user_rows=None):
-    h_a = np.asarray(matrix, dtype=complex)
-    return ChannelRealization(h_a=h_a, per_user_rows=per_user_rows or h_a.shape[0])
+def channel(matrix):
+    return np.asarray(matrix, dtype=complex)
 
 
-def random_realization(rows, cols, seed):
+def random_channel(rows, cols, seed):
     sigma = SeparableSigma(
         per_user_rows=rows,
         rx_sigma=np.ones(rows),
@@ -48,7 +46,7 @@ def jacobi_series(matrix, order):
     return sum(np.linalg.matrix_power(step, k) @ inv_diag for k in range(order + 1))
 
 
-def dead_stream_realization():
+def dead_stream_channel():
     """A 4-stream draw on 6 cells whose second stream is dead."""
     rx = np.array([1.0, 0.0, 2.0, 0.5])
     tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
@@ -63,116 +61,107 @@ def column_directions(v):
 
 class TestMRT:
     def test_single_entry_channel(self):
-        realization = realization_from([[3.0 + 4.0j]])
-        precoder = mrt(realization)
-        np.testing.assert_allclose(precoder.v, [[0.6 - 0.8j]])
+        h_a = channel([[3.0 + 4.0j]])
+        v = mrt(h_a)
+        np.testing.assert_allclose(v, [[0.6 - 0.8j]])
         # |h|^2 / ||h||_F: the whole channel gain on the one stream.
-        assert (realization.h_a @ precoder.v)[0, 0] == pytest.approx(5.0)
-        assert precoder.scheme == "MRT"
-        assert precoder.ns_iterations is None
+        assert (h_a @ v)[0, 0] == pytest.approx(5.0)
 
     def test_matches_the_conjugated_channel(self):
-        realization = random_realization(3, 7, seed=2)
-        precoder = mrt(realization)
-        expected = realization.h_a.conj().T
-        np.testing.assert_allclose(
-            precoder.v, expected / np.linalg.norm(expected), atol=1e-12
-        )
+        h_a = random_channel(3, 7, seed=2)
+        expected = h_a.conj().T
+        np.testing.assert_allclose(mrt(h_a), expected / np.linalg.norm(expected), atol=1e-12)
 
     def test_rejects_zero_channel(self):
         with pytest.raises(ValueError):
-            mrt(realization_from(np.zeros((2, 3))))
+            mrt(np.zeros((2, 3)))
 
 
 class TestZF:
     def test_identity_channel(self):
-        realization = realization_from(np.eye(3))
-        precoder = zf(realization)
-        np.testing.assert_allclose(precoder.v, np.eye(3) / math.sqrt(3.0))
-        np.testing.assert_allclose(realization.h_a @ precoder.v, np.eye(3) / math.sqrt(3.0))
+        h_a = channel(np.eye(3))
+        v = zf(h_a)
+        np.testing.assert_allclose(v, np.eye(3) / math.sqrt(3.0))
+        np.testing.assert_allclose(h_a @ v, np.eye(3) / math.sqrt(3.0))
 
     def test_nulls_cross_talk(self):
-        realization = random_realization(4, 9, seed=3)
-        coupled = realization.h_a @ zf(realization).v
+        h_a = random_channel(4, 9, seed=3)
+        coupled = h_a @ zf(h_a)
         off = coupled - np.diag(np.diagonal(coupled))
         assert np.max(np.abs(off)) < 1e-10
 
     def test_diagonal_matches_pseudo_inverse_column_gains(self):
-        realization = random_realization(4, 9, seed=3)
-        precoder = zf(realization)
-        coupled = np.diagonal(realization.h_a @ precoder.v).real
-        reference = np.linalg.pinv(realization.h_a)
+        h_a = random_channel(4, 9, seed=3)
+        v = zf(h_a)
+        coupled = np.diagonal(h_a @ v).real
+        reference = np.linalg.pinv(h_a)
         expected = 1.0 / (2.0 * np.linalg.norm(reference, axis=0))
         np.testing.assert_allclose(coupled, expected, atol=1e-10)
         # Every column carries an equal share of the unit power.
-        np.testing.assert_allclose(np.linalg.norm(precoder.v, axis=0), 0.5, rtol=1e-10)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 0.5, rtol=1e-10)
 
     def test_skips_dead_streams(self):
-        realization = realization_from([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
-        precoder = zf(realization)
-        np.testing.assert_allclose(precoder.v[:, 1], 0.0)
+        h_a = channel([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
+        v = zf(h_a)
+        np.testing.assert_allclose(v[:, 1], 0.0)
         # Two live streams share the power; each keeps its own channel gain.
-        gains = np.diagonal(realization.h_a @ precoder.v)
+        gains = np.diagonal(h_a @ v)
         np.testing.assert_allclose(gains, np.array([1.0, 0.0, 2.0]) / math.sqrt(2.0))
-        assert np.linalg.norm(precoder.v) == pytest.approx(1.0)
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_rejects_repeated_rows(self):
         with pytest.raises(SingularChannelError):
-            zf(realization_from([[1.0, 2.0], [1.0, 2.0]]))
+            zf(channel([[1.0, 2.0], [1.0, 2.0]]))
         # With a dead transmit cell the two streams share one live cell.
         with pytest.raises(ValueError, match="2 active streams exceed 1 active"):
-            zf(realization_from([[1.0, 0.0], [1.0, 0.0]]))
+            zf(channel([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_rejects_more_streams_than_cells(self):
-        realization = realization_from(np.ones((3, 2)) + np.eye(3, 2))
+        h_a = channel(np.ones((3, 2)) + np.eye(3, 2))
         for precode in (zf, ns_zf):
             with pytest.raises(ValueError, match="exceed"):
-                precode(realization)
+                precode(h_a)
 
     def test_rejects_zero_channel(self):
         with pytest.raises(ValueError):
-            zf(realization_from(np.zeros((2, 3))))
+            zf(np.zeros((2, 3)))
 
 
 class TestMMSE:
     def test_high_snr_limit_is_the_normalized_pseudo_inverse(self):
-        realization = random_realization(3, 6, seed=5)
-        precoder = mmse(realization, snr=1e12)
-        reference = np.linalg.pinv(realization.h_a)
+        h_a = random_channel(3, 6, seed=5)
+        reference = np.linalg.pinv(h_a)
         reference = reference / np.linalg.norm(reference)
-        np.testing.assert_allclose(precoder.v, reference, atol=1e-6)
+        np.testing.assert_allclose(mmse(h_a, snr=1e12), reference, atol=1e-6)
 
     def test_high_snr_column_directions_match_zero_forcing(self):
-        realization = random_realization(3, 6, seed=5)
-        regularized = column_directions(mmse(realization, snr=1e12).v)
-        exact = column_directions(zf(realization).v)
+        h_a = random_channel(3, 6, seed=5)
+        regularized = column_directions(mmse(h_a, snr=1e12))
+        exact = column_directions(zf(h_a))
         np.testing.assert_allclose(regularized, exact, atol=1e-8)
 
     def test_low_snr_column_directions_match_matched_transmission(self):
-        realization = random_realization(3, 6, seed=5)
-        regularized = column_directions(mmse(realization, snr=1e-12).v)
-        matched = column_directions(mrt(realization).v)
+        h_a = random_channel(3, 6, seed=5)
+        regularized = column_directions(mmse(h_a, snr=1e-12))
+        matched = column_directions(mrt(h_a))
         np.testing.assert_allclose(regularized, matched, atol=1e-8)
 
     def test_finite_snr_matches_the_regularized_solve(self):
         # Independent of the eigendecomposition: Hᴴ (G + aI)⁻¹ with the
         # loading a = K/snr counting the dead stream, Frobenius-normalized.
-        realization = dead_stream_realization()
-        h_a, snr = realization.h_a, 10.0
+        h_a, snr = dead_stream_channel(), 10.0
         loaded = h_a @ h_a.conj().T + (h_a.shape[0] / snr) * np.eye(h_a.shape[0])
         reference = np.linalg.solve(loaded, h_a).conj().T
-        precoder = mmse(realization, snr)
-        np.testing.assert_allclose(
-            precoder.v, reference / np.linalg.norm(reference), rtol=0.0, atol=1e-12
-        )
-        np.testing.assert_array_equal(precoder.v[:, 1], 0.0)
+        v = mmse(h_a, snr)
+        np.testing.assert_allclose(v, reference / np.linalg.norm(reference), rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(v[:, 1], 0.0)
 
     def test_rejects_nonpositive_snr(self):
-        realization = random_realization(2, 4, seed=1)
+        h_a = random_channel(2, 4, seed=1)
         with pytest.raises(ValueError):
-            mmse(realization, snr=0.0)
+            mmse(h_a, snr=0.0)
         with pytest.raises(ValueError):
-            mmse(realization, snr=-3.0)
+            mmse(h_a, snr=-3.0)
 
 
 class TestNeumannInverse:
@@ -211,7 +200,7 @@ class TestNeumannInverse:
         assert residuals[-1] > residuals[0] > 1.0
 
     def test_horner_pass_equals_the_summed_jacobi_terms(self):
-        h_a = random_realization(4, 9, seed=3).h_a
+        h_a = random_channel(4, 9, seed=3)
         gram = h_a @ h_a.conj().T
         snapshots = _neumann_series(gram, range(6))
         for order, value in snapshots.items():
@@ -220,7 +209,7 @@ class TestNeumannInverse:
             np.testing.assert_allclose(value, expected, rtol=0.0, atol=tolerance)
 
     def test_one_pass_snapshots_equal_separate_series(self):
-        h_a = random_realization(4, 9, seed=3).h_a
+        h_a = random_channel(4, 9, seed=3)
         gram = h_a @ h_a.conj().T
         snapshots = _neumann_series(gram, (7, 2, 4, 3))
         assert sorted(snapshots) == [2, 3, 4, 7]
@@ -229,7 +218,7 @@ class TestNeumannInverse:
 
     def test_coupled_matrices_from_the_pass_equal_the_products(self):
         for seed in range(5):
-            h_a = random_realization(6, 11, seed=seed).h_a
+            h_a = random_channel(6, 11, seed=seed)
             gram = h_a @ h_a.conj().T
             orders = (7, 0, 2, 1, 4)
             pairs = _neumann_coupled(gram, orders)
@@ -247,67 +236,61 @@ class TestNeumannInverse:
             series_at(self.TOY, -1)
         with pytest.raises(ValueError, match="nonnegative"):
             series_at(self.TOY, 1.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            series_at(self.TOY, True)
         with pytest.raises(ValueError, match="diagonal"):
             series_at(np.array([[0.0, 1.0], [1.0, 1.0]]), 1)
 
 
 class TestNSZF:
     @pytest.fixture()
-    def realization(self, rx_map_small, tx_map_medium):
+    def h_a(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
         return draw_wavenumber_channel(sigma, 11)
 
-    def test_long_series_recovers_exact_zero_forcing(self, realization):
-        series = ns_zf(realization, 50)
-        exact = zf(realization)
-        np.testing.assert_allclose(series.v, exact.v, atol=1e-8)
+    def test_long_series_recovers_exact_zero_forcing(self, h_a):
+        series = ns_zf(h_a, 50)
+        exact = zf(h_a)
+        np.testing.assert_allclose(series, exact, atol=1e-8)
         np.testing.assert_allclose(
-            np.diagonal(realization.h_a @ series.v),
-            np.diagonal(realization.h_a @ exact.v),
-            rtol=1e-6,
+            np.diagonal(h_a @ series), np.diagonal(h_a @ exact), rtol=1e-6
         )
 
-    def test_records_the_series_order(self, realization):
-        assert ns_zf(realization).ns_iterations == 3
-        assert ns_zf(realization, 7).ns_iterations == 7
-        assert ns_zf(realization, 7).scheme == "NS-ZF"
+    @pytest.mark.parametrize("order", [True, 2.0, -1])
+    def test_rejects_an_order_that_is_not_a_nonnegative_int(self, h_a, order):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ns_zf(h_a, order)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_the_explicit_jacobi_series(self, order):
         # Independent of the Horner pass: the summed series on the live
         # block, each column scaled to norm 1/sqrt(live streams).
-        realization = dead_stream_realization()
-        h_a = realization.h_a
+        h_a = dead_stream_channel()
         live = np.flatnonzero(np.any(h_a != 0.0, axis=1))
         block = h_a[live] @ h_a[live].conj().T
         columns = h_a[live].conj().T @ jacobi_series(block, order)
         columns /= np.linalg.norm(columns, axis=0) * math.sqrt(live.size)
         expected = np.zeros(h_a.T.shape, dtype=complex)
         expected[:, live] = columns
-        precoder = ns_zf(realization, order)
-        np.testing.assert_allclose(precoder.v, expected, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(precoder.v[:, 1], 0.0)
+        v = ns_zf(h_a, order)
+        np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(v[:, 1], 0.0)
 
     def test_zero_scale_on_a_dead_stream_is_fine(self):
-        realization = realization_from([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        precoder = ns_zf(realization, 3)
-        np.testing.assert_allclose(precoder.v[:, 1], 0.0)
-        np.testing.assert_allclose(np.diagonal(realization.h_a @ precoder.v), [1.0, 0.0])
-        assert np.linalg.norm(precoder.v) == pytest.approx(1.0)
+        h_a = channel([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        v = ns_zf(h_a, 3)
+        np.testing.assert_allclose(v[:, 1], 0.0)
+        np.testing.assert_allclose(np.diagonal(h_a @ v), [1.0, 0.0])
+        assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
 class TestPowerConstraint:
     def test_all_schemes_emit_unit_frobenius_norm(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 2)
-        realization = draw_wavenumber_channel(sigma, 4)
-        precoders = [
-            mrt(realization),
-            zf(realization),
-            mmse(realization, snr=10.0),
-            ns_zf(realization, 3),
-        ]
-        for precoder in precoders:
-            assert np.linalg.norm(precoder.v) == pytest.approx(1.0, abs=1e-12)
+        h_a = draw_wavenumber_channel(sigma, 4)
+        for v in (mrt(h_a), zf(h_a), mmse(h_a, snr=10.0), ns_zf(h_a, 3)):
+            assert isinstance(v, np.ndarray) and v.shape == h_a.T.shape
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSeriesOrderSufficiency:

@@ -9,7 +9,6 @@ import pytest
 
 from holosim import (
     ArrayGeometry,
-    ChannelRealization,
     SEResult,
     SINR_CAP,
     draw_wavenumber_channel,
@@ -29,9 +28,8 @@ from holosim.harness import ScenarioConfig, run_se_sim
 from holosim.spectrum import SeparableSigma
 
 
-def realization_from(matrix):
-    h_a = np.asarray(matrix, dtype=complex)
-    return ChannelRealization(h_a=h_a, per_user_rows=h_a.shape[0])
+def channel(matrix):
+    return np.asarray(matrix, dtype=complex)
 
 
 def uniform_sigma(rows, cols, per_user_rows=None):
@@ -44,41 +42,40 @@ def uniform_sigma(rows, cols, per_user_rows=None):
 
 class TestPerStreamSINR:
     def test_zero_forcing_turns_gains_into_exact_sinr(self):
-        realization = realization_from([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
-        precoder = zf(realization)
-        sinr = per_stream_sinr(realization, precoder, p_u=2.0, noise_var=0.5)
-        gains = np.diagonal(realization.h_a @ precoder.v)
+        h_a = channel([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
+        v = zf(h_a)
+        sinr = per_stream_sinr(h_a, v, p_u=2.0, noise_var=0.5)
+        gains = np.diagonal(h_a @ v)
         expected = 2.0 * np.abs(gains) ** 2 / 0.5
         np.testing.assert_allclose(sinr, expected, rtol=1e-12)
         assert sinr[1] == 0.0
 
     def test_interference_free_streams_cap_at_zero_noise(self):
-        realization = realization_from([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
-        sinr = per_stream_sinr(realization, zf(realization), p_u=1.0, noise_var=0.0)
+        h_a = channel([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
+        sinr = per_stream_sinr(h_a, zf(h_a), p_u=1.0, noise_var=0.0)
         np.testing.assert_array_equal(sinr, [SINR_CAP, 0.0, SINR_CAP])
 
     def test_single_stream_matched_transmission(self):
         rng = np.random.default_rng(6)
         h = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
-        realization = realization_from(h)
-        sinr = per_stream_sinr(realization, mrt(realization), p_u=3.0, noise_var=2.0)
+        sinr = per_stream_sinr(h, mrt(h), p_u=3.0, noise_var=2.0)
         energy = np.linalg.norm(h) ** 2
         assert sinr[0] == pytest.approx(3.0 * energy / 2.0, rel=1e-12)
 
     def test_scales_cancel_between_power_and_noise(self):
-        realization = draw_wavenumber_channel(uniform_sigma(3, 6), 8)
-        precoder = mrt(realization)
-        base = per_stream_sinr(realization, precoder, p_u=2.0, noise_var=0.5)
-        scaled = per_stream_sinr(realization, precoder, p_u=20.0, noise_var=5.0)
+        h_a = draw_wavenumber_channel(uniform_sigma(3, 6), 8)
+        v = mrt(h_a)
+        base = per_stream_sinr(h_a, v, p_u=2.0, noise_var=0.5)
+        scaled = per_stream_sinr(h_a, v, p_u=20.0, noise_var=5.0)
         np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_transmit_phase_offsets_do_not_change_sinr(self):
         # A per-cell unit-modulus phase (a shifted transmit origin) must leave
         # every scheme's SINRs untouched.
         sigma = uniform_sigma(3, 6)
-        realization = draw_wavenumber_channel(sigma, 12)
+        h_a = draw_wavenumber_channel(sigma, 12)
         phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=6))
-        shifted = ChannelRealization(h_a=realization.h_a * phases, per_user_rows=3)
+        shifted = h_a * phases
         builders = [
             mrt,
             zf,
@@ -86,20 +83,20 @@ class TestPerStreamSINR:
             lambda r: ns_zf(r, 3),
         ]
         for build in builders:
-            base = per_stream_sinr(realization, build(realization), 2.0, 1.0)
+            base = per_stream_sinr(h_a, build(h_a), 2.0, 1.0)
             moved = per_stream_sinr(shifted, build(shifted), 2.0, 1.0)
             np.testing.assert_allclose(moved, base, rtol=1e-9)
 
     def test_rejects_bad_scalars_and_shapes(self):
-        realization = draw_wavenumber_channel(uniform_sigma(2, 4), 0)
-        precoder = mrt(realization)
+        h_a = draw_wavenumber_channel(uniform_sigma(2, 4), 0)
+        v = mrt(h_a)
         with pytest.raises(ValueError):
-            per_stream_sinr(realization, precoder, p_u=0.0, noise_var=1.0)
+            per_stream_sinr(h_a, v, p_u=0.0, noise_var=1.0)
         with pytest.raises(ValueError):
-            per_stream_sinr(realization, precoder, p_u=1.0, noise_var=-0.1)
+            per_stream_sinr(h_a, v, p_u=1.0, noise_var=-0.1)
         other = draw_wavenumber_channel(uniform_sigma(3, 4), 0)
         with pytest.raises(ValueError, match="disagree"):
-            per_stream_sinr(other, precoder, p_u=1.0, noise_var=1.0)
+            per_stream_sinr(other, v, p_u=1.0, noise_var=1.0)
 
 
 class TestSEResult:
@@ -107,15 +104,6 @@ class TestSEResult:
         with pytest.raises(ValueError):
             SEResult(
                 per_stream=np.array([[-0.5]]),
-                sum_se=np.array([-0.5]),
-                trials=1,
-                snr_grid_db=(0.0,),
-                scheme="MRT",
-            )
-        with pytest.raises(ValueError, match="column sums"):
-            SEResult(
-                per_stream=np.array([[1.0]]),
-                sum_se=np.array([2.0]),
                 trials=1,
                 snr_grid_db=(0.0,),
                 scheme="MRT",
@@ -123,7 +111,6 @@ class TestSEResult:
         with pytest.raises(ValueError, match="trials"):
             SEResult(
                 per_stream=np.array([[1.0]]),
-                sum_se=np.array([1.0]),
                 trials=0,
                 snr_grid_db=(0.0,),
                 scheme="MRT",
@@ -131,7 +118,6 @@ class TestSEResult:
         with pytest.raises(ValueError):
             SEResult(
                 per_stream=np.array([1.0]),
-                sum_se=np.array([1.0]),
                 trials=1,
                 snr_grid_db=(0.0,),
                 scheme="MRT",
@@ -186,13 +172,13 @@ class TestSimulatedSE:
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
         sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
-        realization = draw_wavenumber_channel(
+        h_a = draw_wavenumber_channel(
             sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
         )
         expected = []
         for snr_db in grid:
             snr = 10.0 ** (snr_db / 10.0)
-            sinr = per_stream_sinr(realization, build(realization, snr), snr, 1.0)
+            sinr = per_stream_sinr(h_a, build(h_a, snr), snr, 1.0)
             expected.append(np.log2(1.0 + sinr))
         result = simulated_se(sigma, scheme, grid, trials=1, seed=17, ns_iterations=2)
         assert result.rejections == 0
@@ -209,13 +195,13 @@ class TestSimulatedSE:
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
         sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
-        realization = draw_wavenumber_channel(
+        h_a = draw_wavenumber_channel(
             sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
         )
-        precoder = ns_zf(realization, order)
+        v = ns_zf(h_a, order)
         expected = np.column_stack(
             [
-                np.log2(1.0 + per_stream_sinr(realization, precoder, snr, 1.0))
+                np.log2(1.0 + per_stream_sinr(h_a, v, snr, 1.0))
                 for snr in 10.0 ** (np.asarray(grid) / 10.0)
             ]
         )
@@ -236,14 +222,26 @@ class TestSimulatedSE:
         tx = np.array([1.0, 1.0, 0.0])
         sigma = SeparableSigma(per_user_rows=3, rx_sigma=np.ones(3), tx_sigma=tx)
         draws = count_calls(rate, "_draw_parts")
-        realization = realization_from([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        h_a = channel([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         for precode in (zf, ns_zf):
             with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
-                precode(realization)
+                precode(h_a)
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
                 simulated_se(sigma, scheme, [10.0], trials=2, seed=0)
         assert draws == []
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 2.0])
+    def test_rejects_a_trial_count_that_is_not_a_positive_int(self, trials, count_calls):
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            simulated_se(uniform_sigma(2, 5), "mrt", [0.0], trials=trials)
+        assert draws == []
+
+    @pytest.mark.parametrize("order", [True, 1.5])
+    def test_rejects_a_series_order_that_is_not_an_int(self, order):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            simulated_se(uniform_sigma(2, 5), "ns-zf", [0.0], trials=1, ns_iterations=order)
 
     def test_sum_rows_match_per_stream_columns(self, rx_map_small, tx_map_medium):
         sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
