@@ -42,11 +42,9 @@ from .rate import (
     zf_theoretical,
 )
 from .spectrum import (
-    SeparableSigma,
     VarianceMap,
     cell_variance,
     hemisphere_total,
-    separable_sigma,
     variance_map,
 )
 
@@ -59,11 +57,9 @@ __all__ = [
     "lattice_ellipse",
     "harmonic_basis",
     "VarianceMap",
-    "SeparableSigma",
     "cell_variance",
     "hemisphere_total",
     "variance_map",
-    "separable_sigma",
     "draw_wavenumber_channel",
     "assemble_element_channel",
     "correlation_eigenvalues",

@@ -1,23 +1,23 @@
 """Random wavenumber-domain channels and their correlation spectra.
 
-A channel draw is a plain complex ``(K, N)`` matrix in the wavenumber
-domain: one coupling coefficient per (receive cell, transmit cell) pair,
-drawn independently and scaled by the receive factor of its row and the
-transmit factor of its column, both supplied by the variance maps.  Users
-own contiguous row blocks, one row per cell of their receive basis, and
-element-domain channels are recovered by sandwiching each block between
-harmonic bases.  The Monte Carlo engine reads each draw as its real and
-imaginary parts and forms the Gram matrix from them in real arithmetic,
-never holding the complex matrix.  The correlation structure is separable,
-which keeps its eigen-analysis closed-form even for surfaces with hundreds
-of thousands of matrix entries.
+The ensemble is two plain vectors, checked once by :func:`_factors`:
+``rx_sigma``, one scale per stacked receive cell, and ``tx_sigma``, one per
+transmit cell.  A channel draw is a complex ``(K, N)`` matrix in the
+wavenumber domain whose entry ``(i, j)`` is drawn independently and scaled
+by ``rx_sigma[i] * tx_sigma[j]``.  Users own contiguous row blocks, one row
+per cell of their receive basis, and element-domain channels are recovered
+by sandwiching each block between harmonic bases.  The Monte Carlo engine
+reads each draw as its real and imaginary parts and forms the Gram matrix
+from them in real arithmetic, never holding the complex matrix.  The
+correlation structure is separable, which keeps its eigen-analysis
+closed-form even for surfaces with hundreds of thousands of matrix entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .spectrum import SeparableSigma, VarianceMap
+from .spectrum import VarianceMap
 
 __all__ = [
     "draw_wavenumber_channel",
@@ -26,15 +26,23 @@ __all__ = [
 ]
 
 
-def _draw_parts(sigma: SeparableSigma, seed) -> np.ndarray:
+def _factors(rx_sigma, tx_sigma) -> tuple[np.ndarray, np.ndarray]:
+    """The two scale vectors as floats; each must be 1-D, nonempty, finite and nonnegative."""
+    factors = np.asarray(rx_sigma, dtype=float), np.asarray(tx_sigma, dtype=float)
+    for name, vector in zip(("rx_sigma", "tx_sigma"), factors):
+        if vector.ndim != 1 or not vector.size or not 0.0 <= vector.min() <= vector.max() < np.inf:
+            raise ValueError(f"{name} must be a nonempty vector of finite nonnegative values")
+    return factors
+
+
+def _draw_parts(rx: np.ndarray, tx: np.ndarray, seed) -> np.ndarray:
     """Real and imaginary parts, shape ``(2, K, N)``, of one scaled draw.
 
     One ``standard_normal((2, K, N))`` call consumes the stream in the same
     order as separate real and imaginary draws; the draw is then scaled in
     place, rows by ``rx_sigma / sqrt(2)`` and columns by ``tx_sigma``, so no
-    K×N scale matrix is formed.
+    K×N scale matrix is formed.  The factors are taken as checked.
     """
-    rx, tx = sigma.rx_sigma, sigma.tx_sigma
     parts = np.random.default_rng(seed).standard_normal((2, rx.size, tx.size))
     parts *= (rx / np.sqrt(2.0))[:, None]
     parts *= tx
@@ -57,17 +65,18 @@ def _gram(parts: np.ndarray) -> np.ndarray:
     return gram
 
 
-def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> np.ndarray:
+def draw_wavenumber_channel(rx_sigma, tx_sigma, seed) -> np.ndarray:
     """Draw one wavenumber-domain channel with the given per-cell scales.
 
     Every entry ``(i, j)`` is an independent circular complex Gaussian of
     unit variance (real and imaginary parts of variance one half each)
-    multiplied by ``sigma.rx_sigma[i] * sigma.tx_sigma[j]``.  The draw is
+    multiplied by ``rx_sigma[i] * tx_sigma[j]``.  The draw is
     deterministic in the seed, and the Monte Carlo engine reads the same
     numbers as real parts without building the complex matrix.
 
     Args:
-        sigma: Stacked per-user scale factors.
+        rx_sigma: Stacked per-user receive scale factors, one per row.
+        tx_sigma: Transmit scale factors, one per column.
         seed: Anything accepted by :func:`numpy.random.default_rng` — an
             integer for standalone use, or a spawned seed sequence when a
             caller manages streams itself.
@@ -75,8 +84,11 @@ def draw_wavenumber_channel(sigma: SeparableSigma, seed) -> np.ndarray:
     Returns:
         The complex channel matrix of shape ``(K, N)``: one row per stacked
         receive cell, one column per transmit cell.
+
+    Raises:
+        ValueError: Unless each factor is a nonempty, finite, nonnegative vector.
     """
-    parts = _draw_parts(sigma, seed)
+    parts = _draw_parts(*_factors(rx_sigma, tx_sigma), seed)
     return parts[0] + 1j * parts[1]
 
 

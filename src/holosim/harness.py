@@ -35,7 +35,7 @@ from .rate import (
     mrt_theoretical_bound,
     zf_theoretical,
 )
-from .spectrum import SeparableSigma, VarianceMap, separable_sigma, variance_map
+from .spectrum import VarianceMap, variance_map
 
 __all__ = [
     "ScenarioConfig",
@@ -321,14 +321,15 @@ def run_eigvals(config: ScenarioConfig, out: Path) -> np.ndarray:
 _SE_COLUMNS = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
 
-def _write_se(out: Path, payload: dict, blocks: list, grid, sigma: SeparableSigma) -> None:
-    """Write ``(tag, per_stream)`` blocks sharing one SNR grid as one CSV.
+def _write_se(out: Path, config: ScenarioConfig, payload: dict, blocks: list) -> None:
+    """Write ``(tag, per_stream)`` blocks on the config's SNR grid as one CSV.
 
     Each block writes, per SNR point, one row per stream and then their sum.
     """
-    per_user = sigma.per_user_rows
-    labels = [f"{i // per_user + 1},{i % per_user + 1}" for i in range(sigma.rx_sigma.size)]
+    per_user = blocks[0][1].shape[0] // config.users
+    labels = [f"{user + 1},{i + 1}" for user in range(config.users) for i in range(per_user)]
     labels.append("all,sum")
+    grid = config.snr_grid_db
     rows = len(grid) * len(labels)
     columns = [
         np.tile(np.repeat(np.asarray(grid, dtype=float), len(labels)), len(blocks)),
@@ -339,20 +340,21 @@ def _write_se(out: Path, payload: dict, blocks: list, grid, sigma: SeparableSigm
     _write_csv(out, payload, _SE_COLUMNS, columns)
 
 
-def _theory_block(config: ScenarioConfig, sigma: SeparableSigma, scheme: str) -> tuple:
+def _theory_block(config: ScenarioConfig, sigma: tuple, scheme: str) -> tuple:
     """Closed-form ``(tag, per_stream)`` block of one scheme at unit noise."""
     formula = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
     p_u = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    table = formula(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
-    return _THEORY_TAGS[scheme], table
+    return _THEORY_TAGS[scheme], formula(*sigma, p_u, 1.0)
 
 
-def _sigma(config: ScenarioConfig) -> SeparableSigma:
-    """Separable variance factors of the configured users and transmitter.
+def _sigma(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Separable ``(rx_sigma, tx_sigma)`` of the configured users and transmitter.
 
-    Each lattice is built once, by its variance map.
+    All users see the same statistics, so the receive factors are
+    ``users`` copies of one map's; each lattice is built once, by its map.
     """
-    return separable_sigma(variance_map(config.rx), variance_map(config.tx), config.users)
+    rx_map, tx_map = variance_map(config.rx), variance_map(config.tx)
+    return np.tile(rx_map.normalized_sigma, config.users), tx_map.normalized_sigma
 
 
 def run_se_sim(
@@ -373,13 +375,13 @@ def run_se_sim(
     """
     sigma = _sigma(config)
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
-    estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
+    estimates = _simulate(*sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
     for scheme, result in zip(config.schemes, estimates):
         blocks.append((scheme, result.per_stream))
         if include_theory and scheme in _THEORY_TAGS:
             blocks.append(_theory_block(config, sigma, scheme))
-    _write_se(out, _config_payload(config), blocks, config.snr_grid_db, sigma)
+    _write_se(out, config, _config_payload(config), blocks)
     return dict(zip(config.schemes, estimates))
 
 
@@ -390,7 +392,7 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
             raise ValueError(f"no closed form available for scheme {scheme!r}")
     sigma = _sigma(config)
     blocks = [_theory_block(config, sigma, scheme) for scheme in config.schemes]
-    _write_se(out, _config_payload(config), blocks, config.snr_grid_db, sigma)
+    _write_se(out, config, _config_payload(config), blocks)
 
 
 def run_ns_compare(
@@ -407,10 +409,10 @@ def run_ns_compare(
     sigma = _sigma(config)
     tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
     specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
-    estimates = _simulate(sigma, specs, config.snr_grid_db, config.trials, config.seed)
+    estimates = _simulate(*sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = [(tag, result.per_stream) for tag, result in zip(tags, estimates)]
     payload = _config_payload(config, ns_orders=list(iterations))
-    _write_se(out, payload, blocks, config.snr_grid_db, sigma)
+    _write_se(out, config, payload, blocks)
     return dict(zip(tags, estimates))
 
 

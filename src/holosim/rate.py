@@ -1,5 +1,7 @@
 """Spectral-efficiency evaluation: Monte Carlo and closed forms.
 
+Every estimator takes the ensemble as the same two scale-factor vectors,
+``(rx_sigma, tx_sigma)``, checked once by :func:`holosim.channel._factors`.
 Per-stream SINR treats every other stream, of every user, as interference:
 all streams are precoded jointly, so the interference footprint seen in
 simulation matches the one assumed by the closed-form expressions.  Monte
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _draw_parts, _gram
+from .channel import _draw_parts, _factors, _gram
 from .precoding import (
     SingularChannelError,
     _active_block,
@@ -36,7 +38,6 @@ from .precoding import (
     _spectrum,
     _zf_core,
 )
-from .spectrum import SeparableSigma
 
 __all__ = [
     "SEResult",
@@ -124,20 +125,20 @@ def per_stream_sinr(
     Args:
         h_a: Channel matrix of shape ``(K, N)``.
         v: Precoding matrix of shape ``(N, K)``.
-        p_u: Transmit power, positive.
-        noise_var: Receiver noise variance, nonnegative.
+        p_u: Transmit power, positive and finite.
+        noise_var: Receiver noise variance, nonnegative and finite.
 
     Returns:
         Vector of per-stream SINRs.
 
     Raises:
-        ValueError: On nonpositive power, negative noise variance, or
-            mismatched dimensions.
+        ValueError: On nonpositive or non-finite power, negative or
+            non-finite noise variance, or mismatched dimensions.
     """
-    if not p_u > 0.0:
-        raise ValueError(f"p_u must be positive, got {p_u!r}")
-    if noise_var < 0.0:
-        raise ValueError(f"noise_var must be nonnegative, got {noise_var!r}")
+    if not 0.0 < p_u < math.inf:
+        raise ValueError(f"p_u must be positive and finite, got {p_u!r}")
+    if not 0.0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
     if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
         raise ValueError(
             f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
@@ -175,7 +176,7 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     return active, power, rejected
 
 
-def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int) -> list[SEResult]:
+def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) -> list[SEResult]:
     """Monte Carlo engine shared by every ``(scheme, series order)`` of a job.
 
     Each ``(trial, attempt)`` draw goes to every spec still pending for the
@@ -184,15 +185,19 @@ def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int)
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
-    rx_live, tx_live = sigma.rx_sigma != 0.0, sigma.tx_sigma != 0.0
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    rx, tx = _factors(rx_sigma, tx_sigma)
+    rx_live, tx_live = rx != 0.0, tx != 0.0
     live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
         _require_cells(live, tx_live & rx_live.any())
     grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
+    if not grid or not all(math.isfinite(v) for v in grid):
+        raise ValueError(f"snr grid must be nonempty and finite, got {grid!r}")
     snr = 10.0 ** (np.asarray(grid) / 10.0)
-    streams = sigma.rx_sigma.size
+    streams = rx.size
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
@@ -201,7 +206,7 @@ def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int)
         pending = np.arange(len(specs))
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
-            gram = _gram(_draw_parts(sigma, root))
+            gram = _gram(_draw_parts(rx, tx, root))
             active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
             trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr, 1.0))
             # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
@@ -232,7 +237,8 @@ def _simulate(sigma: SeparableSigma, specs, snr_grid_db, trials: int, seed: int)
 
 
 def simulated_se(
-    sigma: SeparableSigma,
+    rx_sigma,
+    tx_sigma,
     scheme: str,
     snr_grid_db,
     trials: int = 800,
@@ -255,12 +261,13 @@ def simulated_se(
     draw among them, with bit-identical results.
 
     Args:
-        sigma: Stacked per-user scale factors defining the ensemble.
+        rx_sigma: Stacked per-user receive scale factors, one per stream.
+        tx_sigma: Transmit scale factors, one per transmit cell.
         scheme: ``"mrt"``, ``"zf"``, ``"mmse"``, or ``"ns-zf"`` (any case).
         snr_grid_db: SNR grid in dB; at unit noise variance the transmit
             power is ``10**(dB/10)``.
         trials: Monte Carlo trials to average, at least 1.
-        seed: Root seed of the deterministic per-trial splits.
+        seed: Root seed (a nonnegative integer) of the per-trial splits.
         ns_iterations: Series order for the ``"ns-zf"`` scheme.
 
     Returns:
@@ -268,26 +275,25 @@ def simulated_se(
 
     Raises:
         ValueError: On an unknown scheme, a trial count that is not an
-            integer of at least 1, a boolean or non-integer series order,
-            or, for ZF and NS-ZF, more active streams than transmit cells.
+            integer of at least 1, a seed that is not a nonnegative integer,
+            malformed scale factors, an empty or non-finite SNR grid, a
+            boolean or non-integer series order, or, for ZF and NS-ZF, more
+            active streams than transmit cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
-    return _simulate(sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed)[0]
+    return _simulate(rx_sigma, tx_sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed)[0]
 
 
 def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:
-    rx = np.asarray(rx_sigma, dtype=float)
-    tx = np.asarray(tx_sigma, dtype=float)
+    rx, tx = _factors(rx_sigma, tx_sigma)
     powers = np.atleast_1d(np.asarray(p_u, dtype=float))
-    if rx.size == 0 or tx.size == 0:
-        raise ValueError("sigma vectors must be nonempty")
     if not np.any(rx > 0.0):
         raise ValueError("rx_sigma has no live stream")
     if not np.any(tx > 0.0):
         raise ValueError("tx_sigma has no live cell")
-    if not (np.all(powers > 0.0) and noise_var > 0.0):
-        raise ValueError("p_u and noise_var must be positive")
+    if not (np.all((powers > 0.0) & (powers < np.inf)) and 0.0 < noise_var < math.inf):
+        raise ValueError("p_u and noise_var must be positive and finite")
     return rx, tx, powers
 
 
@@ -337,8 +343,9 @@ def mrt_theoretical_bound(
         Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
 
     Raises:
-        ValueError: On empty vectors, invalid scalars, no live stream, or
-            too few live transmit cells.
+        ValueError: On malformed scale factors, a power or noise variance
+            that is not positive and finite, no live stream, or too few
+            live transmit cells.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     if np.count_nonzero(tx > 0.0) <= 2:
@@ -376,7 +383,9 @@ def zf_theoretical(
 
     Raises:
         ValueError: If no stream or no transmit cell is live, if more
-            streams than transmit cells are live, or on invalid arguments.
+            streams than transmit cells are live, on malformed scale
+            factors, or on a power or noise variance that is not positive
+            and finite.
     """
     rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)

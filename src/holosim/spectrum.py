@@ -7,8 +7,9 @@ polar form the radial integral is analytic and the azimuth integral has a
 closed-form antiderivative that keeps full precision up to the rim of the
 unit disk.  This module evaluates those integrals with NumPy over the
 first-orthant quarter of the enumeration rectangle covering the disk (mirror
-symmetry gives the other cells), assembles normalized variance maps from that
-one pass, and builds the separable variance factors shared by all users.
+symmetry gives the other cells) and assembles normalized variance maps from
+that one pass; a map's ``normalized_sigma`` is the scale-factor vector of
+one surface, as the channel and rate modules take it.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .geometry import ArrayGeometry, WavenumberLattice, lattice_ellipse
 
 __all__ = [
     "VarianceMap",
-    "SeparableSigma",
     "cell_variance",
     "hemisphere_total",
     "variance_map",
-    "separable_sigma",
 ]
 
 @dataclass(frozen=True)
@@ -73,24 +72,6 @@ class VarianceMap:
     def num_patches(self) -> int:
         """Patch count implied by the normalization of ``normalized_sigma``."""
         return int(round(float(np.sum(self.normalized_sigma**2))))
-
-
-@dataclass(frozen=True)
-class SeparableSigma:
-    """Stacked per-user variance scales under separable scattering.
-
-    Coupling ``(i, j)`` has scale ``rx_sigma[i] * tx_sigma[j]``; only the
-    factor vectors are stored.
-
-    Attributes:
-        per_user_rows: Receive-cell count of a single user block.
-        rx_sigma: Stacked receive-side scale factors, one entry per row.
-        tx_sigma: Transmit-side scale factors, one entry per column.
-    """
-
-    per_user_rows: int
-    rx_sigma: np.ndarray
-    tx_sigma: np.ndarray
 
 
 def _offcircle_sin(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -251,32 +232,4 @@ def variance_map(geometry: ArrayGeometry) -> VarianceMap:
         raw=raw,
         normalized_sigma=sigma,
         hemisphere_total=_rectangle_total(quarter),
-    )
-
-
-def separable_sigma(
-    rx_map: VarianceMap, tx_map: VarianceMap, users: int
-) -> SeparableSigma:
-    """Stack per-user receive scale vectors against the shared transmit one.
-
-    All users see the same isotropic statistics, so the receive factors are
-    ``users`` copies of one vector.
-
-    Args:
-        rx_map: Variance map of one receive surface.
-        tx_map: Variance map of the transmit surface.
-        users: Number of receive surfaces served, at least 1.
-
-    Returns:
-        The stacked factor vectors.
-
-    Raises:
-        ValueError: If ``users`` is not a positive integer.
-    """
-    if not isinstance(users, int) or users < 1:
-        raise ValueError(f"users must be a positive integer, got {users!r}")
-    return SeparableSigma(
-        per_user_rows=len(rx_map.lattice.cells),
-        rx_sigma=np.tile(rx_map.normalized_sigma, users),
-        tx_sigma=tx_map.normalized_sigma.copy(),
     )

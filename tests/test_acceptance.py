@@ -26,7 +26,6 @@ from holosim import (
     harmonic_basis,
     lattice_ellipse,
     mrt_theoretical_bound,
-    separable_sigma,
     simulated_se,
     variance_map,
     zf,
@@ -96,9 +95,9 @@ class TestExactNulling:
         self, rx_map_small, tx_map_medium
     ):
         start = time.monotonic()
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
+        sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
         for draw in range(100):
-            h_a = draw_wavenumber_channel(sigma, draw)
+            h_a = draw_wavenumber_channel(*sigma, draw)
             v = zf(h_a)
             coupled = np.abs(h_a @ v)
             alive = np.any(v != 0.0, axis=0)
@@ -110,11 +109,11 @@ class TestExactNulling:
 
     def test_closed_form_tracks_the_simulation(self, rx_map_small, tx_map_medium):
         start = time.monotonic()
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        result = simulated_se(sigma, "zf", [0.0, 20.0], trials=800, seed=42)
+        sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
+        result = simulated_se(*sigma, "zf", [0.0, 20.0], trials=800, seed=42)
         limits = {0.0: 0.10, 20.0: 0.15}
         p_u = [10.0 ** (snr_db / 10.0) for snr_db in result.snr_grid_db]
-        theory = zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0).sum(axis=0)
+        theory = zf_theoretical(*sigma, p_u, 1.0).sum(axis=0)
         for col, snr_db in enumerate(result.snr_grid_db):
             gap = abs(theory[col] - result.sum_se[col]) / result.sum_se[col]
             assert gap < limits[snr_db]
@@ -126,10 +125,10 @@ class TestMatchedBoundCoverage:
         self, rx_map_small, tx_map_medium
     ):
         start = time.monotonic()
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        result = simulated_se(sigma, "mrt", SNR_GRID, trials=800, seed=42)
+        sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
+        result = simulated_se(*sigma, "mrt", SNR_GRID, trials=800, seed=42)
         p_u = [10.0 ** (snr_db / 10.0) for snr_db in SNR_GRID]
-        bound = mrt_theoretical_bound(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)
+        bound = mrt_theoretical_bound(*sigma, p_u, 1.0)
         margins = result.per_stream + 3.0 * result.per_stream_stderr - bound
         assert time.monotonic() - start < 300.0
         assert float(margins.min()) >= 0.0
@@ -139,14 +138,14 @@ class TestMatchedBoundCoverage:
 def dense_sampling_sigma():
     rx_map = variance_map(ArrayGeometry(6, 6, 1 / 6))
     tx_map = variance_map(ArrayGeometry(14, 14, 1 / 6))
-    return separable_sigma(rx_map, tx_map, 3)
+    return np.tile(rx_map.normalized_sigma, 3), tx_map.normalized_sigma
 
 
 @pytest.fixture(scope="module")
 def dense_sampling_sums(dense_sampling_sigma):
     return {
         scheme: simulated_se(
-            dense_sampling_sigma, scheme, SNR_GRID, trials=800, seed=42
+            *dense_sampling_sigma, scheme, SNR_GRID, trials=800, seed=42
         ).sum_se
         for scheme in ("mrt", "zf", "mmse")
     }
@@ -158,10 +157,10 @@ class TestDenseSamplingSchemeOrdering:
         # s_i^2 * sum(t^2) lifts it by over 30 dB at the receiver.  Low SNR
         # is where the strongest stream's mean receive SNR is 0 dB.
         sigma = dense_sampling_sigma
-        gain = np.max(sigma.rx_sigma**2) * np.sum(sigma.tx_sigma**2)
+        gain = np.max(sigma[0] ** 2) * np.sum(sigma[1] ** 2)
         low = [-10.0 * np.log10(gain)]
         mrt_sum, zf_sum = (
-            simulated_se(sigma, scheme, low, trials=800, seed=42).sum_se[0]
+            simulated_se(*sigma, scheme, low, trials=800, seed=42).sum_se[0]
             for scheme in ("mrt", "zf")
         )
         assert mrt_sum > zf_sum
@@ -180,13 +179,13 @@ class TestDenseSamplingSchemeOrdering:
 @pytest.fixture(scope="module")
 def series_order_sums(rx_map_small, tx_map_medium):
     start = time.monotonic()
-    sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
+    sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
     sums = {
-        "exact": simulated_se(sigma, "zf", [10.0], trials=800, seed=42).sum_se[0]
+        "exact": simulated_se(*sigma, "zf", [10.0], trials=800, seed=42).sum_se[0]
     }
     for order in (2, 3, 4):
         sums[order] = simulated_se(
-            sigma, "ns-zf", [10.0], trials=800, seed=42, ns_iterations=order
+            *sigma, "ns-zf", [10.0], trials=800, seed=42, ns_iterations=order
         ).sum_se[0]
     sums["elapsed"] = time.monotonic() - start
     return sums
@@ -211,9 +210,9 @@ class TestTransmitSamplingDensity:
         sums = {}
         for spacing in (1 / 6, 1 / 15):
             tx_map = variance_map(ArrayGeometry(30, 30, spacing))
-            sigma = separable_sigma(rx_map_small, tx_map, 1)
+            sigma = rx_map_small.normalized_sigma, tx_map.normalized_sigma
             for scheme in ("zf", "mrt"):
-                result = simulated_se(sigma, scheme, [10.0], trials=800, seed=42)
+                result = simulated_se(*sigma, scheme, [10.0], trials=800, seed=42)
                 sums[scheme, spacing] = result.sum_se[0]
         assert sums["zf", 1 / 6] > sums["zf", 1 / 15]
         assert sums["mrt", 1 / 6] > sums["mrt", 1 / 15]

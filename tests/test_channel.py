@@ -7,7 +7,6 @@ import pytest
 
 from holosim import (
     ArrayGeometry,
-    SeparableSigma,
     VarianceMap,
     WavenumberLattice,
     assemble_element_channel,
@@ -15,7 +14,6 @@ from holosim import (
     draw_wavenumber_channel,
     harmonic_basis,
     lattice_ellipse,
-    separable_sigma,
     variance_map,
 )
 from holosim.channel import _draw_parts, _gram
@@ -27,20 +25,11 @@ def dead_cell_sigma(rx_map, tx_map, users):
     tx = tx_map.normalized_sigma.copy()
     rx[1] = 0.0
     tx[2] = 0.0
-    return SeparableSigma(
-        per_user_rows=len(rx_map.lattice.cells),
-        rx_sigma=rx,
-        tx_sigma=tx,
-    )
+    return rx, tx
 
 
-def uniform_sigma(rows, cols, per_user_rows=None, scale=1.0):
-    value = float(scale)
-    return SeparableSigma(
-        per_user_rows=per_user_rows or rows,
-        rx_sigma=np.full(rows, value),
-        tx_sigma=np.full(cols, 1.0),
-    )
+def uniform_sigma(rows, cols, scale=1.0):
+    return np.full(rows, float(scale)), np.full(cols, 1.0)
 
 
 def synthetic_map(sigma_squared):
@@ -58,54 +47,46 @@ def synthetic_map(sigma_squared):
 class TestDrawWavenumberChannel:
     def test_same_seed_is_bit_identical(self):
         sigma = uniform_sigma(3, 4)
-        first = draw_wavenumber_channel(sigma, 7)
-        second = draw_wavenumber_channel(sigma, 7)
+        first = draw_wavenumber_channel(*sigma, 7)
+        second = draw_wavenumber_channel(*sigma, 7)
         np.testing.assert_array_equal(first, second)
         assert first.shape == (3, 4) and first.dtype == complex
 
     def test_different_seeds_differ(self):
         sigma = uniform_sigma(3, 4)
         assert not np.array_equal(
-            draw_wavenumber_channel(sigma, 0),
-            draw_wavenumber_channel(sigma, 1),
+            draw_wavenumber_channel(*sigma, 0),
+            draw_wavenumber_channel(*sigma, 1),
         )
 
     def test_zero_scales_annihilate_the_draw(self):
         sigma = uniform_sigma(2, 3, scale=0.0)
-        np.testing.assert_array_equal(draw_wavenumber_channel(sigma, 5), 0.0)
+        np.testing.assert_array_equal(draw_wavenumber_channel(*sigma, 5), 0.0)
 
     def test_entry_variance_follows_the_scale(self):
         # One entry with scale 2 must show sample variance 4 over many draws.
-        sigma = SeparableSigma(
-            per_user_rows=2,
-            rx_sigma=np.array([2.0, 1.0]),
-            tx_sigma=np.array([1.0, 1.0, 1.0]),
-        )
+        sigma = np.array([2.0, 1.0]), np.array([1.0, 1.0, 1.0])
         draws = 10**5
         acc = 0.0
         for k in range(draws):
-            acc += abs(draw_wavenumber_channel(sigma, k)[0, 0]) ** 2
+            acc += abs(draw_wavenumber_channel(*sigma, k)[0, 0]) ** 2
         assert acc / draws == pytest.approx(4.0, rel=0.05)
 
     def test_covariance_matches_scale_matrix_entrywise(self):
-        sigma = SeparableSigma(
-            per_user_rows=2,
-            rx_sigma=np.array([1.0, 0.5]),
-            tx_sigma=np.array([2.0, 3.0]),
-        )
+        sigma = np.array([1.0, 0.5]), np.array([2.0, 3.0])
         draws = 3 * 10**4
         acc = np.zeros((2, 2))
         for k in range(draws):
-            acc += np.abs(draw_wavenumber_channel(sigma, k)) ** 2
-        expected = np.outer(sigma.rx_sigma, sigma.tx_sigma) ** 2
+            acc += np.abs(draw_wavenumber_channel(*sigma, k)) ** 2
+        expected = np.outer(*sigma) ** 2
         np.testing.assert_allclose(acc / draws, expected, rtol=0.05)
 
     def test_user_blocks_are_uncorrelated(self):
-        sigma = uniform_sigma(4, 3, per_user_rows=2)
+        sigma = uniform_sigma(4, 3)
         draws = 2 * 10**4
         cross = 0.0 + 0.0j
         for k in range(draws):
-            h = draw_wavenumber_channel(sigma, k)
+            h = draw_wavenumber_channel(*sigma, k)
             cross += h[0, 0] * np.conj(h[2, 0])
         assert abs(cross / draws) < 0.05
 
@@ -114,26 +95,26 @@ class TestRealArithmeticKernel:
     def test_public_draw_is_the_real_parts_of_the_kernel_draw(
         self, rx_map_small, tx_map_medium
     ):
-        sigma = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
+        rx, tx = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
         seed = np.random.SeedSequence(entropy=5, spawn_key=(3, 1))
-        h_a = draw_wavenumber_channel(sigma, seed)
-        parts = _draw_parts(sigma, seed)
-        shape = (sigma.rx_sigma.size, sigma.tx_sigma.size)
+        h_a = draw_wavenumber_channel(rx, tx, seed)
+        parts = _draw_parts(rx, tx, seed)
+        shape = (rx.size, tx.size)
         assert parts.shape == (2, *shape)
         assert np.array_equal(h_a, parts[0] + 1j * parts[1])
         # The two-call complex formula the kernel's single call replaces,
         # scaled rows by rx/sqrt(2) and then columns by tx.
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rows = (sigma.rx_sigma / np.sqrt(2.0))[:, None]
-        assert np.array_equal(h_a, noise * rows * sigma.tx_sigma)
+        rows = (rx / np.sqrt(2.0))[:, None]
+        assert np.array_equal(h_a, noise * rows * tx)
 
     def test_gram_matches_the_complex_product_and_is_exactly_hermitian(
         self, rx_map_small, tx_map_medium
     ):
         sigma = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
         for seed in range(4):
-            parts = _draw_parts(sigma, seed)
+            parts = _draw_parts(*sigma, seed)
             h_a = parts[0] + 1j * parts[1]
             reference = h_a @ h_a.conj().T
             gram = _gram(parts)
@@ -152,8 +133,8 @@ class TestAssembleElementChannel:
             rx_geometry, lattice_ellipse(rx_geometry), receive=True
         )
         tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 2)
-        h_a = draw_wavenumber_channel(sigma, 13)
+        sigma = np.tile(rx_map_small.normalized_sigma, 2), tx_map_medium.normalized_sigma
+        h_a = draw_wavenumber_channel(*sigma, 13)
         element = assemble_element_channel(h_a, [rx_basis, rx_basis], tx_basis)
         return h_a, rx_basis, tx_basis, element
 
@@ -180,7 +161,7 @@ class TestAssembleElementChannel:
         tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
         widths = [basis.shape[1] for basis in rx_bases]
         sigma = uniform_sigma(sum(widths), tx_basis.shape[1])
-        h_a = draw_wavenumber_channel(sigma, 2)
+        h_a = draw_wavenumber_channel(*sigma, 2)
         element = assemble_element_channel(h_a, rx_bases, tx_basis)
         assert element.shape == (36 + 9, 64)
         np.testing.assert_allclose(
@@ -193,7 +174,7 @@ class TestAssembleElementChannel:
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
         sigma = uniform_sigma(1, 1)
-        h_a = draw_wavenumber_channel(sigma, 0)
+        h_a = draw_wavenumber_channel(*sigma, 0)
         scale = h_a[0, 0]
         element = assemble_element_channel(h_a, [rx_basis], tx_basis)
         np.testing.assert_allclose(element, scale * np.full((4, 4), 0.25), atol=1e-15)
@@ -246,11 +227,11 @@ class TestCorrelationEigenvalues:
         lattice = lattice_ellipse(geometry)
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
-        sigma = separable_sigma(vmap, vmap, 1)
+        sigma = vmap.normalized_sigma, vmap.normalized_sigma
         draws = 3 * 10**4
         acc = np.zeros((81, 81), dtype=complex)
         for k in range(draws):
-            h_a = draw_wavenumber_channel(sigma, k)
+            h_a = draw_wavenumber_channel(*sigma, k)
             element = assemble_element_channel(h_a, [rx_basis], tx_basis)
             flat = element.reshape(-1)
             acc += np.outer(flat, flat.conj())

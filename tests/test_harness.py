@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from holosim import (
-    SeparableSigma,
     harness,
     mrt_theoretical_bound,
     precoding,
     rate,
-    separable_sigma,
     variance_map,
     zf_theoretical,
 )
@@ -31,6 +29,7 @@ from holosim.harness import (
     run_variance_map,
 )
 from holosim import ArrayGeometry
+from holosim.channel import _factors
 
 
 def read_csv(path):
@@ -356,6 +355,45 @@ def reference_csv(path, header, rows):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def factor_scenario(users):
+    """The 6x6-against-14x14 pair of ``rx_map_small`` and ``tx_map_medium``."""
+    return ScenarioConfig(tx=ArrayGeometry(14, 14, 1 / 3), rx=ArrayGeometry(6, 6, 1 / 3),
+                          users=users)
+
+
+class TestSeparableFactors:
+    """A job's ensemble: ``users`` copies of the receive map's factors, then the transmit map's."""
+
+    def test_uniform_factors_give_all_ones(self):
+        rx, tx = _factors([1.0, 1.0], np.ones(3))
+        np.testing.assert_array_equal(np.outer(rx, tx), np.ones((2, 3)))
+
+    def test_user_blocks_are_identical(self, rx_map_small, tx_map_medium):
+        rx, tx = harness._sigma(factor_scenario(3))
+        n_r = len(rx_map_small.lattice.cells)
+        assert rx.shape == (3 * n_r,)
+        assert tx.shape == (len(tx_map_medium.lattice.cells),)
+        np.testing.assert_array_equal(rx[:n_r], rx[n_r : 2 * n_r])
+        np.testing.assert_array_equal(rx[:n_r], rx[2 * n_r :])
+
+    def test_block_is_rank_one(self, rx_map_small, tx_map_medium):
+        # The scale of coupling (i, j) is rx_sigma[i] * tx_sigma[j]: the
+        # factors are the two surfaces' normalized maps, the receive one
+        # repeated once per user.
+        rx, tx = harness._sigma(factor_scenario(2))
+        np.testing.assert_array_equal(rx, np.tile(rx_map_small.normalized_sigma, 2))
+        np.testing.assert_array_equal(tx, tx_map_medium.normalized_sigma)
+
+    def test_block_energy_is_the_patch_count_product(self):
+        energy = np.linalg.norm(np.outer(*harness._sigma(factor_scenario(1)))) ** 2
+        assert energy == pytest.approx(36 * 196, rel=1e-9)
+
+    @pytest.mark.parametrize("users", [0, -2, 1.5])
+    def test_rejects_bad_user_count(self, users):
+        with pytest.raises(ValueError, match="invalid value for users"):
+            factor_scenario(users)
+
+
 class TestColumnWriter:
     SE_HEADER = ["snr_db", "scheme", "user", "stream", "se_bits"]
 
@@ -365,8 +403,9 @@ class TestColumnWriter:
             ns=144, nr=36, users=2, snr="-10:10:10", trials=3, scheme="mrt,zf"
         )
         results = run_se_sim(config, out, include_theory=True)
-        sigma = separable_sigma(variance_map(config.rx), variance_map(config.tx), 2)
-        per_user = sigma.per_user_rows
+        rx_map = variance_map(config.rx)
+        sigma = np.tile(rx_map.normalized_sigma, 2), variance_map(config.tx).normalized_sigma
+        per_user = len(rx_map.lattice.cells)
         rows = []
         for scheme, fn, tag in (
             ("MRT", mrt_theoretical_bound, "MRT-BOUND"),
@@ -374,13 +413,13 @@ class TestColumnWriter:
         ):
             result = results[scheme]
             for col, snr_db in enumerate(config.snr_grid_db):
-                for k in range(sigma.rx_sigma.size):
+                for k in range(sigma[0].size):
                     rows.append((snr_db, scheme, k // per_user + 1, k % per_user + 1,
                                  result.per_stream[k, col]))
                 rows.append((snr_db, scheme, "all", "sum", result.sum_se[col]))
             for snr_db in config.snr_grid_db:
                 p_u = 10.0 ** (snr_db / 10.0)
-                values = fn(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0)[:, 0].tolist()
+                values = fn(*sigma, p_u, 1.0)[:, 0].tolist()
                 for k, value in enumerate(values):
                     rows.append((snr_db, tag, k // per_user + 1, k % per_user + 1, value))
                 rows.append((snr_db, tag, "all", "sum", sum(values)))
@@ -511,9 +550,8 @@ class TestRunPreset:
 
     @pytest.mark.parametrize("name", ["fig4", "fig8"])
     def test_monte_carlo_presets_never_form_the_scale_matrix(self, tmp_path, capsys, name):
-        # SeparableSigma keeps only its factor vectors; no K x N scale
-        # matrix can be formed from it.
-        assert not hasattr(SeparableSigma, "matrix")
+        # The ensemble is two factor vectors; the draws scale by them, so
+        # no K x N scale matrix is formed.
         assert run_preset(name, scale=0.25, trials=2, out=str(tmp_path)) == 0, (
             capsys.readouterr().err
         )

@@ -12,13 +12,11 @@ from holosim import (
     mmse,
     mrt,
     ns_zf,
-    separable_sigma,
     simulated_se,
     variance_map,
     zf,
 )
 from holosim.precoding import _neumann_coupled, _neumann_series
-from holosim.spectrum import SeparableSigma
 
 
 def channel(matrix):
@@ -26,12 +24,7 @@ def channel(matrix):
 
 
 def random_channel(rows, cols, seed):
-    sigma = SeparableSigma(
-        per_user_rows=rows,
-        rx_sigma=np.ones(rows),
-        tx_sigma=np.ones(cols),
-    )
-    return draw_wavenumber_channel(sigma, seed)
+    return draw_wavenumber_channel(np.ones(rows), np.ones(cols), seed)
 
 
 def series_at(matrix, order):
@@ -50,8 +43,7 @@ def dead_stream_channel():
     """A 4-stream draw on 6 cells whose second stream is dead."""
     rx = np.array([1.0, 0.0, 2.0, 0.5])
     tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-    sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
-    return draw_wavenumber_channel(sigma, 23)
+    return draw_wavenumber_channel(rx, tx, 23)
 
 
 def column_directions(v):
@@ -245,8 +237,8 @@ class TestNeumannInverse:
 class TestNSZF:
     @pytest.fixture()
     def h_a(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
-        return draw_wavenumber_channel(sigma, 11)
+        sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
+        return draw_wavenumber_channel(*sigma, 11)
 
     def test_long_series_recovers_exact_zero_forcing(self, h_a):
         series = ns_zf(h_a, 50)
@@ -286,8 +278,8 @@ class TestNSZF:
 
 class TestPowerConstraint:
     def test_all_schemes_emit_unit_frobenius_norm(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 2)
-        h_a = draw_wavenumber_channel(sigma, 4)
+        sigma = np.tile(rx_map_small.normalized_sigma, 2), tx_map_medium.normalized_sigma
+        h_a = draw_wavenumber_channel(*sigma, 4)
         for v in (mrt(h_a), zf(h_a), mmse(h_a, snr=10.0), ns_zf(h_a, 3)):
             assert isinstance(v, np.ndarray) and v.shape == h_a.T.shape
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -302,11 +294,11 @@ class TestSeriesOrderSufficiency:
         # sums still differ by tens of percent.
         rx_map = variance_map(ArrayGeometry(12, 12, 1 / 3))
         tx_map = variance_map(ArrayGeometry(27, 27, 1 / 3))
-        sigma = separable_sigma(rx_map, tx_map, 1)
+        sigma = rx_map.normalized_sigma, tx_map.normalized_sigma
         short = simulated_se(
-            sigma, "ns-zf", [10.0], trials=50, seed=42, ns_iterations=4
+            *sigma, "ns-zf", [10.0], trials=50, seed=42, ns_iterations=4
         ).sum_se[0]
         long = simulated_se(
-            sigma, "ns-zf", [10.0], trials=50, seed=42, ns_iterations=7
+            *sigma, "ns-zf", [10.0], trials=50, seed=42, ns_iterations=7
         ).sum_se[0]
         assert abs(short - long) / long < 0.01

@@ -17,7 +17,6 @@ from holosim import (
     mrt_theoretical_bound,
     ns_zf,
     per_stream_sinr,
-    separable_sigma,
     simulated_se,
     variance_map,
     zf,
@@ -25,19 +24,14 @@ from holosim import (
 )
 from holosim import harness, rate
 from holosim.harness import ScenarioConfig, run_se_sim
-from holosim.spectrum import SeparableSigma
 
 
 def channel(matrix):
     return np.asarray(matrix, dtype=complex)
 
 
-def uniform_sigma(rows, cols, per_user_rows=None):
-    return SeparableSigma(
-        per_user_rows=per_user_rows or rows,
-        rx_sigma=np.ones(rows),
-        tx_sigma=np.ones(cols),
-    )
+def uniform_sigma(rows, cols):
+    return np.ones(rows), np.ones(cols)
 
 
 class TestPerStreamSINR:
@@ -63,7 +57,7 @@ class TestPerStreamSINR:
         assert sinr[0] == pytest.approx(3.0 * energy / 2.0, rel=1e-12)
 
     def test_scales_cancel_between_power_and_noise(self):
-        h_a = draw_wavenumber_channel(uniform_sigma(3, 6), 8)
+        h_a = draw_wavenumber_channel(*uniform_sigma(3, 6), 8)
         v = mrt(h_a)
         base = per_stream_sinr(h_a, v, p_u=2.0, noise_var=0.5)
         scaled = per_stream_sinr(h_a, v, p_u=20.0, noise_var=5.0)
@@ -73,7 +67,7 @@ class TestPerStreamSINR:
         # A per-cell unit-modulus phase (a shifted transmit origin) must leave
         # every scheme's SINRs untouched.
         sigma = uniform_sigma(3, 6)
-        h_a = draw_wavenumber_channel(sigma, 12)
+        h_a = draw_wavenumber_channel(*sigma, 12)
         phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=6))
         shifted = h_a * phases
         builders = [
@@ -88,13 +82,18 @@ class TestPerStreamSINR:
             np.testing.assert_allclose(moved, base, rtol=1e-9)
 
     def test_rejects_bad_scalars_and_shapes(self):
-        h_a = draw_wavenumber_channel(uniform_sigma(2, 4), 0)
+        h_a = draw_wavenumber_channel(*uniform_sigma(2, 4), 0)
         v = mrt(h_a)
         with pytest.raises(ValueError):
             per_stream_sinr(h_a, v, p_u=0.0, noise_var=1.0)
         with pytest.raises(ValueError):
             per_stream_sinr(h_a, v, p_u=1.0, noise_var=-0.1)
-        other = draw_wavenumber_channel(uniform_sigma(3, 4), 0)
+        # Unchecked, a non-finite power or noise reads as SINR 0 on every stream.
+        for p_u, noise_var, name in [(math.inf, 1.0, "p_u"), (1.0, math.inf, "noise_var"),
+                                     (1.0, math.nan, "noise_var")]:
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                per_stream_sinr(h_a, v, p_u, noise_var)
+        other = draw_wavenumber_channel(*uniform_sigma(3, 4), 0)
         with pytest.raises(ValueError, match="disagree"):
             per_stream_sinr(other, v, p_u=1.0, noise_var=1.0)
 
@@ -132,8 +131,8 @@ class TestSimulatedSE:
 
     def test_repeat_runs_are_bit_identical(self):
         sigma = uniform_sigma(3, 6)
-        first = simulated_se(sigma, "zf", [0.0, 10.0], trials=8, seed=9)
-        second = simulated_se(sigma, "zf", [0.0, 10.0], trials=8, seed=9)
+        first = simulated_se(*sigma, "zf", [0.0, 10.0], trials=8, seed=9)
+        second = simulated_se(*sigma, "zf", [0.0, 10.0], trials=8, seed=9)
         np.testing.assert_array_equal(first.per_stream, second.per_stream)
         np.testing.assert_array_equal(
             first.per_stream_stderr, second.per_stream_stderr
@@ -143,18 +142,18 @@ class TestSimulatedSE:
         assert first.trials == 8
 
     def test_single_trial_has_zero_stderr(self):
-        result = simulated_se(uniform_sigma(2, 5), "mrt", [10.0], trials=1, seed=0)
+        result = simulated_se(*uniform_sigma(2, 5), "mrt", [10.0], trials=1, seed=0)
         np.testing.assert_array_equal(result.per_stream_stderr, 0.0)
 
     def test_scheme_names_are_case_insensitive(self):
         sigma = uniform_sigma(2, 5)
         for name in ("mrt", " MRT ", "Mrt"):
-            assert simulated_se(sigma, name, [0.0], trials=1).scheme == "MRT"
-        assert simulated_se(sigma, "ns_zf", [0.0], trials=1).scheme == "NS-ZF"
+            assert simulated_se(*sigma, name, [0.0], trials=1).scheme == "MRT"
+        assert simulated_se(*sigma, "ns_zf", [0.0], trials=1).scheme == "NS-ZF"
         with pytest.raises(ValueError, match="unknown scheme"):
-            simulated_se(sigma, "svd", [0.0], trials=1)
+            simulated_se(*sigma, "svd", [0.0], trials=1)
         with pytest.raises(ValueError, match="trials"):
-            simulated_se(sigma, "mrt", [0.0], trials=0)
+            simulated_se(*sigma, "mrt", [0.0], trials=0)
 
     @pytest.mark.parametrize(
         "scheme, build",
@@ -170,17 +169,16 @@ class TestSimulatedSE:
         # same draw, dead stream included.
         rx = np.array([1.0, 0.0, 2.0, 0.5])
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
         h_a = draw_wavenumber_channel(
-            sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
+            rx, tx, np.random.SeedSequence(17, spawn_key=(0, 0))
         )
         expected = []
         for snr_db in grid:
             snr = 10.0 ** (snr_db / 10.0)
             sinr = per_stream_sinr(h_a, build(h_a, snr), snr, 1.0)
             expected.append(np.log2(1.0 + sinr))
-        result = simulated_se(sigma, scheme, grid, trials=1, seed=17, ns_iterations=2)
+        result = simulated_se(rx, tx, scheme, grid, trials=1, seed=17, ns_iterations=2)
         assert result.rejections == 0
         np.testing.assert_allclose(
             result.per_stream, np.column_stack(expected), rtol=1e-10
@@ -193,10 +191,9 @@ class TestSimulatedSE:
         # instead of forming G X; one trial still gives the public rates.
         rx = np.array([1.0, 0.0, 2.0, 0.5])
         tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        sigma = SeparableSigma(per_user_rows=2, rx_sigma=rx, tx_sigma=tx)
         grid = [-5.0, 10.0, 25.0]
         h_a = draw_wavenumber_channel(
-            sigma, np.random.SeedSequence(17, spawn_key=(0, 0))
+            rx, tx, np.random.SeedSequence(17, spawn_key=(0, 0))
         )
         v = ns_zf(h_a, order)
         expected = np.column_stack(
@@ -206,7 +203,7 @@ class TestSimulatedSE:
             ]
         )
         result = simulated_se(
-            sigma, "ns-zf", grid, trials=1, seed=17, ns_iterations=order
+            rx, tx, "ns-zf", grid, trials=1, seed=17, ns_iterations=order
         )
         assert result.rejections == 0
         np.testing.assert_allclose(result.per_stream, expected, rtol=1e-10)
@@ -215,12 +212,11 @@ class TestSimulatedSE:
     def test_zero_forcing_rejects_more_streams_than_cells(self):
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed"):
-                simulated_se(uniform_sigma(5, 3), scheme, [10.0], trials=2, seed=0)
+                simulated_se(*uniform_sigma(5, 3), scheme, [10.0], trials=2, seed=0)
 
     def test_zero_forcing_counts_only_live_transmit_cells(self, count_calls):
         # Three streams on two live cells of three: every Gram has rank 2.
         tx = np.array([1.0, 1.0, 0.0])
-        sigma = SeparableSigma(per_user_rows=3, rx_sigma=np.ones(3), tx_sigma=tx)
         draws = count_calls(rate, "_draw_parts")
         h_a = channel([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
         for precode in (zf, ns_zf):
@@ -228,32 +224,53 @@ class TestSimulatedSE:
                 precode(h_a)
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
-                simulated_se(sigma, scheme, [10.0], trials=2, seed=0)
+                simulated_se(np.ones(3), tx, scheme, [10.0], trials=2, seed=0)
         assert draws == []
 
     @pytest.mark.parametrize("trials", [True, 2.5, 2.0])
     def test_rejects_a_trial_count_that_is_not_a_positive_int(self, trials, count_calls):
         draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match="trials must be an integer"):
-            simulated_se(uniform_sigma(2, 5), "mrt", [0.0], trials=trials)
+            simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=trials)
+        assert draws == []
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed, count_calls):
+        # None would draw from fresh OS entropy and True would run as seed 1.
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=2, seed=seed)
+        assert draws == []
+
+    def test_a_numpy_integer_seed_is_that_seed(self):
+        runs = [simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=2, seed=seed)
+                for seed in (9, np.int64(9))]
+        np.testing.assert_array_equal(runs[0].per_stream, runs[1].per_stream)
+
+    @pytest.mark.parametrize("grid", [[], [0.0, math.nan], [math.inf]], ids=["empty", "nan", "inf"])
+    def test_rejects_an_empty_or_non_finite_snr_grid(self, grid, count_calls):
+        # Unchecked, each returns a result (SE 0 at a non-finite point).
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="snr"):
+            simulated_se(*uniform_sigma(2, 5), "mrt", grid, trials=2, seed=0)
         assert draws == []
 
     @pytest.mark.parametrize("order", [True, 1.5])
     def test_rejects_a_series_order_that_is_not_an_int(self, order):
         with pytest.raises(ValueError, match="nonnegative integer"):
-            simulated_se(uniform_sigma(2, 5), "ns-zf", [0.0], trials=1, ns_iterations=order)
+            simulated_se(*uniform_sigma(2, 5), "ns-zf", [0.0], trials=1, ns_iterations=order)
 
     def test_sum_rows_match_per_stream_columns(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
-        result = simulated_se(sigma, "mrt", [0.0, 10.0], trials=5, seed=1)
+        sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
+        result = simulated_se(*sigma, "mrt", [0.0, 10.0], trials=5, seed=1)
         np.testing.assert_allclose(result.sum_se, result.per_stream.sum(axis=0))
         assert result.per_stream.shape == (13, 2)
 
     def test_se_grows_with_snr(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 1)
+        sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
         for scheme in ("mrt", "zf"):
             result = simulated_se(
-                sigma, scheme, [-10.0, 0.0, 10.0, 20.0, 30.0], trials=50, seed=5
+                *sigma, scheme, [-10.0, 0.0, 10.0, 20.0, 30.0], trials=50, seed=5
             )
             assert np.all(np.diff(result.sum_se) > -1e-3)
 
@@ -266,8 +283,7 @@ class TestSharedEngine:
         # for zero-forcing, so ZF redraws while MRT and MMSE keep attempt 0.
         rx = np.array([1.0] * 7 + [1e-5])
         tx = np.ones(9)
-        sigma = SeparableSigma(per_user_rows=8, rx_sigma=rx, tx_sigma=tx)
-        monkeypatch.setattr(harness, "_sigma", lambda config: sigma)
+        monkeypatch.setattr(harness, "_sigma", lambda config: (rx, tx))
         draws = count_calls(rate, "_draw_parts")
         eighs = count_calls(np.linalg, "eigh")
         config = ScenarioConfig(
@@ -293,7 +309,7 @@ class TestSharedEngine:
         for tag, result in joint.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                alone = simulated_se(sigma, tag, [0.0, 20.0], trials=40, seed=3)
+                alone = simulated_se(rx, tx, tag, [0.0, 20.0], trials=40, seed=3)
             assert result.rejections == alone.rejections
             np.testing.assert_array_equal(result.per_stream, alone.per_stream)
             np.testing.assert_array_equal(
@@ -306,14 +322,13 @@ class TestSharedEngine:
         # draw must leave each spec's estimate bit for bit as it is alone.
         rx = np.array([1.0] * 7 + [1e-5])
         tx = np.ones(9)
-        sigma = SeparableSigma(per_user_rows=8, rx_sigma=rx, tx_sigma=tx)
         specs = [("MRT", None), ("ZF", None), ("MMSE", None)]
         specs += [("NS-ZF", order) for order in (0, 1, 2, 7)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            joint = rate._simulate(sigma, specs, [0.0, 20.0], 40, 3)
+            joint = rate._simulate(rx, tx, specs, [0.0, 20.0], 40, 3)
             alone = [
-                simulated_se(sigma, tag, [0.0, 20.0], trials=40, seed=3, ns_iterations=order or 0)
+                simulated_se(rx, tx, tag, [0.0, 20.0], trials=40, seed=3, ns_iterations=order or 0)
                 for tag, order in specs
             ]
         assert [r.rejections for r in joint][:3] == [0, 2, 0]
@@ -327,15 +342,15 @@ class TestSharedEngine:
 
     def test_matched_transmission_needs_no_eigendecomposition(self, count_calls):
         eighs = count_calls(np.linalg, "eigh")
-        simulated_se(uniform_sigma(3, 6), "mrt", [0.0, 10.0], trials=4, seed=1)
+        simulated_se(*uniform_sigma(3, 6), "mrt", [0.0, 10.0], trials=4, seed=1)
         assert eighs == []
 
 
 @pytest.fixture(scope="module")
 def three_user_sums(rx_map_small, tx_map_medium):
-    sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
+    sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
     return {
-        scheme: simulated_se(sigma, scheme, [10.0], trials=200, seed=42).sum_se[0]
+        scheme: simulated_se(*sigma, scheme, [10.0], trials=200, seed=42).sum_se[0]
         for scheme in ("mrt", "zf", "mmse")
     }
 
@@ -356,7 +371,7 @@ class TestSchemeOrdering:
     def test_regularized_tracks_the_best_scheme_on_light_channels(self):
         sigma = uniform_sigma(3, 6)
         sums = {
-            scheme: simulated_se(sigma, scheme, [10.0], trials=800, seed=42).sum_se[0]
+            scheme: simulated_se(*sigma, scheme, [10.0], trials=800, seed=42).sum_se[0]
             for scheme in ("mrt", "zf", "mmse")
         }
         assert sums["mrt"] == pytest.approx(6.1085, abs=2e-4)
@@ -367,8 +382,8 @@ class TestSchemeOrdering:
     def test_matched_transmission_plateaus_at_high_snr(
         self, rx_map_small, tx_map_medium
     ):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        result = simulated_se(sigma, "mrt", [20.0, 30.0], trials=200, seed=42)
+        sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
+        result = simulated_se(*sigma, "mrt", [20.0, 30.0], trials=200, seed=42)
         assert abs(result.sum_se[1] - result.sum_se[0]) < 0.1
 
     def test_denser_transmit_sampling_beats_sparser_at_fixed_patch_count(
@@ -377,9 +392,9 @@ class TestSchemeOrdering:
         sums = {}
         for spacing in (1 / 6, 1 / 15):
             tx_map = variance_map(ArrayGeometry(30, 30, spacing))
-            sigma = separable_sigma(rx_map_small, tx_map, 1)
+            sigma = rx_map_small.normalized_sigma, tx_map.normalized_sigma
             for scheme in ("zf", "mrt"):
-                result = simulated_se(sigma, scheme, [10.0], trials=100, seed=7)
+                result = simulated_se(*sigma, scheme, [10.0], trials=100, seed=7)
                 sums[scheme, spacing] = result.sum_se[0]
         assert sums["zf", 1 / 6] == pytest.approx(121.969, abs=2e-3)
         assert sums["zf", 1 / 15] == pytest.approx(74.053, abs=2e-3)
@@ -421,9 +436,8 @@ class TestTheoryTable:
     def test_table_equals_the_per_stream_formulas_bitwise(
         self, rx_map_small, tx_map_medium
     ):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        rx = sigma.rx_sigma.copy()
-        tx = sigma.tx_sigma.copy()
+        rx = np.tile(rx_map_small.normalized_sigma, 3)
+        tx = tx_map_medium.normalized_sigma.copy()
         rx[4] = 0.0  # a dead stream
         tx[0] = 0.0  # and a dead transmit cell
         powers = [10.0 ** (snr / 10.0) for snr in range(-10, 31, 5)]
@@ -457,6 +471,14 @@ class TestTheoryTable:
             ("MRT", (np.zeros(2), np.ones(3), 1.0, 1.0), "rx_sigma has no live stream"),
             ("ZF", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
             ("MRT", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
+            # Unchecked, an infinite power gives inf (ZF) or an invalid
+            # divide (MRT), and an infinite noise variance gives SE 0.
+            *(
+                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), "positive and finite")
+                for scheme in ("MRT", "ZF")
+                for p_u, noise_var in [(math.inf, 1.0), ([1.0, math.inf], 1.0),
+                                       (1.0, math.inf), (1.0, math.nan)]
+            ),
         ],
     )
     def test_table_raises_the_scalar_errors(self, scheme, args, match):
@@ -512,10 +534,10 @@ class TestTheoreticalExpressions:
             zf_theoretical(np.ones(2), np.ones(4), 1.0, 0.0)
 
     def test_nulling_formula_tracks_simulation(self, rx_map_small, tx_map_medium):
-        sigma = separable_sigma(rx_map_small, tx_map_medium, 3)
-        result = simulated_se(sigma, "zf", [0.0, 20.0], trials=300, seed=42)
+        sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
+        result = simulated_se(*sigma, "zf", [0.0, 20.0], trials=300, seed=42)
         p_u = [10.0 ** (snr_db / 10.0) for snr_db in result.snr_grid_db]
-        theory = zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, p_u, 1.0).sum(axis=0)
+        theory = zf_theoretical(*sigma, p_u, 1.0).sum(axis=0)
         for col, snr_db in enumerate(result.snr_grid_db):
             gap = abs(theory[col] - result.sum_se[col]) / result.sum_se[col]
             assert gap < (0.10 if snr_db == 0.0 else 0.15)
@@ -525,10 +547,51 @@ class TestTheoreticalExpressions:
         theory = []
         for patches in (24, 30, 60):
             tx_map = variance_map(ArrayGeometry(patches, patches, 1 / 3))
-            sigma = separable_sigma(rx_map_small, tx_map, 1)
-            result = simulated_se(sigma, "zf", [10.0], trials=100, seed=3)
-            simulated.append(result.sum_se[0] / sigma.rx_sigma.size)
-            theory.append(zf_theoretical(sigma.rx_sigma, sigma.tx_sigma, 10.0, 1.0)[0, 0])
+            sigma = rx_map_small.normalized_sigma, tx_map.normalized_sigma
+            result = simulated_se(*sigma, "zf", [10.0], trials=100, seed=3)
+            simulated.append(result.sum_se[0] / sigma[0].size)
+            theory.append(zf_theoretical(*sigma, 10.0, 1.0)[0, 0])
         assert simulated == sorted(simulated)
         assert theory == sorted(theory)
         assert simulated[0] > 0.0 and theory[0] > 0.0
+
+
+# The four entry points that take the ensemble; every one runs the shared
+# factor check first.
+ENSEMBLE_ENTRY_POINTS = {
+    "draw": lambda rx, tx: draw_wavenumber_channel(rx, tx, 0),
+    "simulated_se": lambda rx, tx: simulated_se(rx, tx, "zf", [0.0], trials=2, seed=0),
+    "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, 1.0, 1.0),
+    "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 1.0, 1.0),
+}
+
+
+class TestFactorCheck:
+    @pytest.mark.parametrize("entry", ENSEMBLE_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "rx, tx, name",
+        [
+            ([1.0, math.nan], np.ones(4), "rx_sigma"),
+            ([math.inf, 1.0], np.ones(4), "rx_sigma"),
+            (np.ones(2), [1.0, 1.0, 1.0, -0.5], "tx_sigma"),
+            (np.ones((1, 2)), np.ones(4), "rx_sigma"),
+            (np.ones(2), np.ones((4, 1)), "tx_sigma"),
+            (np.ones(2), [], "tx_sigma"),
+            ([], np.ones(4), "rx_sigma"),
+        ],
+        ids=["nan", "inf", "negative", "2-D-rx", "2-D-tx", "empty-tx", "empty-rx"],
+    )
+    def test_rejects_malformed_factors_before_any_draw(self, entry, rx, tx, name, count_calls):
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match=f"{name} must be a nonempty vector"):
+            ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
+        assert draws == []
+
+    @pytest.mark.parametrize("entry", ENSEMBLE_ENTRY_POINTS)
+    def test_a_list_of_floats_is_its_array(self, entry):
+        rx, tx = [1.0, 0.5], [1.0, 0.7, 1.3, 0.4]
+        from_lists = ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
+        from_arrays = ENSEMBLE_ENTRY_POINTS[entry](np.array(rx), np.array(tx))
+        if entry == "simulated_se":
+            from_lists, from_arrays = from_lists.per_stream, from_arrays.per_stream
+        np.testing.assert_array_equal(from_lists, from_arrays)

@@ -1,17 +1,33 @@
-"""The README's library quick start runs against the installed API."""
+"""The README's quick starts run against the installed API, as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from holosim import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def quick_start(title, language):
+    section = README.read_text(encoding="utf-8").split(f"## Quick start ({title})", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
 def test_library_quick_start_runs(capsys):
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Quick start (library)", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
-    exec(compile(block, str(README), "exec"), namespace)
+    exec(compile(quick_start("library", "python"), str(README), "exec"), namespace)
     sinr, result = namespace["sinr"], namespace["result"]
-    assert sinr.shape == (namespace["sigma"].rx_sigma.size,) and (sinr >= 0.0).all()
+    assert sinr.shape == (namespace["rx_sigma"].size,) and (sinr >= 0.0).all()
     assert capsys.readouterr().out == f"{result.sum_se}\n"
+
+
+def test_cli_quick_start_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    block = quick_start("CLI", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("holosim ")]
+    assert len(commands) == 5
+    for command in commands:
+        assert cli.main(command[1:]) == 0, command
+        out = Path(command[command.index("--out") + 1])
+        assert out.is_file() or any(out.glob("*.csv")), command
