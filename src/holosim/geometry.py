@@ -52,8 +52,9 @@ class ArrayGeometry:
             value = getattr(self, field)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
-        if isinstance(self.spacing, bool) or not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        longest = max(self.length_x, self.length_y)
+        if isinstance(self.spacing, bool) or not 0.0 < longest < math.inf:
+            raise ValueError(f"spacing must be positive with finite lengths, got {self.spacing!r}")
 
     @property
     def num_patches(self) -> int:

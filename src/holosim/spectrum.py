@@ -1,11 +1,10 @@
 """Per-cell coupling variances for isotropic scattering.
 
 Each wavenumber cell of a planar aperture captures the part of an isotropic
-field whose transverse wavenumber falls in that cell's rectangle.  The power
-captured is a solid-angle integral over the cell-clipped upper hemisphere; in
-polar form the radial integral is analytic and the azimuth integral has a
-closed-form antiderivative that keeps full precision up to the rim of the
-unit disk.  This module evaluates those integrals with NumPy over the
+field whose transverse wavenumber falls in that cell's rectangle: the
+hemisphere mass ``(1/4π)∬ dA/√(1 − r²)`` of the rectangle clipped to the
+unit disk.  One closed-form corner antiderivative gives every rectangle's
+mass by inclusion-exclusion.  This module evaluates it with NumPy over the
 first-orthant quarter of the enumeration rectangle covering the disk (mirror
 symmetry gives the other cells) and assembles normalized variance maps from
 that one pass; a map's ``normalized_sigma`` is the scale-factor vector of
@@ -74,65 +73,30 @@ class VarianceMap:
         return int(round(float(np.sum(self.normalized_sigma**2))))
 
 
-def _offcircle_sin(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Antiderivative of sqrt(1 - level**2 / sin(phi)**2) where it is real.
+def _corner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``F(x, y) = ∫₀ˣ∫₀ʸ du dv / √(1 − u² − v²)`` over the unit disk, for ``x, y ≥ 0``.
 
-    The root is formed as a product of differences, and both inverse
-    tangents take it as their abscissa, so no digits are lost at the rim
-    ``sin(phi) = level``: there the root is 0 and ``atan2(y, 0)`` is
-    ``±pi/2``.
+    Clamping at 1 is exact, since the disk ends there.  The rim needs no
+    special root: ``∂F/∂R = −xyR²/((1−x²)(1−y²))`` vanishes with the root ``R``.
     """
-    sin_p = np.sin(phi)
-    cos_p = np.cos(phi)
-    root = np.sqrt(np.maximum(0.0, (sin_p - level) * (sin_p + level)))
-    return level * np.arctan2(level * cos_p, root) - np.arctan2(cos_p, root)
-
-
-def _offcircle_cos(level: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Antiderivative of sqrt(1 - level**2 / cos(phi)**2) where it is real.
-
-    The mirror image of :func:`_offcircle_sin`, with the same rim handling.
-    """
-    sin_p = np.sin(phi)
-    cos_p = np.cos(phi)
-    root = np.sqrt(np.maximum(0.0, (cos_p - level) * (cos_p + level)))
-    return np.arctan2(sin_p, root) - level * np.arctan2(level * sin_p, root)
-
-
-def _segment_sin(level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integrate sqrt(1 - level**2/sin**2) over [lo, hi] within the disk."""
-    start = np.maximum(lo, np.arcsin(np.minimum(level, 1.0)))
-    inside = _offcircle_sin(level, hi) - _offcircle_sin(level, start)
-    value = np.where(level == 0.0, hi - lo, np.where(hi > start, inside, 0.0))
-    return np.where((hi > lo) & (level < 1.0), value, 0.0)
-
-
-def _segment_cos(level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integrate sqrt(1 - level**2/cos**2) over [lo, hi] within the disk."""
-    end = np.minimum(hi, np.arccos(np.minimum(level, 1.0)))
-    inside = _offcircle_cos(level, end) - _offcircle_cos(level, lo)
-    value = np.where(level == 0.0, hi - lo, np.where(end > lo, inside, 0.0))
-    return np.where((hi > lo) & (level < 1.0), value, 0.0)
+    x = np.minimum(x, 1.0)
+    y = np.minimum(y, 1.0)
+    root = np.sqrt(np.maximum(0.0, 1.0 - x * x - y * y))
+    return x * np.arctan2(y, root) + y * np.arctan2(x, root) - np.arctan2(x * y, root)
 
 
 def _first_orthant_mass(mx, my, step_x: float, step_y: float) -> np.ndarray:
     """Hemisphere mass of the boxes ``[mx, mx+1] step_x × [my, my+1] step_y``.
 
-    The indices are nonnegative and broadcast together.  The azimuth sweep
-    enters a box through the bottom edge until the ray through the inner
-    corner, then through the left edge; it exits through the right edge
-    until the ray through the outer corner, then through the top edge.  Each
-    leg integrates one antiderivative between clipped limits.
+    The indices are nonnegative and broadcast together.  The mass is the
+    inclusion-exclusion of :func:`_corner` over the four corners, over ``4π``,
+    clamped at 0 against round-off on rim slivers; a box whose inner corner
+    is on or outside the unit circle is exactly 0.
     """
     a, b = mx * step_x, (mx + 1) * step_x
     c, d = my * step_y, (my + 1) * step_y
-    phi_lo = np.arctan2(c, b)
-    phi_hi = np.arctan2(d, a)
-    corner_in = np.arctan2(c, a)
-    corner_out = np.arctan2(d, b)
-    entry = _segment_sin(c, phi_lo, corner_in) + _segment_cos(a, corner_in, phi_hi)
-    exit_ = _segment_cos(b, phi_lo, corner_out) + _segment_sin(d, corner_out, phi_hi)
-    return np.where(a * a + c * c < 1.0, (entry - exit_) / (4.0 * np.pi), 0.0)
+    mass = _corner(b, d) - _corner(a, d) - _corner(b, c) + _corner(a, c)
+    return np.where(a * a + c * c < 1.0, np.maximum(mass, 0.0) / (4.0 * np.pi), 0.0)
 
 
 def _fold(index: np.ndarray) -> np.ndarray:
@@ -142,8 +106,8 @@ def _fold(index: np.ndarray) -> np.ndarray:
 
 def _steps(length_x: float, length_y: float) -> tuple[float, float]:
     """Cell widths in direction-cosine units, after checking the lengths."""
-    if not (length_x > 0.0 and length_y > 0.0):
-        raise ValueError("lengths must be positive")
+    if not (0.0 < length_x < math.inf and 0.0 < length_y < math.inf):
+        raise ValueError("lengths must be positive and finite")
     return 1.0 / length_x, 1.0 / length_y
 
 
@@ -176,11 +140,10 @@ def cell_variance(lx: int, ly: int, length_x: float, length_y: float) -> float:
     The cell ``(lx, ly)`` covers the transverse-wavenumber rectangle
     ``[lx, lx+1] / length_x`` by the matching vertical interval.
     The returned value is the fraction of total hemisphere power whose
-    transverse direction falls inside that rectangle, evaluated in polar
-    coordinates: the radial integral is analytic and the azimuth integral is
-    taken from closed-form antiderivatives, which hold for every cell,
-    including cells on an axis or clipped by the unit circle.  It is the
-    one-cell case of the vectorized pass behind :func:`variance_map`.
+    transverse direction falls inside that rectangle, from the closed-form
+    corner antiderivative, which holds for every cell, including cells on an
+    axis or clipped by the unit circle.  It is the one-cell case of the
+    vectorized pass behind :func:`variance_map`.
 
     Args:
         lx: Horizontal integer cell index.

@@ -97,6 +97,11 @@ class TestArrayGeometry:
         with pytest.raises(ValueError, match=message):
             ArrayGeometry(**kwargs)
 
+    @pytest.mark.parametrize("spacing", [math.inf, 1e308], ids=["inf", "overflowing-length"])
+    def test_rejects_non_finite_spacing_or_lengths(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive with finite lengths"):
+            ArrayGeometry(2, 10, spacing)
+
 
 class TestPatchPositions:
     def test_first_patch_sits_at_origin(self):

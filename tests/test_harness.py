@@ -785,6 +785,13 @@ class TestCLI:
         assert status == 1
         assert "invalid value for delta-s" in capsys.readouterr().err
 
+    def test_overflowing_aperture_is_a_clean_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        status = main(["variance-map", "--ns", "100", "--delta-s", "1e308", "--out", str(out)])
+        assert status == 1
+        assert "spacing must be positive with finite lengths" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_preset_rejects_a_non_finite_scale_before_any_csv(self, tmp_path, capsys, scale):
         status = main(["preset", "fig8", "--scale", scale, "--trials", "2",

@@ -9,7 +9,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holosim
@@ -22,6 +22,7 @@ from holosim import (
     lattice_ellipse,
     variance_map,
 )
+from holosim.spectrum import _quarter, _rectangle_total
 
 # Central-cell value for a 4-wavelength square aperture, pinned by the
 # closed form and confirmed against the mpmath oracle below and a 1e7-sample
@@ -129,13 +130,16 @@ class TestCellVariance:
             assert abs(closed - oracle_cell_variance(lx, ly, 4.0, 4.0)) < 1e-15
 
     def test_rim_clipped_cells_agree_with_oracle(self):
-        # Every first-quadrant cell of the enumeration rectangle (553 cells),
-        # including the cells the unit circle clips and those on the axes,
-        # where the antiderivatives' inverse tangents meet a zero root.
+        # Every first-quadrant cell of the enumeration rectangle (595 cells),
+        # including the cells the unit circle clips, where the corner
+        # antiderivative's root is 0, the cells on the axes, and the strip
+        # cells wider than the disk, whose outer corners clamp at 1.
         for geometry in (
             ArrayGeometry(27, 27, 1 / 3),
             ArrayGeometry(60, 60, 1 / 3),
             ArrayGeometry(7, 5, 0.37),
+            ArrayGeometry(1, 13, 1 / 3),
+            ArrayGeometry(2, 40, 1 / 3),
         ):
             length_x, length_y = geometry.length_x, geometry.length_y
             for lx in range(math.ceil(length_x) + 1):
@@ -151,6 +155,34 @@ class TestCellVariance:
     def test_rejects_nonpositive_lengths(self):
         with pytest.raises(ValueError):
             cell_variance(0, 0, -4.0, 4.0)
+
+    @pytest.mark.parametrize("lengths", [(math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_lengths(self, lengths):
+        with pytest.raises(ValueError, match="finite"):
+            cell_variance(0, 0, *lengths)
+        with pytest.raises(ValueError, match="finite"):
+            hemisphere_total(*lengths)
+
+    @given(
+        length_x=st.floats(min_value=0.3, max_value=40.0),
+        length_y=st.floats(min_value=0.3, max_value=40.0),
+        square=st.booleans(),
+    )
+    # Rim slivers whose mass is below the round-off of the corner terms.
+    @example(length_x=3.4000000000000004, length_y=17.0, square=False)
+    @example(length_x=17.0, length_y=27.200000000000003, square=False)
+    @settings(max_examples=60, deadline=None)
+    def test_quarter_is_nonnegative_zero_off_disk_and_sums_to_half(
+        self, length_x, length_y, square
+    ):
+        if square:
+            length_y = length_x
+        quarter = _quarter(length_x, length_y)
+        a = np.arange(quarter.shape[0])[:, None] * (1.0 / length_x)
+        c = np.arange(quarter.shape[1])[None, :] * (1.0 / length_y)
+        assert np.all(quarter >= 0.0)
+        assert np.all(quarter[a * a + c * c >= 1.0] == 0.0)
+        assert abs(_rectangle_total(quarter) - 0.5) < 1e-14
 
 
 class TestVarianceMap:
