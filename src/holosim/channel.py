@@ -10,14 +10,13 @@ by sandwiching each block between harmonic bases.  The Monte Carlo engine
 reads each draw as its real and imaginary parts and forms the Gram matrix
 from them in real arithmetic, never holding the complex matrix.  The
 correlation structure is separable, which keeps its eigen-analysis
-closed-form even for surfaces with hundreds of thousands of matrix entries.
+closed-form even for surfaces with hundreds of thousands of matrix entries;
+its zeros up to the element-domain dimension are left to the CSV writer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .spectrum import VarianceMap
 
 __all__ = [
     "draw_wavenumber_channel",
@@ -125,23 +124,23 @@ def assemble_element_channel(
     return np.vstack([u @ block @ tx_basis.conj().T for u, block in zip(rx_bases, blocks)])
 
 
-def correlation_eigenvalues(rx_map: VarianceMap, tx_map: VarianceMap) -> np.ndarray:
-    """Eigenvalues of one user's element-domain correlation matrix.
+def correlation_eigenvalues(rx_sigma, tx_sigma) -> np.ndarray:
+    """Eigenvalues of one user's element-domain correlation matrix, less its zero tail.
 
     The correlation matrix factors through semi-unitary bases acting on a
-    diagonal of per-cell variances, so its nonzero eigenvalues are exactly
-    the pairwise products of the squared receive and transmit scale factors.
-    They are returned sorted, padded with zeros to the element-domain
-    dimension, without ever forming the dense matrix.
+    diagonal of per-cell variances, so its eigenvalues are the pairwise
+    products of the squared receive and transmit scale factors and zeros.
+    The products are returned sorted, without forming the dense matrix.
 
     Args:
-        rx_map: Variance map of one receive surface.
-        tx_map: Variance map of the transmit surface.
+        rx_sigma: Receive scale factors of one user.
+        tx_sigma: Transmit scale factors.
 
     Returns:
-        The nonincreasing, nonnegative spectrum, zero-padded.
+        The ``rx_sigma.size * tx_sigma.size`` products, nonincreasing.
+
+    Raises:
+        ValueError: Unless each factor is a nonempty, finite, nonnegative vector.
     """
-    products = np.outer(rx_map.normalized_sigma**2, tx_map.normalized_sigma**2).ravel()
-    padded = np.zeros(rx_map.num_patches * tx_map.num_patches)
-    padded[: products.size] = np.sort(products)[::-1]
-    return padded
+    rx, tx = _factors(rx_sigma, tx_sigma)
+    return np.sort(np.outer(rx**2, tx**2).ravel())[::-1]

@@ -12,6 +12,7 @@ that map between the element domain and the wavenumber domain.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,8 @@ class ArrayGeometry:
             value = getattr(self, field)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
+            if value > sys.float_info.max:
+                raise ValueError(f"{field} is too large to convert to float")
         longest = max(self.length_x, self.length_y)
         if isinstance(self.spacing, bool) or not 0.0 < longest < math.inf:
             raise ValueError(f"spacing must be positive with finite lengths, got {self.spacing!r}")

@@ -6,10 +6,11 @@ figures at native or scaled size and write one CSV per series.  Every CSV
 starts with a comment line holding the fully resolved configuration as
 canonical JSON; a short hash of that JSON is appended to every row so each
 row is self-describing, and identical configurations produce byte-identical
-files.  One column-wise writer serves every artifact: SE blocks (Monte Carlo
-and the public closed forms alike) become four columns, and each float
-column is formatted in one pass.  The presets are one table of series, each
-a surface pair, a user count, its schemes and the runner that writes it.
+files.  One column-wise writer serves every artifact, a block of rows at a
+time: SE blocks (Monte Carlo and the public closed forms alike) become four
+columns, and the correlation spectrum is padded here to its element-domain
+dimension.  The presets are one table of series, each a surface pair, a
+user count, its schemes and the runner that writes it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ _SETTING_KEYS = ("ns", "nr", "delta_s", "delta_r", "users", "snr", "trials", "se
                  "iters")
 _THIRD, _SIXTH = 1.0 / 3.0, 1.0 / 6.0
 _THEORY_TAGS = {"MRT": "MRT-BOUND", "ZF": "ZF-THEORY"}
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -274,22 +276,26 @@ def _write_csv(path: Path, payload: dict, header: list[str], columns: list) -> s
 
     Each column is either a NumPy array, whose floats are written as
     ``.12g`` and integers as ``str``, or a sequence of ready-made strings
-    (one of which may span several header fields).
+    (one of which may span several header fields).  Rows are formatted and
+    written ``_BLOCK_ROWS`` at a time, so no file is ever held whole as text.
     """
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:12]
-    fields = []
-    for column in columns:
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-            column = [f"{v:.12g}" for v in column.tolist()]
-        elif isinstance(column, np.ndarray):
-            column = list(map(str, column.tolist()))
-        fields.append(column)
-    rows = map(",".join, zip(*fields, itertools.repeat(digest)))
-    lines = [f"# config {canonical}", ",".join([*header, "config_hash"]), *rows]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(f"# config {canonical}\n{','.join([*header, 'config_hash'])}\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            fields = []
+            for column in columns:
+                block = column[start : start + _BLOCK_ROWS]
+                if isinstance(block, np.ndarray) and block.dtype.kind == "f":
+                    block = [f"{v:.12g}" for v in block.tolist()]
+                elif isinstance(block, np.ndarray):
+                    block = map(str, block.tolist())
+                fields.append(block)
+            # The hash field carries each row's line break.
+            rows = zip(*fields, itertools.repeat(f"{digest}\n"))
+            handle.write("".join(map(",".join, rows)))
     return digest
 
 
@@ -306,12 +312,15 @@ def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
 
 
 def run_eigvals(config: ScenarioConfig, out: Path) -> np.ndarray:
-    """Write one user's correlation spectrum, normalized to its largest."""
-    rx_map = variance_map(config.rx)
-    tx_map = variance_map(config.tx)
-    spectrum = correlation_eigenvalues(rx_map, tx_map)
-    top = spectrum[0] if spectrum.size and spectrum[0] > 0.0 else 1.0
-    normalized = spectrum / top
+    """Write one user's correlation spectrum, normalized to its largest.
+
+    It is padded with zeros to the element-domain dimension, the product of
+    the two patch counts, and returned as written.
+    """
+    rx, tx = (variance_map(surface).normalized_sigma for surface in (config.rx, config.tx))
+    products = correlation_eigenvalues(rx, tx)
+    normalized = np.zeros(config.rx.num_patches * config.tx.num_patches)
+    normalized[: products.size] = products / (products[0] if products[0] > 0.0 else 1.0)
     payload = _config_payload(config, artifact="eigvals")
     ranks = np.arange(1, normalized.size + 1)
     _write_csv(out, payload, ["rank", "eigenvalue"], [ranks, normalized])

@@ -6,9 +6,9 @@ hemisphere mass ``(1/4π)∬ dA/√(1 − r²)`` of the rectangle clipped to the
 unit disk.  One closed-form corner antiderivative gives every rectangle's
 mass by inclusion-exclusion.  This module evaluates it with NumPy over the
 first-orthant quarter of the enumeration rectangle covering the disk (mirror
-symmetry gives the other cells) and assembles normalized variance maps from
-that one pass; a map's ``normalized_sigma`` is the scale-factor vector of
-one surface, as the channel and rate modules take it.
+symmetry gives the other cells), checks that it sums to the hemisphere's
+one half and assembles normalized variance maps; a map's ``normalized_sigma``
+is the scale-factor vector of one surface, as ``channel`` and ``rate`` take it.
 """
 
 from __future__ import annotations
@@ -39,17 +39,11 @@ class VarianceMap:
         normalized_sigma: Per-cell nonnegative scale factors, rescaled so
             that the sum of their squares equals the patch count of the
             surface.
-        hemisphere_total: Sum of the raw integrals over the full enumeration
-            rectangle covering the disk; equals one half (the hemisphere
-            total) up to round-off.  The raw values restricted
-            to the lattice cells sum to slightly less whenever boundary
-            slivers of the disk fall outside every kept cell.
     """
 
     lattice: WavenumberLattice
     raw: np.ndarray
     normalized_sigma: np.ndarray
-    hemisphere_total: float
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.raw, dtype=float)
@@ -62,15 +56,6 @@ class VarianceMap:
             raise ValueError("normalized_sigma must align with the lattice cells")
         if np.any(raw < 0.0):
             raise ValueError("raw variances must be nonnegative")
-        if abs(self.hemisphere_total - 0.5) > 1e-6:
-            raise ValueError(
-                f"hemisphere total {self.hemisphere_total!r} differs from 1/2"
-            )
-
-    @property
-    def num_patches(self) -> int:
-        """Patch count implied by the normalization of ``normalized_sigma``."""
-        return int(round(float(np.sum(self.normalized_sigma**2))))
 
 
 def _corner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,22 +162,24 @@ def variance_map(geometry: ArrayGeometry) -> VarianceMap:
     One vectorized pass evaluates the enumeration rectangle covering the
     disk; the surface's wavenumber cells are gathered from it, and the
     scale factors are normalized so their squares sum to the patch count.
-    The rectangle's total is recorded alongside as the integration sanity
-    check.
+    The rectangle's total, the hemisphere's one half up to round-off, is
+    the integration sanity check (the kept cells alone sum to slightly less
+    whenever boundary slivers of the disk fall outside every kept cell).
 
     Args:
         geometry: Surface description.
 
     Returns:
         The assembled map.
+
+    Raises:
+        ValueError: If the rectangle's total is not one half within 1e-6.
     """
     lattice = lattice_ellipse(geometry)
     quarter = _quarter(geometry.length_x, geometry.length_y)
+    total = _rectangle_total(quarter)
+    if abs(total - 0.5) > 1e-6:
+        raise ValueError(f"hemisphere total {total!r} differs from 1/2")
     raw = quarter[_fold(lattice.cells[:, 0]), _fold(lattice.cells[:, 1])]
     sigma = np.sqrt(geometry.num_patches * raw / raw.sum())
-    return VarianceMap(
-        lattice=lattice,
-        raw=raw,
-        normalized_sigma=sigma,
-        hemisphere_total=_rectangle_total(quarter),
-    )
+    return VarianceMap(lattice=lattice, raw=raw, normalized_sigma=sigma)

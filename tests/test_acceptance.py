@@ -24,6 +24,7 @@ from holosim import (
     correlation_eigenvalues,
     draw_wavenumber_channel,
     harmonic_basis,
+    hemisphere_total,
     lattice_ellipse,
     mrt_theoretical_bound,
     simulated_se,
@@ -49,8 +50,8 @@ class TestCellVarianceAccuracy:
 class TestHemisphereNormalization:
     @pytest.mark.parametrize("side", [6, 12, 30])
     def test_total_power_is_half(self, side):
-        vmap = variance_map(ArrayGeometry(side, side, 1 / 3))
-        assert abs(vmap.hemisphere_total - 0.5) <= 1e-6
+        geometry = ArrayGeometry(side, side, 1 / 3)
+        assert abs(hemisphere_total(geometry.length_x, geometry.length_y) - 0.5) <= 1e-6
 
 
 def preset_geometries():
@@ -84,7 +85,7 @@ class TestModeCountGrowth:
         counts = []
         for spacing in (1 / 6, 1 / 3, 1 / 2):
             rx_map = variance_map(ArrayGeometry(24, 24, spacing))
-            spectrum = correlation_eigenvalues(rx_map, tx_map)
+            spectrum = correlation_eigenvalues(rx_map.normalized_sigma, tx_map.normalized_sigma)
             counts.append(int(np.sum(spectrum >= 0.01 * spectrum[0])))
         assert counts == [14711, 61033, 137295]
         assert time.monotonic() - start < 30.0

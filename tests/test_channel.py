@@ -7,7 +7,7 @@ import pytest
 
 from holosim import (
     ArrayGeometry,
-    VarianceMap,
+    ScenarioConfig,
     WavenumberLattice,
     assemble_element_channel,
     correlation_eigenvalues,
@@ -17,6 +17,7 @@ from holosim import (
     variance_map,
 )
 from holosim.channel import _draw_parts, _gram
+from holosim.harness import run_eigvals
 
 
 def dead_cell_sigma(rx_map, tx_map, users):
@@ -30,18 +31,6 @@ def dead_cell_sigma(rx_map, tx_map, users):
 
 def uniform_sigma(rows, cols, scale=1.0):
     return np.full(rows, float(scale)), np.full(cols, 1.0)
-
-
-def synthetic_map(sigma_squared):
-    """Variance map with prescribed per-cell powers on a made-up lattice."""
-    values = np.asarray(sigma_squared, dtype=float)
-    cells = tuple((i, 0) for i in range(values.size))
-    return VarianceMap(
-        lattice=WavenumberLattice(cells=cells),
-        raw=values / values.sum() * 0.5,
-        normalized_sigma=np.sqrt(values),
-        hemisphere_total=0.5,
-    )
 
 
 class TestDrawWavenumberChannel:
@@ -190,30 +179,31 @@ class TestAssembleElementChannel:
 
 class TestCorrelationEigenvalues:
     def test_two_by_two_toy_spectrum(self):
-        rx_map = synthetic_map([1.0, 3.0])
-        tx_map = synthetic_map([2.0, 4.0])
-        spectrum = correlation_eigenvalues(rx_map, tx_map)
-        # Padded with zeros to the full element-domain dimension 4 * 6.
-        assert spectrum.size == 24
-        np.testing.assert_allclose(spectrum[:4], [12.0, 6.0, 4.0, 2.0])
-        np.testing.assert_array_equal(spectrum[4:], 0.0)
+        spectrum = correlation_eigenvalues(np.sqrt([1.0, 3.0]), np.sqrt([2.0, 4.0]))
+        # The products only: no zeros of the element-domain dimension.
+        assert spectrum.size == 4
+        np.testing.assert_allclose(spectrum, [12.0, 6.0, 4.0, 2.0])
 
-    def test_nonzero_count_is_the_cell_count_product(self):
-        clean = variance_map(ArrayGeometry(14, 14, 1 / 6))  # no dead cells
-        spectrum = correlation_eigenvalues(clean, clean)
-        assert int(np.count_nonzero(spectrum)) == 21 * 21
-        assert spectrum.size == 196 * 196
+    def test_nonzero_count_is_the_cell_count_product(self, tmp_path):
+        geometry = ArrayGeometry(14, 14, 1 / 6)
+        clean = variance_map(geometry)  # no dead cells
+        spectrum = correlation_eigenvalues(clean.normalized_sigma, clean.normalized_sigma)
+        assert int(np.count_nonzero(spectrum)) == spectrum.size == 21 * 21
+        # The artifact pads the same spectrum to the element-domain dimension.
+        written = run_eigvals(ScenarioConfig(tx=geometry, rx=geometry), tmp_path / "eig.csv")
+        assert written.size == 196 * 196
+        assert int(np.count_nonzero(written)) == 21 * 21
+        np.testing.assert_array_equal(written[: spectrum.size], spectrum / spectrum[0])
 
     def test_uniform_maps_give_a_flat_spectrum(self):
-        rx_map = synthetic_map([2.0, 2.0, 2.0])
-        tx_map = synthetic_map([1.0, 1.0])
-        spectrum = correlation_eigenvalues(rx_map, tx_map)
-        positive = spectrum[spectrum > 0]
-        assert positive.size == 6
-        np.testing.assert_allclose(positive, 2.0)
+        spectrum = correlation_eigenvalues(np.full(3, np.sqrt(2.0)), np.ones(2))
+        assert spectrum.size == 6
+        np.testing.assert_allclose(spectrum, 2.0)
 
     def test_trace_equals_total_coupling_power(self, rx_map_small, tx_map_medium):
-        spectrum = correlation_eigenvalues(rx_map_small, tx_map_medium)
+        spectrum = correlation_eigenvalues(
+            rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
+        )
         expected = np.sum(rx_map_small.normalized_sigma**2) * np.sum(
             tx_map_medium.normalized_sigma**2
         )
@@ -236,10 +226,10 @@ class TestCorrelationEigenvalues:
             flat = element.reshape(-1)
             acc += np.outer(flat, flat.conj())
         empirical = np.linalg.eigvalsh(acc / draws)[::-1]
-        analytic = correlation_eigenvalues(vmap, vmap)
+        analytic = correlation_eigenvalues(*sigma)
         positive = analytic > 1e-12
         np.testing.assert_allclose(
-            empirical[positive], analytic[positive], rtol=0.04
+            empirical[: analytic.size][positive], analytic[positive], rtol=0.04
         )
         assert np.sum(empirical) == pytest.approx(np.sum(analytic), rel=0.01)
 
@@ -248,20 +238,28 @@ class TestCorrelationEigenvalues:
         counts = []
         for spacing in (1 / 6, 1 / 3, 1 / 2):
             rx_map = variance_map(ArrayGeometry(12, 12, spacing))
-            spectrum = correlation_eigenvalues(rx_map, tx_map)
+            spectrum = correlation_eigenvalues(rx_map.normalized_sigma, tx_map.normalized_sigma)
             counts.append(int(np.sum(spectrum >= 0.01 * spectrum[0])))
         assert counts == [3443, 14711, 34741]
 
     def test_half_wavelength_spacing_is_still_correlated(self):
         rx_map = variance_map(ArrayGeometry(24, 24, 1 / 2))
         tx_map = variance_map(ArrayGeometry(30, 30, 1 / 3))
-        spectrum = correlation_eigenvalues(rx_map, tx_map)
-        leading = spectrum[: 439 * 317]
-        positive = leading[leading > 0]
+        spectrum = correlation_eigenvalues(rx_map.normalized_sigma, tx_map.normalized_sigma)
+        assert spectrum.size == 439 * 317
+        positive = spectrum[spectrum > 0]
         assert positive.max() / positive.min() > 2.0
 
-    def test_spectrum_is_nonincreasing_and_nonnegative(self, rx_map_small, tx_map_medium):
-        spectrum = correlation_eigenvalues(rx_map_small, tx_map_medium)
-        assert spectrum.dtype == float and spectrum.ndim == 1
-        assert np.all(np.diff(spectrum) <= 0.0)
-        assert spectrum[-1] == 0.0 and np.all(spectrum >= 0.0)
+    def test_spectrum_is_nonincreasing_and_nonnegative(
+        self, rx_map_small, tx_map_medium, tmp_path
+    ):
+        spectrum = correlation_eigenvalues(
+            rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
+        )
+        assert spectrum.dtype == float and spectrum.shape == (13 * 69,)
+        assert np.all(np.diff(spectrum) <= 0.0) and np.all(spectrum >= 0.0)
+        # The artifact keeps that order through its zero tail.
+        config = ScenarioConfig(tx=ArrayGeometry(14, 14, 1 / 3), rx=ArrayGeometry(6, 6, 1 / 3))
+        written = run_eigvals(config, tmp_path / "eig.csv")
+        assert written.size == 36 * 196 and written[-1] == 0.0
+        assert np.all(np.diff(written) <= 0.0) and np.all(written >= 0.0)

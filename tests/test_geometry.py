@@ -78,10 +78,13 @@ class TestArrayGeometry:
             {"n_h": 0, "n_v": 2, "spacing": 0.5},
             {"n_h": 2, "n_v": -1, "spacing": 0.5},
             {"n_h": 2, "n_v": 2, "spacing": 0.0},
+            {"n_h": 10**400, "n_v": 2, "spacing": 0.5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        usable = {"n_h": 2, "n_v": 2, "spacing": 0.5}
+        (field,) = (key for key, value in kwargs.items() if value != usable[key])
+        with pytest.raises(ValueError, match=f"^{field} "):
             ArrayGeometry(**kwargs)
 
     @pytest.mark.parametrize(

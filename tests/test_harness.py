@@ -18,7 +18,9 @@ from holosim.cli import main
 from holosim.harness import (
     PRESET_NAMES,
     ScenarioConfig,
+    _BLOCK_ROWS,
     _config_payload,
+    _write_csv,
     parse_config,
     preset_jobs,
     run_eigvals,
@@ -430,6 +432,19 @@ class TestColumnWriter:
         normalized = run_eigvals(parse_config(ns=144, nr=36), out)
         rows = [(rank + 1, value) for rank, value in enumerate(normalized)]
         assert out.read_bytes() == reference_csv(out, ["rank", "eigenvalue"], rows)
+
+    def test_rows_spanning_several_blocks_match_a_per_field_formatter(self, tmp_path):
+        out = tmp_path / "blocks.csv"
+        count = 2 * _BLOCK_ROWS + 1
+        index = np.arange(count)
+        values = (index - count / 2) * 0.37  # negatives, then positives
+        values[::3] = 0.0
+        values[1::5] = np.round(values[1::5])  # integral floats
+        labels = [f"{i % 3 + 1},{i % 5 + 1}" if i % 7 else "all,sum" for i in range(count)]
+        header = ["value", "user", "stream", "index"]
+        _write_csv(out, {"artifact": "blocks"}, header, [values, labels, index])
+        rows = zip(values.tolist(), labels, index.tolist())
+        assert out.read_bytes() == reference_csv(out, header, rows)
 
 
 class TestRunners:

@@ -11,6 +11,7 @@ from holosim import (
     ArrayGeometry,
     SEResult,
     SINR_CAP,
+    correlation_eigenvalues,
     draw_wavenumber_channel,
     mmse,
     mrt,
@@ -556,13 +557,14 @@ class TestTheoreticalExpressions:
         assert simulated[0] > 0.0 and theory[0] > 0.0
 
 
-# The four entry points that take the ensemble; every one runs the shared
+# The five entry points that take the ensemble; every one runs the shared
 # factor check first.
 ENSEMBLE_ENTRY_POINTS = {
     "draw": lambda rx, tx: draw_wavenumber_channel(rx, tx, 0),
     "simulated_se": lambda rx, tx: simulated_se(rx, tx, "zf", [0.0], trials=2, seed=0),
     "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, 1.0, 1.0),
     "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 1.0, 1.0),
+    "eigenvalues": correlation_eigenvalues,
 }
 
 

@@ -20,6 +20,7 @@ from holosim import (
     cell_variance,
     hemisphere_total,
     lattice_ellipse,
+    spectrum,
     variance_map,
 )
 from holosim.spectrum import _quarter, _rectangle_total
@@ -188,11 +189,10 @@ class TestCellVariance:
 class TestVarianceMap:
     def test_raw_values_nonnegative_with_unit_hemisphere(self, map_l4):
         assert np.all(map_l4.raw >= 0.0)
-        assert map_l4.hemisphere_total == pytest.approx(0.5, abs=1e-9)
+        assert hemisphere_total(4.0, 4.0) == pytest.approx(0.5, abs=1e-9)  # map_l4's lengths
 
     def test_normalized_power_equals_patch_count(self, map_l4):
         assert np.sum(map_l4.normalized_sigma**2) == pytest.approx(144.0, abs=1e-9)
-        assert map_l4.num_patches == 144
 
     def test_only_the_two_rim_cells_are_dead(self, map_l4):
         dead = {
@@ -249,18 +249,12 @@ class TestVarianceMap:
                 lattice=lattice,
                 raw=np.array([0.5, -0.1]),
                 normalized_sigma=np.array([1.0, 1.0]),
-                hemisphere_total=0.5,
             )
 
-    def test_rejects_wrong_hemisphere_total(self):
-        lattice = WavenumberLattice(cells=((0, 0),))
-        with pytest.raises(ValueError):
-            VarianceMap(
-                lattice=lattice,
-                raw=np.array([0.5]),
-                normalized_sigma=np.array([1.0]),
-                hemisphere_total=0.4,
-            )
+    def test_rejects_wrong_hemisphere_total(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_rectangle_total", lambda quarter: 0.4)
+        with pytest.raises(ValueError, match="hemisphere total 0.4 differs from 1/2"):
+            variance_map(ArrayGeometry(6, 6, 1 / 3))
 
 
 def test_import_pulls_in_no_scipy():
