@@ -7,8 +7,10 @@ get all-zero columns).  A core returns ``X`` or its spectral factors
 interference powers of the coupled matrix ``H_a V = G X diag(s)``; a zero
 row of ``s²`` marks a draw the scheme rejects as singular.  MRT has
 ``X = I``; ZF and MMSE filter one ``eigh`` of ``G_AA`` with ``f = 1/λ`` or
-``1/(λ + a)`` at every SNR; NS-ZF takes every series order, and its coupled
-matrix, from one Horner pass.  The public precoders take the ``(K, N)``
+``1/(λ + a)`` at every SNR (a positive, finite SNR); NS-ZF's one core takes
+every series order, its coupled matrix and its powers from one Horner loop,
+and its callers check each order with ``_check_order`` before a Gram is
+formed or a channel drawn.  The public precoders take the ``(K, N)``
 channel matrix ``H_a`` and return the unit-norm ``(N, K)`` matrix
 ``V = H_aᴴ X diag(s)`` formed from a core; the Monte Carlo engine of
 :mod:`holosim.rate` reads only the core's powers.
@@ -99,72 +101,48 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
     return (u, 1.0 / shifted.T), 1.0 / energy, powers
 
 
+def _check_order(order) -> None:
+    """Raise ``ValueError`` unless a series order is a nonnegative ``int``."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"iterations must be a nonnegative integer, got {order!r}")
+
+
 def _ns_zf_core(g_aa: np.ndarray, orders) -> tuple:
     """NS-ZF at every order, one row each: the series ``X_n`` and ``s_j² = 1/(|A| e_j)``.
 
-    ``e_j = (X_nᴴ G X_n)_jj`` is read from the order's coupled matrix, which
-    the Horner pass supplies; the order is singular if some ``e_j <= 0``.
+    One Horner pass over the Jacobi splitting ``G_AA = D + E`` gives
+    ``X_0 = D⁻¹`` and ``X_k = D⁻¹ - D⁻¹E X_{k-1}``, one product per order;
+    it converges only if the spectral radius of ``D⁻¹E`` is below one.  Run
+    one order past each ``n``, it gives the coupled matrix
+    ``G X_n = I + D (X_n - X_{n+1})`` without a product of its own, and
+    ``e_j = (X_nᴴ G X_n)_jj`` is read from it; the order is singular if some
+    ``e_j <= 0``.  The orders are checked by the callers.
     """
-    pairs = _neumann_coupled(g_aa, orders)
-    squares = np.empty((len(pairs), *g_aa.shape))
+    diag = np.diag(g_aa)
+    inv_diag = 1.0 / diag
+    scaled_off = inv_diag[:, None] * (g_aa - np.diag(diag))
+    base = np.diag(inv_diag)
+    wanted = {*orders, *(order + 1 for order in orders)}
+    snapshots = {}
+    for k in range(max(wanted) + 1):
+        x = base if k == 0 else base - scaled_off @ x
+        if k in wanted:
+            snapshots[k] = x
+    squares = np.empty((len(orders), *g_aa.shape))
     energy = np.empty(squares.shape[:2])
-    for k, (series, coupled) in enumerate(pairs):
-        energy[k] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
-        squares[k] = coupled.real**2 + coupled.imag**2
+    for row, order in enumerate(orders):
+        series = snapshots[order]
+        coupled = series - snapshots[order + 1]
+        coupled *= diag[:, None]
+        coupled.reshape(-1)[:: diag.size + 1] += 1.0
+        energy[row] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
+        squares[row] = coupled.real**2 + coupled.imag**2
     singular = np.any(energy <= 0.0, axis=1)
     energy[singular] = np.inf
     scale_sq = 1.0 / (g_aa.shape[0] * energy)
     powers = _coupled_powers(squares, scale_sq)
     powers[:, singular] = 0.0
-    return [series for series, _ in pairs], scale_sq, powers
-
-
-def _neumann_series(w_tilde: np.ndarray, orders) -> dict[int, np.ndarray]:
-    """Neumann series of ``w_tilde⁻¹`` at each of ``orders``, from one Horner pass.
-
-    With ``w_tilde = D + E`` (diagonal and off-diagonal), ``X_k = D⁻¹ - Q_k``
-    and ``Q_k = D⁻¹ E X_{k-1}``: one product per order, and ``X_0 = D⁻¹``.
-    The series converges only if the spectral radius of ``D⁻¹ E`` is below
-    one.  Raises ``ValueError`` on a non-square input, a negative,
-    non-integer or boolean order, or a zero diagonal entry.
-    """
-    w_tilde = np.asarray(w_tilde)
-    if w_tilde.ndim != 2 or w_tilde.shape[0] != w_tilde.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w_tilde.shape}")
-    for order in orders:
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
-            raise ValueError(f"iterations must be a nonnegative integer, got {order!r}")
-    diag = np.diag(w_tilde)
-    if np.any(diag == 0.0):
-        raise ValueError("diagonal entries must be nonzero")
-    inv_diag = 1.0 / diag
-    off = w_tilde - np.diag(diag)
-    scaled_off = inv_diag[:, None] * off
-    base = result = np.diag(inv_diag)
-    series, reached = {}, 0
-    for order in sorted(set(orders)):
-        for _ in range(order - reached):
-            result = base - scaled_off @ result
-        series[order], reached = result, order
-    return series
-
-
-def _neumann_coupled(w_tilde: np.ndarray, orders) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(X_n, w_tilde X_n)`` for each ``n`` of ``orders``, from one Horner pass.
-
-    As ``D X_n = I - D Q_n`` and ``E X_n = D Q_{n+1}``, the pass run one
-    order past each ``n`` gives ``w_tilde X_n = I + D (X_n - X_{n+1})``
-    without a product of its own.
-    """
-    snapshots = _neumann_series(w_tilde, [*orders, *(order + 1 for order in orders)])
-    diag = np.diag(w_tilde)
-    pairs = []
-    for order in orders:
-        coupled = snapshots[order] - snapshots[order + 1]
-        coupled *= diag[:, None]
-        coupled.reshape(-1)[:: diag.size + 1] += 1.0
-        pairs.append((snapshots[order], coupled))
-    return pairs
+    return [snapshots[order] for order in orders], scale_sq, powers
 
 
 def _precode(h_a: np.ndarray, core, nulling: bool = False) -> np.ndarray:
@@ -244,16 +222,18 @@ def mmse(h_a: np.ndarray, snr: float) -> np.ndarray:
 
     Args:
         h_a: Channel matrix of shape ``(K, N)``.
-        snr: Transmit power over noise variance; must be positive.
+        snr: Transmit power over noise variance; must be positive and
+            finite.
 
     Returns:
         The unit-norm ``(N, K)`` precoder.
 
     Raises:
-        ValueError: If ``snr`` is not positive or the channel is all zero.
+        ValueError: If ``snr`` is not positive and finite or the channel
+            is all zero.
     """
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
+    if not 0.0 < snr < np.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     streams = h_a.shape[0]
     return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, streams))
 
@@ -283,6 +263,7 @@ def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
         ValueError: If there are more active streams than transmit cells,
             no active stream at all, or an invalid order.
     """
+    _check_order(iterations)
 
     def core(g_aa):
         series, scale_sq, _ = _ns_zf_core(g_aa, [iterations])

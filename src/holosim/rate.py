@@ -30,6 +30,7 @@ from .channel import _draw_parts, _factors, _gram
 from .precoding import (
     SingularChannelError,
     _active_block,
+    _check_order,
     _coupled_powers,
     _mmse_core,
     _mrt_core,
@@ -185,6 +186,9 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
+    for tag, order in specs:
+        if tag == "NS-ZF":
+            _check_order(order)
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
@@ -276,9 +280,10 @@ def simulated_se(
     Raises:
         ValueError: On an unknown scheme, a trial count that is not an
             integer of at least 1, a seed that is not a nonnegative integer,
-            malformed scale factors, an empty or non-finite SNR grid, a
-            boolean or non-integer series order, or, for ZF and NS-ZF, more
-            active streams than transmit cells; always before any draw.
+            malformed scale factors, an empty or non-finite SNR grid, an
+            NS-ZF series order that is not a nonnegative ``int``, or, for
+            ZF and NS-ZF, more active streams than transmit cells; always
+            before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """

@@ -1,7 +1,11 @@
-"""Every exported name resolves, so a deleted function cannot leave a stale export."""
+"""Every exported name resolves, so a deleted function cannot leave a stale export,
+and the presets run on the declared NumPy dependency alone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +23,20 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
 
+
+def test_presets_run_without_scipy(tmp_path):
+    # pyproject.toml declares NumPy only; a fresh interpreter runs both
+    # Monte Carlo presets, so modules the test session loaded do not count.
+    package_root = os.path.dirname(os.path.dirname(holosim.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    probe = (
+        "import sys\n"
+        "from holosim.harness import run_preset\n"
+        "for name in ('fig4', 'fig8'):\n"
+        f"    assert run_preset(name, scale=0.25, trials=2, out={str(tmp_path)!r}) == 0\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -9,7 +9,6 @@ import pytest
 from holosim import (
     harness,
     mrt_theoretical_bound,
-    precoding,
     rate,
     variance_map,
     zf_theoretical,
@@ -601,7 +600,7 @@ class TestRunPreset:
         # Exact ZF reads the eigendecomposition, the four series orders and
         # their coupled matrices one Horner pass.
         eighs = count_calls(np.linalg, "eigh")
-        passes = count_calls(precoding, "_neumann_series")
+        passes = count_calls(rate, "_ns_zf_core")
         assert run_preset("fig8", scale=0.25, trials=3, out=str(tmp_path)) == 0
         assert len(eighs) == 3
         assert len(passes) == 3

@@ -16,7 +16,7 @@ from holosim import (
     variance_map,
     zf,
 )
-from holosim.precoding import _neumann_coupled, _neumann_series
+from holosim.precoding import _coupled_powers, _ns_zf_core
 
 
 def channel(matrix):
@@ -29,7 +29,7 @@ def random_channel(rows, cols, seed):
 
 def series_at(matrix, order):
     """The order-``order`` Neumann series of ``matrix⁻¹``, from its own pass."""
-    return _neumann_series(matrix, (order,))[order]
+    return _ns_zf_core(matrix, (order,))[0][0]
 
 
 def jacobi_series(matrix, order):
@@ -154,6 +154,8 @@ class TestMMSE:
             mmse(h_a, snr=0.0)
         with pytest.raises(ValueError):
             mmse(h_a, snr=-3.0)
+        with pytest.raises(ValueError, match="snr"):
+            mmse(h_a, snr=math.inf)
 
 
 class TestNeumannInverse:
@@ -194,8 +196,8 @@ class TestNeumannInverse:
     def test_horner_pass_equals_the_summed_jacobi_terms(self):
         h_a = random_channel(4, 9, seed=3)
         gram = h_a @ h_a.conj().T
-        snapshots = _neumann_series(gram, range(6))
-        for order, value in snapshots.items():
+        orders = range(6)
+        for order, value in zip(orders, _ns_zf_core(gram, orders)[0]):
             expected = jacobi_series(gram, order)
             tolerance = 1e-12 * np.abs(expected).max()
             np.testing.assert_allclose(value, expected, rtol=0.0, atol=tolerance)
@@ -203,35 +205,28 @@ class TestNeumannInverse:
     def test_one_pass_snapshots_equal_separate_series(self):
         h_a = random_channel(4, 9, seed=3)
         gram = h_a @ h_a.conj().T
-        snapshots = _neumann_series(gram, (7, 2, 4, 3))
-        assert sorted(snapshots) == [2, 3, 4, 7]
-        for order, value in snapshots.items():
+        orders = (7, 2, 4, 3)
+        snapshots = _ns_zf_core(gram, orders)[0]
+        assert len(snapshots) == len(orders)
+        for order, value in zip(orders, snapshots):
             np.testing.assert_array_equal(value, series_at(gram, order))
 
     def test_coupled_matrices_from_the_pass_equal_the_products(self):
+        # The pass reads each coupled matrix G X_n off the next order, so
+        # its powers must match those of the explicit product.
         for seed in range(5):
             h_a = random_channel(6, 11, seed=seed)
             gram = h_a @ h_a.conj().T
             orders = (7, 0, 2, 1, 4)
-            pairs = _neumann_coupled(gram, orders)
-            assert len(pairs) == len(orders)
-            for order, (series, coupled) in zip(orders, pairs):
-                np.testing.assert_array_equal(series, series_at(gram, order))
-                product = gram @ series
-                error = np.abs(coupled - product).max() / np.abs(product).max()
+            series, scale_sq, powers = _ns_zf_core(gram, orders)
+            assert len(series) == len(orders)
+            for row, order in enumerate(orders):
+                np.testing.assert_array_equal(series[row], series_at(gram, order))
+                product = gram @ series[row]
+                squares = product.real**2 + product.imag**2
+                expected = _coupled_powers(squares, scale_sq[row])
+                error = np.abs(powers[:, row] - expected).max() / np.abs(expected).max()
                 assert error < 1e-13
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="square"):
-            series_at(np.ones((2, 3)), 1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            series_at(self.TOY, -1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            series_at(self.TOY, 1.5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            series_at(self.TOY, True)
-        with pytest.raises(ValueError, match="diagonal"):
-            series_at(np.array([[0.0, 1.0], [1.0, 1.0]]), 1)
 
 
 class TestNSZF:

@@ -256,10 +256,12 @@ class TestSimulatedSE:
             simulated_se(*uniform_sigma(2, 5), "mrt", grid, trials=2, seed=0)
         assert draws == []
 
-    @pytest.mark.parametrize("order", [True, 1.5])
-    def test_rejects_a_series_order_that_is_not_an_int(self, order):
+    @pytest.mark.parametrize("order", [True, 1.5, -1])
+    def test_rejects_a_series_order_that_is_not_an_int(self, order, count_calls):
+        draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match="nonnegative integer"):
             simulated_se(*uniform_sigma(2, 5), "ns-zf", [0.0], trials=1, ns_iterations=order)
+        assert draws == []
 
     def test_sum_rows_match_per_stream_columns(self, rx_map_small, tx_map_medium):
         sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
