@@ -10,16 +10,12 @@ presets that emit reproducible CSV artifacts.
 """
 
 from .channel import (
-    assemble_element_channel,
     correlation_eigenvalues,
     draw_wavenumber_channel,
 )
 from .geometry import (
     ArrayGeometry,
-    WavenumberLattice,
-    harmonic_basis,
     lattice_ellipse,
-    patch_positions,
 )
 from .harness import (
     ScenarioConfig,
@@ -52,16 +48,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry",
-    "WavenumberLattice",
-    "patch_positions",
     "lattice_ellipse",
-    "harmonic_basis",
     "VarianceMap",
     "cell_variance",
     "hemisphere_total",
     "variance_map",
     "draw_wavenumber_channel",
-    "assemble_element_channel",
     "correlation_eigenvalues",
     "SingularChannelError",
     "mrt",

@@ -5,8 +5,7 @@ The ensemble is two plain vectors, checked once by :func:`_factors`:
 transmit cell.  A channel draw is a complex ``(K, N)`` matrix in the
 wavenumber domain whose entry ``(i, j)`` is drawn independently and scaled
 by ``rx_sigma[i] * tx_sigma[j]``.  Users own contiguous row blocks, one row
-per cell of their receive basis, and element-domain channels are recovered
-by sandwiching each block between harmonic bases.  The Monte Carlo engine
+per cell of their receive surface's lattice.  The Monte Carlo engine
 reads each draw as its real and imaginary parts and forms the Gram matrix
 from them in real arithmetic, never holding the complex matrix.  The
 correlation structure is separable, which keeps its eigen-analysis
@@ -20,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "draw_wavenumber_channel",
-    "assemble_element_channel",
     "correlation_eigenvalues",
 ]
 
@@ -89,39 +87,6 @@ def draw_wavenumber_channel(rx_sigma, tx_sigma, seed) -> np.ndarray:
     """
     parts = _draw_parts(*_factors(rx_sigma, tx_sigma), seed)
     return parts[0] + 1j * parts[1]
-
-
-def assemble_element_channel(
-    h_a: np.ndarray,
-    rx_bases: list[np.ndarray],
-    tx_basis: np.ndarray,
-) -> np.ndarray:
-    """Map a wavenumber-domain draw to element-domain channels.
-
-    User ``u`` owns the next ``rx_bases[u].shape[1]`` rows of ``h_a``; its
-    block is expanded as ``U_rx @ block @ U_tx^H`` and the per-user results
-    are stacked vertically.  Because the bases are semi-unitary, the mapping
-    is an isometry in Frobenius norm; it exists for validation and
-    inspection, while precoding itself stays in the wavenumber domain.
-
-    Args:
-        h_a: Stacked wavenumber-domain draw, shape ``(K, N)``.
-        rx_bases: One receive basis matrix per user, in user order.
-        tx_basis: Shared transmit basis matrix.
-
-    Returns:
-        Complex matrix with one block of receive-patch rows per user.
-
-    Raises:
-        ValueError: If the receive basis widths do not add up to ``K`` or
-            the transmit basis does not span ``N`` cells.
-    """
-    widths = [basis.shape[1] for basis in rx_bases]
-    spanned = (sum(widths), tx_basis.shape[1])
-    if spanned != h_a.shape:
-        raise ValueError(f"bases span {spanned} cells, draw has shape {h_a.shape}")
-    blocks = np.split(h_a, np.cumsum(widths)[:-1])
-    return np.vstack([u @ block @ tx_basis.conj().T for u, block in zip(rx_bases, blocks)])
 
 
 def correlation_eigenvalues(rx_sigma, tx_sigma) -> np.ndarray:

@@ -1,17 +1,18 @@
-"""Planar array geometry and wavenumber-domain harmonic bases.
+"""Planar array geometry and the wavenumber cells it supports.
 
 A dense planar surface of radiating patches is described by its grid shape
 and its patch spacing.  The propagating field radiated or captured by such a
 surface is carried by a finite set of integer-indexed Fourier modes: the
 transverse wavenumber cells that fall inside the unit disk after scaling by
-the aperture lengths.  This module builds patch coordinates, enumerates the
-wavenumber cells, and assembles the semi-unitary harmonic basis matrices
-that map between the element domain and the wavenumber domain.
+the aperture lengths.  This module checks surface descriptions and
+enumerates their wavenumber cells, the index set of every later stage.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -19,10 +20,7 @@ import numpy as np
 
 __all__ = [
     "ArrayGeometry",
-    "WavenumberLattice",
-    "patch_positions",
     "lattice_ellipse",
-    "harmonic_basis",
 ]
 
 _MEMBERSHIP_SLACK = 1e-12
@@ -41,7 +39,8 @@ class ArrayGeometry:
         n_h: Patch count along the horizontal in-plane axis.
         n_v: Patch count along the vertical in-plane axis.
         spacing: Patch pitch in wavelengths (e.g. ``1/3`` for a third of a
-            wavelength).
+            wavelength); any real number but a ``bool`` is accepted and
+            stored as a ``float``.
     """
 
     n_h: int
@@ -55,8 +54,11 @@ class ArrayGeometry:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
             if value > sys.float_info.max:
                 raise ValueError(f"{field} is too large to convert to float")
-        longest = max(self.length_x, self.length_y)
-        if isinstance(self.spacing, bool) or not 0.0 < longest < math.inf:
+        if isinstance(self.spacing, numbers.Real) and not isinstance(self.spacing, bool):
+            with contextlib.suppress(OverflowError):  # an int or Fraction past float range
+                object.__setattr__(self, "spacing", float(self.spacing))
+        longest = max(self.length_x, self.length_y) if type(self.spacing) is float else math.nan
+        if not 0.0 < longest < math.inf:
             raise ValueError(f"spacing must be positive with finite lengths, got {self.spacing!r}")
 
     @property
@@ -75,45 +77,6 @@ class ArrayGeometry:
         return self.n_v * self.spacing
 
 
-@dataclass(frozen=True)
-class WavenumberLattice:
-    """Finite set of integer wavenumber cells supported by an aperture.
-
-    Attributes:
-        cells: Read-only ``(cells, 2)`` int64 array of distinct ``(lx, ly)``
-            cell indices, one row per cell.
-    """
-
-    cells: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = np.array(self.cells, dtype=np.int64).reshape(-1, 2)
-        ordered = cells[np.lexsort(cells.T)]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
-            raise ValueError("lattice cells must be distinct")
-        cells.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-
-
-def patch_positions(geometry: ArrayGeometry) -> np.ndarray:
-    """Return the coordinates of every patch on the surface, in wavelengths.
-
-    Patches are numbered row-major along the horizontal axis first.  The
-    returned array has shape ``(num_patches, 3)``; the first coordinate (the
-    surface normal) is zero for every patch.
-
-    Args:
-        geometry: Surface description.
-
-    Returns:
-        Float array of patch coordinates in wavelengths.
-    """
-    idx = np.arange(geometry.num_patches)
-    horiz = (idx % geometry.n_h) * geometry.spacing
-    vert = (idx // geometry.n_h) * geometry.spacing
-    return np.column_stack([np.zeros_like(horiz), horiz, vert])
-
-
 def _membership(lx, ly, geometry: ArrayGeometry):
     """Whether cells lie in the closed unit disk; integers or integer arrays."""
     ax = lx / geometry.length_x
@@ -121,7 +84,7 @@ def _membership(lx, ly, geometry: ArrayGeometry):
     return ax * ax + ay * ay <= 1.0 + _MEMBERSHIP_SLACK
 
 
-def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
+def lattice_ellipse(geometry: ArrayGeometry) -> np.ndarray:
     """Enumerate the propagating wavenumber cells of a surface.
 
     A cell ``(lx, ly)`` is kept when the scaled point
@@ -131,14 +94,15 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     resolve every such cell as a distinct spatial frequency (half-wavelength
     spacing is the edge case), cells that alias onto the same sampled
     harmonic are merged and the representative closest to broadside is kept
-    (ties to the lower ``lx``, then ``ly``), so the basis built on the
-    result stays semi-unitary.
+    (ties to the lower ``lx``, then ``ly``), so the harmonics sampled on
+    the kept cells stay orthogonal and every row is distinct.
 
     Args:
         geometry: Surface description.
 
     Returns:
-        The cells sorted by vertical then horizontal index.
+        Read-only ``(cells, 2)`` int64 array of distinct ``(lx, ly)`` rows,
+        sorted by vertical then horizontal index.
     """
     reach_x = math.ceil(geometry.length_x)
     reach_y = math.ceil(geometry.length_y)
@@ -151,64 +115,6 @@ def lattice_ellipse(geometry: ArrayGeometry) -> WavenumberLattice:
     _, first = np.unique(alias[order], return_index=True)
     lx, ly = lx[order[first]], ly[order[first]]
     kept = np.lexsort((lx, ly))
-    return WavenumberLattice(cells=np.column_stack([lx[kept], ly[kept]]))
-
-
-def harmonic_basis(
-    geometry: ArrayGeometry,
-    lattice: WavenumberLattice,
-    *,
-    receive: bool = False,
-    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> np.ndarray:
-    """Build the matrix of sampled plane-wave harmonics for a surface.
-
-    Column ``c`` samples the harmonic of cell ``(lx, ly)`` at every patch:
-    its in-plane phase advances by ``2*pi*lx/length_x`` per wavelength of
-    horizontal position and ``2*pi*ly/length_y`` per wavelength of vertical
-    position, while displacement along the surface normal contributes the
-    propagating longitudinal wavenumber of the cell.  Transmit surfaces use a
-    negative exponent and receive surfaces the positive one.  Each column is
-    scaled by ``1/sqrt(num_patches)`` so that, on the cells produced by
-    :func:`lattice_ellipse`, the basis is semi-unitary.
-
-    Args:
-        geometry: Surface the harmonics are sampled on.
-        lattice: Wavenumber cells selecting the columns.
-        receive: Use the receive-side sign convention for the exponent.
-        origin: Displacement of the surface's reference patch, in
-            wavelengths, in the coordinate frame of :func:`patch_positions`.
-            Offsets within the surface plane and along the normal only
-            multiply each column by a unit-modulus phase.
-
-    Returns:
-        Complex array of shape ``(num_patches, cells)`` whose columns are
-        unit-norm sampled plane-wave harmonics.
-
-    Raises:
-        ValueError: If some lattice cell is not a propagating cell of this
-            geometry, i.e. the lattice and geometry do not match.
-    """
-    lx, ly = lattice.cells.T
-    outside = ~_membership(lx, ly, geometry)
-    if outside.any():
-        bad_x, bad_y = lattice.cells[np.argmax(outside)]
-        raise ValueError(
-            f"cell ({bad_x}, {bad_y}) lies outside the propagating disk of the "
-            f"given geometry; lattice and geometry do not match"
-        )
-    shift = np.asarray(origin, dtype=float)
-    if shift.shape != (3,):
-        raise ValueError(f"origin must be a 3-vector, got shape {shift.shape}")
-    along_normal, horiz, vert = (patch_positions(geometry) + shift).T
-
-    frac_x = lx / geometry.length_x
-    frac_y = ly / geometry.length_y
-    longitudinal = 2.0 * np.pi * np.sqrt(np.clip(1.0 - frac_x**2 - frac_y**2, 0.0, None))
-    phase = (
-        2.0 * np.pi * np.outer(horiz, frac_x)
-        + 2.0 * np.pi * np.outer(vert, frac_y)
-        + np.outer(along_normal, longitudinal)
-    )
-    sign = 1.0 if receive else -1.0
-    return np.exp(sign * 1j * phase) / math.sqrt(geometry.num_patches)
+    cells = np.column_stack([lx[kept], ly[kept]]).astype(np.int64, copy=False)
+    cells.flags.writeable = False
+    return cells

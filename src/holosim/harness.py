@@ -306,7 +306,7 @@ def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
         "surface": [geometry.n_h, geometry.n_v, geometry.spacing],
         "wavelength": 1.0,
     }
-    columns = [*vmap.lattice.cells.T, vmap.raw, vmap.normalized_sigma]
+    columns = [*vmap.lattice.T, vmap.raw, vmap.normalized_sigma]
     _write_csv(out, payload, ["lx", "ly", "raw", "sigma"], columns)
     return vmap
 

@@ -197,10 +197,11 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
         _require_cells(live, tx_live & rx_live.any())
-    grid = tuple(float(v) for v in np.atleast_1d(np.asarray(snr_grid_db, dtype=float)))
-    if not grid or not all(math.isfinite(v) for v in grid):
-        raise ValueError(f"snr grid must be nonempty and finite, got {grid!r}")
-    snr = 10.0 ** (np.asarray(grid) / 10.0)
+    values = np.atleast_1d(np.asarray(snr_grid_db, dtype=float))
+    if values.ndim > 1 or not values.size or not np.isfinite(values).all():
+        raise ValueError(f"snr grid must be a nonempty, finite 1-D sequence, got {snr_grid_db!r}")
+    grid = tuple(values.tolist())
+    snr = 10.0 ** (values / 10.0)
     streams = rx.size
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
@@ -280,7 +281,7 @@ def simulated_se(
     Raises:
         ValueError: On an unknown scheme, a trial count that is not an
             integer of at least 1, a seed that is not a nonnegative integer,
-            malformed scale factors, an empty or non-finite SNR grid, an
+            malformed scale factors, an empty, non-finite or 2-D SNR grid, an
             NS-ZF series order that is not a nonnegative ``int``, or, for
             ZF and NS-ZF, more active streams than transmit cells; always
             before any draw.

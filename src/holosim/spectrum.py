@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, WavenumberLattice, lattice_ellipse
+from .geometry import ArrayGeometry, lattice_ellipse
 
 __all__ = [
     "VarianceMap",
@@ -32,7 +32,9 @@ class VarianceMap:
     """Normalized per-cell variance profile of one surface.
 
     Attributes:
-        lattice: Wavenumber cells the values are indexed by.
+        lattice: Read-only ``(cells, 2)`` int64 array of the ``(lx, ly)``
+            wavenumber cells the values are indexed by, as
+            :func:`holosim.lattice_ellipse` returns it.
         raw: Per-cell solid-angle integrals including the hemisphere
             normalization prefactor.  Cells whose rectangle lies entirely
             outside the unit disk carry the value 0.
@@ -41,7 +43,7 @@ class VarianceMap:
             surface.
     """
 
-    lattice: WavenumberLattice
+    lattice: np.ndarray
     raw: np.ndarray
     normalized_sigma: np.ndarray
 
@@ -50,7 +52,7 @@ class VarianceMap:
         sigma = np.asarray(self.normalized_sigma, dtype=float)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "normalized_sigma", sigma)
-        if raw.shape != (len(self.lattice.cells),):
+        if raw.shape != (len(self.lattice),):
             raise ValueError("raw values must align with the lattice cells")
         if sigma.shape != raw.shape:
             raise ValueError("normalized_sigma must align with the lattice cells")
@@ -180,6 +182,6 @@ def variance_map(geometry: ArrayGeometry) -> VarianceMap:
     total = _rectangle_total(quarter)
     if abs(total - 0.5) > 1e-6:
         raise ValueError(f"hemisphere total {total!r} differs from 1/2")
-    raw = quarter[_fold(lattice.cells[:, 0]), _fold(lattice.cells[:, 1])]
+    raw = quarter[_fold(lattice[:, 0]), _fold(lattice[:, 1])]
     sigma = np.sqrt(geometry.num_patches * raw / raw.sum())
     return VarianceMap(lattice=lattice, raw=raw, normalized_sigma=sigma)

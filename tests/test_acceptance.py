@@ -17,13 +17,13 @@ import time
 import numpy as np
 import pytest
 
+from element_domain import harmonic_basis
 from test_spectrum import oracle_cell_variance, spherical_estimate
 
 from holosim import (
     ArrayGeometry,
     correlation_eigenvalues,
     draw_wavenumber_channel,
-    harmonic_basis,
     hemisphere_total,
     lattice_ellipse,
     mrt_theoretical_bound,
@@ -40,7 +40,7 @@ SNR_GRID = tuple(float(v) for v in range(-10, 31, 5))
 class TestCellVarianceAccuracy:
     def test_every_cell_of_the_reference_surface(self, map_l4):
         start = time.monotonic()
-        for (lx, ly), closed in zip(map_l4.lattice.cells, map_l4.raw):
+        for (lx, ly), closed in zip(map_l4.lattice, map_l4.raw):
             assert abs(closed - oracle_cell_variance(lx, ly, 4.0, 4.0)) <= 1e-15
             estimate, stderr = spherical_estimate(lx, ly, 4.0)
             assert abs(closed - estimate) <= 3.0 * stderr

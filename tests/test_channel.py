@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from element_domain import assemble_element_channel, harmonic_basis
+
 from holosim import (
     ArrayGeometry,
     ScenarioConfig,
-    WavenumberLattice,
-    assemble_element_channel,
     correlation_eigenvalues,
     draw_wavenumber_channel,
-    harmonic_basis,
     lattice_ellipse,
     variance_map,
 )
@@ -159,7 +158,7 @@ class TestAssembleElementChannel:
 
     def test_single_cell_draw_assembles_rank_one(self):
         geometry = ArrayGeometry(2, 2, 1 / 2)
-        lattice = WavenumberLattice(cells=((0, 0),))
+        lattice = np.array([[0, 0]])
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
         sigma = uniform_sigma(1, 1)

@@ -24,6 +24,13 @@ def test_every_exported_name_resolves(name):
     assert set(exported) <= set(namespace)
 
 
+@pytest.mark.parametrize("name", ["geometry", "spectrum", "channel", "precoding", "rate"])
+def test_every_model_export_is_a_package_export(name):
+    # A name removed from only one of the two lists fails here.
+    exported = importlib.import_module(f"holosim.{name}").__all__
+    assert [attr for attr in exported if attr not in holosim.__all__] == []
+
+
 def test_presets_run_without_scipy(tmp_path):
     # pyproject.toml declares NumPy only; a fresh interpreter runs both
     # Monte Carlo presets, so modules the test session loaded do not count.

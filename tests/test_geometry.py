@@ -1,19 +1,17 @@
-"""Surface geometry, wavenumber lattices, and harmonic bases."""
+"""Surface geometry, wavenumber lattices, and the element-domain harmonic bases."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosim import (
-    ArrayGeometry,
-    WavenumberLattice,
-    harmonic_basis,
-    lattice_ellipse,
-    patch_positions,
-)
+from element_domain import harmonic_basis, patch_positions
+
+from holosim import ArrayGeometry, lattice_ellipse
+from holosim.harness import run_variance_map
 
 # Cardinalities pinned by brute-force enumeration of integer pairs inside
 # the propagating disk (with half-wavelength aliasing folded in).
@@ -52,7 +50,7 @@ def loop_lattice(geometry):
 
 def cell_set(lattice):
     """The lattice's cells as a set of ``(lx, ly)`` tuples."""
-    return set(map(tuple, lattice.cells.tolist()))
+    return set(map(tuple, lattice.tolist()))
 
 
 def small_geometries():
@@ -79,6 +77,8 @@ class TestArrayGeometry:
             {"n_h": 2, "n_v": -1, "spacing": 0.5},
             {"n_h": 2, "n_v": 2, "spacing": 0.0},
             {"n_h": 10**400, "n_v": 2, "spacing": 0.5},
+            {"n_h": 2, "n_v": 2, "spacing": "0.5"},
+            {"n_h": 2, "n_v": 2, "spacing": 1 + 0j},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -99,6 +99,18 @@ class TestArrayGeometry:
     def test_rejects_booleans(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             ArrayGeometry(**kwargs)
+
+    @pytest.mark.parametrize(
+        "spacing", [np.float32(1 / 3), Fraction(1, 3)], ids=["float32", "fraction"]
+    )
+    def test_a_real_spacing_is_stored_as_a_float(self, spacing, tmp_path):
+        # The spacing goes into the CSV's JSON config line, after the whole
+        # map is computed; JSON takes a float but not a NumPy scalar or Fraction.
+        geometry = ArrayGeometry(6, 6, spacing)
+        assert type(geometry.spacing) is float and geometry.spacing == float(spacing)
+        vmap = run_variance_map(geometry, tmp_path / "map.csv")
+        lines = (tmp_path / "map.csv").read_text().splitlines()
+        assert lines[0].startswith("# config ") and len(lines) == 2 + len(vmap.lattice)
 
     @pytest.mark.parametrize("spacing", [math.inf, 1e308], ids=["inf", "overflowing-length"])
     def test_rejects_non_finite_spacing_or_lengths(self, spacing):
@@ -133,23 +145,23 @@ class TestLatticeEllipse:
     @pytest.mark.parametrize("n_h, n_v, spacing, expected", FROZEN_CARDINALITIES)
     def test_frozen_cardinalities(self, n_h, n_v, spacing, expected):
         lattice = lattice_ellipse(ArrayGeometry(n_h, n_v, spacing))
-        assert len(lattice.cells) == expected
+        assert len(lattice) == expected
 
     def test_cardinality_tracks_disk_area(self):
         lattice = lattice_ellipse(ArrayGeometry(12, 12, 1 / 3))
-        assert abs(len(lattice.cells) - math.floor(math.pi * 16)) <= 2
+        assert abs(len(lattice) - math.floor(math.pi * 16)) <= 2
 
     def test_cardinality_quadruples_when_aperture_doubles(self):
         pairs = [((12, 1 / 3), (24, 1 / 3)), ((30, 1 / 3), (60, 1 / 3))]
         for (side_a, d), (side_b, _) in pairs:
-            small = len(lattice_ellipse(ArrayGeometry(side_a, side_a, d)).cells)
-            large = len(lattice_ellipse(ArrayGeometry(side_b, side_b, d)).cells)
+            small = len(lattice_ellipse(ArrayGeometry(side_a, side_a, d)))
+            large = len(lattice_ellipse(ArrayGeometry(side_b, side_b, d)))
             assert 3.5 <= large / small <= 4.5
 
     def test_patch_count_covers_cell_count(self):
         for geometry in small_geometries():
             lattice = lattice_ellipse(geometry)
-            assert geometry.num_patches >= len(lattice.cells)
+            assert geometry.num_patches >= len(lattice)
 
     def test_half_wavelength_aliases_keep_one_representative(self):
         # At half-wavelength pitch the two rim cells on each axis sample the
@@ -179,7 +191,11 @@ class TestLatticeEllipse:
     @settings(max_examples=50, deadline=None)
     def test_members_match_disk_inequality(self, n_h, n_v, spacing):
         geometry = ArrayGeometry(n_h, n_v, spacing)
-        cells = cell_set(lattice_ellipse(geometry))
+        lattice = lattice_ellipse(geometry)
+        cells = cell_set(lattice)
+        assert lattice.shape == (len(cells), 2)  # distinct rows
+        assert lattice.dtype == np.int64
+        assert not lattice.flags.writeable
 
         def level(lx, ly):
             return (lx / geometry.length_x) ** 2 + (ly / geometry.length_y) ** 2
@@ -200,20 +216,12 @@ class TestLatticeEllipse:
     )
     def test_cells_and_order_match_a_loop_enumeration(self, n_h, n_v, spacing):
         geometry = ArrayGeometry(n_h, n_v, spacing)
-        cells = lattice_ellipse(geometry).cells.tolist()
+        cells = lattice_ellipse(geometry).tolist()
         assert tuple(map(tuple, cells)) == loop_lattice(geometry)
-
-    def test_rejects_duplicate_cells(self):
-        with pytest.raises(ValueError):
-            WavenumberLattice(cells=((0, 0), (0, 0)))
-
-    def test_rejects_duplicate_rows_of_an_array(self):
-        with pytest.raises(ValueError, match="distinct"):
-            WavenumberLattice(cells=np.array([[1, 0], [0, 1], [1, 0]]))
 
     def test_cells_are_a_read_only_int64_index_array(self):
         geometry = ArrayGeometry(7, 5, 0.37)
-        cells = lattice_ellipse(geometry).cells
+        cells = lattice_ellipse(geometry)
         expected = loop_lattice(geometry)
         assert cells.dtype == np.int64
         assert cells.shape == (len(expected), 2)
@@ -222,32 +230,18 @@ class TestLatticeEllipse:
         with pytest.raises(ValueError):
             cells[0, 0] = 99
 
-    def test_lattice_from_a_list_of_pairs_equals_the_enumerated_one(self):
-        enumerated = lattice_ellipse(ArrayGeometry(12, 12, 1 / 3))
-        rebuilt = WavenumberLattice(cells=[tuple(cell) for cell in enumerated.cells.tolist()])
-        np.testing.assert_array_equal(rebuilt.cells, enumerated.cells)
-        assert rebuilt.cells.dtype == np.int64
-        assert not rebuilt.cells.flags.writeable
-
-    def test_lattice_keeps_its_own_copy_of_an_array(self):
-        source = np.array([[0, 0], [1, 0]])
-        lattice = WavenumberLattice(cells=source)
-        source[1, 0] = 5
-        np.testing.assert_array_equal(lattice.cells, [[0, 0], [1, 0]])
-        assert source.flags.writeable
-
 
 class TestHarmonicBasis:
     def test_center_cell_gives_constant_column(self):
         geometry = ArrayGeometry(5, 4, 0.3)
-        basis = harmonic_basis(geometry, WavenumberLattice(cells=((0, 0),)))
+        basis = harmonic_basis(geometry, np.array([[0, 0]]))
         np.testing.assert_allclose(
             basis[:, 0], np.full(20, 1 / math.sqrt(20)), atol=1e-15
         )
 
     def test_distinct_cells_give_orthogonal_columns(self):
         geometry = ArrayGeometry(4, 4, 1 / 2)
-        basis = harmonic_basis(geometry, WavenumberLattice(cells=((1, 0), (2, 0))))
+        basis = harmonic_basis(geometry, np.array([[1, 0], [2, 0]]))
         inner = np.vdot(basis[:, 0], basis[:, 1])
         assert abs(inner) < 1e-12
         np.testing.assert_allclose(
@@ -260,7 +254,7 @@ class TestHarmonicBasis:
             lattice = lattice_ellipse(geometry)
             basis = harmonic_basis(geometry, lattice, receive=receive)
             gram = basis.conj().T @ basis
-            deviation = np.abs(gram - np.eye(len(lattice.cells))).max()
+            deviation = np.abs(gram - np.eye(len(lattice))).max()
             assert deviation < 1e-10
 
     def test_receive_basis_conjugates_the_transmit_one(self):
@@ -270,26 +264,14 @@ class TestHarmonicBasis:
         rx = harmonic_basis(geometry, lattice, receive=True)
         np.testing.assert_allclose(rx, tx.conj(), atol=1e-15)
 
-    def test_origin_shift_only_rotates_column_phases(self):
-        geometry = ArrayGeometry(6, 6, 1 / 3)
-        lattice = lattice_ellipse(geometry)
-        base = harmonic_basis(geometry, lattice)
-        shifted = harmonic_basis(geometry, lattice, origin=(25.0, 10.0, -3.5))
-        np.testing.assert_allclose(np.abs(shifted), np.abs(base), atol=1e-12)
-        ratio = shifted / base
-        np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-10)
-        np.testing.assert_allclose(
-            ratio, np.broadcast_to(ratio[0:1, :], ratio.shape), atol=1e-9
-        )  # one phase per column
-
     def test_rejects_cell_outside_propagating_disk(self):
         geometry = ArrayGeometry(12, 12, 1 / 3)
         with pytest.raises(ValueError, match="do not match"):
-            harmonic_basis(geometry, WavenumberLattice(cells=((9, 0),)))
+            harmonic_basis(geometry, np.array([[9, 0]]))
 
     def test_mismatch_names_the_first_outside_cell(self):
         geometry = ArrayGeometry(12, 12, 1 / 3)
-        lattice = WavenumberLattice(cells=((0, 0), (0, 9), (9, 0)))
+        lattice = np.array([[0, 0], [0, 9], [9, 0]])
         with pytest.raises(ValueError, match=r"cell \(0, 9\) lies outside"):
             harmonic_basis(geometry, lattice)
 
@@ -299,4 +281,4 @@ class TestHarmonicBasis:
         basis = harmonic_basis(geometry, lattice)
         assert isinstance(basis, np.ndarray)
         assert basis.dtype == complex
-        assert basis.shape == (geometry.num_patches, len(lattice.cells))
+        assert basis.shape == (geometry.num_patches, len(lattice))

@@ -371,9 +371,9 @@ class TestSeparableFactors:
 
     def test_user_blocks_are_identical(self, rx_map_small, tx_map_medium):
         rx, tx = harness._sigma(factor_scenario(3))
-        n_r = len(rx_map_small.lattice.cells)
+        n_r = len(rx_map_small.lattice)
         assert rx.shape == (3 * n_r,)
-        assert tx.shape == (len(tx_map_medium.lattice.cells),)
+        assert tx.shape == (len(tx_map_medium.lattice),)
         np.testing.assert_array_equal(rx[:n_r], rx[n_r : 2 * n_r])
         np.testing.assert_array_equal(rx[:n_r], rx[2 * n_r :])
 
@@ -406,7 +406,7 @@ class TestColumnWriter:
         results = run_se_sim(config, out, include_theory=True)
         rx_map = variance_map(config.rx)
         sigma = np.tile(rx_map.normalized_sigma, 2), variance_map(config.tx).normalized_sigma
-        per_user = len(rx_map.lattice.cells)
+        per_user = len(rx_map.lattice)
         rows = []
         for scheme, fn, tag in (
             ("MRT", mrt_theoretical_bound, "MRT-BOUND"),
@@ -452,7 +452,7 @@ class TestRunners:
         vmap = run_variance_map(ArrayGeometry(6, 6, 1 / 3), out)
         header, rows = read_csv(out)
         assert header == ["lx", "ly", "raw", "sigma", "config_hash"]
-        assert len(rows) == len(vmap.lattice.cells) == 13
+        assert len(rows) == len(vmap.lattice) == 13
         hashes = {row[-1] for row in rows}
         assert len(hashes) == 1
         assert len(hashes.pop()) == 12

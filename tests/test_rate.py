@@ -248,9 +248,12 @@ class TestSimulatedSE:
                 for seed in (9, np.int64(9))]
         np.testing.assert_array_equal(runs[0].per_stream, runs[1].per_stream)
 
-    @pytest.mark.parametrize("grid", [[], [0.0, math.nan], [math.inf]], ids=["empty", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "grid", [[], [0.0, math.nan], [math.inf], [[0.0, 10.0]]], ids=["empty", "nan", "inf", "2-d"]
+    )
     def test_rejects_an_empty_or_non_finite_snr_grid(self, grid, count_calls):
-        # Unchecked, each returns a result (SE 0 at a non-finite point).
+        # Unchecked, each returns a result (SE 0 at a non-finite point) or,
+        # for a 2-D grid, a bare TypeError from the float conversion.
         draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match="snr"):
             simulated_se(*uniform_sigma(2, 5), "mrt", grid, trials=2, seed=0)
