@@ -33,6 +33,7 @@ from .rate import (
     SEResult,
     _canonical_scheme,
     _simulate,
+    _snr_grid,
     mrt_theoretical_bound,
     zf_theoretical,
 )
@@ -92,11 +93,7 @@ class ScenarioConfig:
             value = getattr(self, field)
             if type(value) is not int or value < least:
                 raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
-        grid = tuple(float(v) for v in self.snr_grid_db)
-        if not grid:
-            raise ValueError("snr grid must be nonempty")
-        if not all(math.isfinite(v) for v in grid):
-            raise ValueError(f"invalid value for snr: {grid!r} (must be finite)")
+        grid = tuple(_snr_grid(self.snr_grid_db).tolist())
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)

@@ -187,6 +187,18 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="invalid value for snr"):
             ScenarioConfig(tx=self.GEOM, rx=self.GEOM, snr_grid_db=(0.0, float("nan")))
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["05", [True, 10.0], np.array([False, True]), [[0.0, 10.0]], [[0.0], [5.0, 10.0]],
+         ["0", "10"]],
+        ids=["string", "bool-entry", "bool-array", "nested", "ragged", "string-entries"],
+    )
+    def test_rejects_a_string_bool_or_nested_snr_grid(self, grid):
+        # Unchecked, "05" read as (0.0, 5.0), True as 1 dB, and a nested
+        # grid failed with a bare TypeError.
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, snr_grid_db=grid)
+
     @pytest.mark.parametrize("field", ["users", "trials", "seed", "ns_iterations"])
     def test_rejects_booleans(self, field):
         with pytest.raises(ValueError, match=f"invalid value for {field}: True"):
