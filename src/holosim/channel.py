@@ -11,9 +11,14 @@ from them in real arithmetic, never holding the complex matrix.  The
 correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries;
 its zeros up to the element-domain dimension are left to the CSV writer.
+:func:`_real_vector` reads every number the package takes from outside.
 """
 
 from __future__ import annotations
+
+import contextlib
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -23,12 +28,34 @@ __all__ = [
 ]
 
 
+def _real_vector(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty, finite 1-D float array; a number is one entry.
+
+    No entry may be a ``bool`` or a string (``"05"`` is not two points); a
+    caller of one number passes ``[value]``, so a vector fails as 2-D.  An
+    integer or float NumPy array is read on its dtype, without a loop.
+    """
+    entries = np.atleast_1d(values if isinstance(values, np.ndarray)
+                            else np.asarray(values, dtype=object))
+    if entries.dtype == object and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                       for v in entries.flat):
+        with contextlib.suppress(OverflowError):  # an int past the float range is not finite
+            entries = entries.astype(float)
+    if entries.dtype.kind in "iuf" and entries.ndim == 1 and entries.size:
+        vector = entries.astype(float, copy=False)
+        if np.isfinite(vector).all():
+            return vector
+    raise ValueError(f"invalid value for {name}: {reprlib.repr(values)} "
+                     "(must be a finite real number or a nonempty 1-D vector of them)")
+
+
 def _factors(rx_sigma, tx_sigma) -> tuple[np.ndarray, np.ndarray]:
-    """The two scale vectors as floats; each must be 1-D, nonempty, finite and nonnegative."""
-    factors = np.asarray(rx_sigma, dtype=float), np.asarray(tx_sigma, dtype=float)
-    for name, vector in zip(("rx_sigma", "tx_sigma"), factors):
-        if vector.ndim != 1 or not vector.size or not 0.0 <= vector.min() <= vector.max() < np.inf:
-            raise ValueError(f"{name} must be a nonempty vector of finite nonnegative values")
+    """The two scale vectors as read by :func:`_real_vector`, each a vector and nonnegative."""
+    factors = _real_vector(rx_sigma, "rx_sigma"), _real_vector(tx_sigma, "tx_sigma")
+    for name, values, vector in zip(("rx_sigma", "tx_sigma"), (rx_sigma, tx_sigma), factors):
+        if vector.min() < 0.0 or np.ndim(values) == 0:
+            raise ValueError(f"invalid value for {name}: {reprlib.repr(values)} "
+                             "(must be a vector of nonnegative numbers)")
     return factors
 
 
@@ -83,7 +110,7 @@ def draw_wavenumber_channel(rx_sigma, tx_sigma, seed) -> np.ndarray:
         receive cell, one column per transmit cell.
 
     Raises:
-        ValueError: Unless each factor is a nonempty, finite, nonnegative vector.
+        ValueError: Naming a factor that is not a vector of finite nonnegative numbers.
     """
     parts = _draw_parts(*_factors(rx_sigma, tx_sigma), seed)
     return parts[0] + 1j * parts[1]
@@ -105,7 +132,7 @@ def correlation_eigenvalues(rx_sigma, tx_sigma) -> np.ndarray:
         The ``rx_sigma.size * tx_sigma.size`` products, nonincreasing.
 
     Raises:
-        ValueError: Unless each factor is a nonempty, finite, nonnegative vector.
+        ValueError: Naming a factor that is not a vector of finite nonnegative numbers.
     """
     rx, tx = _factors(rx_sigma, tx_sigma)
     return np.sort(np.outer(rx**2, tx**2).ravel())[::-1]

@@ -27,16 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import correlation_eigenvalues
+from .channel import _real_vector, correlation_eigenvalues
 from .geometry import ArrayGeometry
-from .rate import (
-    SEResult,
-    _canonical_scheme,
-    _simulate,
-    _snr_grid,
-    mrt_theoretical_bound,
-    zf_theoretical,
-)
+from .rate import SEResult, _canonical_scheme, _simulate, mrt_theoretical_bound, zf_theoretical
 from .spectrum import VarianceMap, variance_map
 
 __all__ = [
@@ -93,7 +86,7 @@ class ScenarioConfig:
             value = getattr(self, field)
             if type(value) is not int or value < least:
                 raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
-        grid = tuple(_snr_grid(self.snr_grid_db).tolist())
+        grid = tuple(_real_vector(self.snr_grid_db, "snr").tolist())
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -125,24 +118,21 @@ def _parse_spacing(value, field: str) -> float:
     return spacing
 
 
-def _parse_snr(value, field: str = "snr") -> tuple[float, ...]:
-    """Parse an SNR grid given as ``a:b:step``, a comma list or a sequence."""
-    text = str(value).strip()
+def _parse_snr(value):
+    """Parse an SNR grid given as ``a:b:step`` or a comma list; return any non-string as given."""
+    if not isinstance(value, str):
+        return value
     try:
-        if isinstance(value, (list, tuple, np.ndarray)):
-            if any(isinstance(v, (bool, np.bool_)) for v in value):
-                raise ValueError
-            return tuple(float(v) for v in value)
-        if ":" in text:
-            lo_s, hi_s, step_s = text.split(":")
+        if ":" in value:
+            lo_s, hi_s, step_s = value.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
             if step <= 0.0:
                 raise ValueError
             count = int(math.floor((hi - lo) / step + 1e-9)) + 1
             return tuple(lo + k * step for k in range(count))
-        return tuple(float(v) for v in text.split(","))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"invalid value for {field}: {value!r}") from exc
+        return tuple(float(v) for v in value.split(","))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid value for snr: {value!r}") from exc
 
 
 def _parse_int(value, field: str) -> int:
@@ -487,7 +477,8 @@ def preset_jobs(
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    if not 0.0 < scale < math.inf:
+    scale = _real_vector([scale], "scale").item()
+    if not scale > 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     overrides = {"trials": trials, "seed": seed}
     overrides = {key: value for key, value in overrides.items() if value is not None}

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _real_vector
+
 __all__ = [
     "SingularChannelError",
     "mrt",
@@ -229,10 +231,11 @@ def mmse(h_a: np.ndarray, snr: float) -> np.ndarray:
         The unit-norm ``(N, K)`` precoder.
 
     Raises:
-        ValueError: If ``snr`` is not positive and finite or the channel
-            is all zero.
+        ValueError: If ``snr`` is not a number, not positive and finite, or
+            the channel is all zero.
     """
-    if not 0.0 < snr < np.inf:
+    snr = _real_vector([snr], "snr").item()
+    if not snr > 0.0:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     streams = h_a.shape[0]
     return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, streams))

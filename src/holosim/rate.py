@@ -24,7 +24,6 @@ power as one ``(streams, powers)`` table.
 from __future__ import annotations
 
 import math
-import numbers
 import queue
 import threading
 import warnings
@@ -32,19 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _draw_parts, _factors, _gram
-from .precoding import (
-    SingularChannelError,
-    _active_block,
-    _check_order,
-    _coupled_powers,
-    _mmse_core,
-    _mrt_core,
-    _ns_zf_core,
-    _require_cells,
-    _spectrum,
-    _zf_core,
-)
+from .channel import _draw_parts, _factors, _gram, _real_vector
+from .precoding import (SingularChannelError, _active_block, _check_order, _coupled_powers,
+                        _mmse_core, _mrt_core, _ns_zf_core, _require_cells, _spectrum, _zf_core)
 
 __all__ = [
     "SEResult",
@@ -87,7 +76,8 @@ class SEResult:
     def __post_init__(self) -> None:
         per_stream = np.asarray(self.per_stream, dtype=float)
         object.__setattr__(self, "per_stream", per_stream)
-        object.__setattr__(self, "snr_grid_db", tuple(float(v) for v in self.snr_grid_db))
+        grid = tuple(_real_vector(self.snr_grid_db, "snr_grid_db").tolist())
+        object.__setattr__(self, "snr_grid_db", grid)
         if per_stream.ndim != 2 or per_stream.shape[1] != len(self.snr_grid_db):
             raise ValueError("per_stream must be streams x snr_points")
         if np.any(per_stream < 0.0):
@@ -139,12 +129,14 @@ def per_stream_sinr(
         Vector of per-stream SINRs.
 
     Raises:
-        ValueError: On nonpositive or non-finite power, negative or
-            non-finite noise variance, or mismatched dimensions.
+        ValueError: Naming the input, on a power or noise variance that is
+            not a number, out of range or non-finite, or mismatched dimensions.
     """
-    if not 0.0 < p_u < math.inf:
+    p_u = _real_vector([p_u], "p_u").item()
+    noise_var = _real_vector([noise_var], "noise_var").item()
+    if not p_u > 0.0:
         raise ValueError(f"p_u must be positive and finite, got {p_u!r}")
-    if not 0.0 <= noise_var < math.inf:
+    if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
     if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
         raise ValueError(
@@ -181,24 +173,6 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
         power[:, rows["NS-ZF"]] = series_powers[..., None]
         rejected[rows["NS-ZF"]] = ~np.all(scale_sq > 0.0, axis=1)
     return active, power, rejected
-
-
-def _snr_grid(snr_grid_db) -> np.ndarray:
-    """The SNR grid in dB as a nonempty, finite 1-D float array.
-
-    Every entry must be a real number other than a ``bool``: a string such
-    as ``"05"`` is not two points, and ``True`` is not 1 dB.
-    """
-    entries = np.atleast_1d(np.asarray(snr_grid_db, dtype=object))
-    if entries.ndim == 1 and entries.size and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries
-    ):
-        values = entries.astype(float)
-        if np.isfinite(values).all():
-            return values
-    raise ValueError(
-        f"invalid value for snr: {snr_grid_db!r} (must be a nonempty, finite 1-D grid of numbers)"
-    )
 
 
 def _prefetch(rx: np.ndarray, tx: np.ndarray, seed, requests, draws) -> None:
@@ -243,7 +217,7 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
         _require_cells(live, tx_live & rx_live.any())
-    values = _snr_grid(snr_grid_db)
+    values = _real_vector(snr_grid_db, "snr")
     grid = tuple(values.tolist())
     snr = 10.0 ** (values / 10.0)
     streams = rx.size
@@ -342,26 +316,27 @@ def simulated_se(
     Raises:
         ValueError: On an unknown scheme, a trial count that is not an
             integer of at least 1, a seed that is not a nonnegative integer,
-            malformed scale factors, an empty, non-finite or 2-D SNR grid, an
-            NS-ZF series order that is not a nonnegative ``int``, or, for
-            ZF and NS-ZF, more active streams than transmit cells; always
-            before any draw.
+            malformed scale factors, an SNR grid that is not a number or a
+            nonempty 1-D vector of finite numbers, an NS-ZF series order
+            that is not a nonnegative ``int``, or, for ZF and NS-ZF, more
+            active streams than transmit cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
     return _simulate(rx_sigma, tx_sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed)[0]
 
 
-def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple[np.ndarray, ...]:
+def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple:
     rx, tx = _factors(rx_sigma, tx_sigma)
-    powers = np.atleast_1d(np.asarray(p_u, dtype=float))
+    powers = _real_vector(p_u, "p_u")
+    noise_var = _real_vector([noise_var], "noise_var").item()
     if not np.any(rx > 0.0):
         raise ValueError("rx_sigma has no live stream")
     if not np.any(tx > 0.0):
         raise ValueError("tx_sigma has no live cell")
-    if not (np.all((powers > 0.0) & (powers < np.inf)) and 0.0 < noise_var < math.inf):
+    if not (np.all(powers > 0.0) and noise_var > 0.0):
         raise ValueError("p_u and noise_var must be positive and finite")
-    return rx, tx, powers
+    return rx, tx, powers, noise_var
 
 
 def _log2_1p(ratio: np.ndarray) -> np.ndarray:
@@ -410,11 +385,12 @@ def mrt_theoretical_bound(
         Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
 
     Raises:
-        ValueError: On malformed scale factors, a power or noise variance
-            that is not positive and finite, no live stream, or too few
-            live transmit cells.
+        ValueError: On malformed scale factors, a power that is not a number
+            or a nonempty 1-D vector of numbers, a noise variance that is not
+            a number, a power or noise variance that is not positive and
+            finite, no live stream, or too few live transmit cells.
     """
-    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    rx, tx, p_u, noise_var = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     if np.count_nonzero(tx > 0.0) <= 2:
         raise ValueError("the closed form requires more than two live transmit cells")
     own = (rx**2)[:, None]
@@ -450,11 +426,10 @@ def zf_theoretical(
 
     Raises:
         ValueError: If no stream or no transmit cell is live, if more
-            streams than transmit cells are live, on malformed scale
-            factors, or on a power or noise variance that is not positive
-            and finite.
+            streams than transmit cells are live, or on the inputs that
+            :func:`mrt_theoretical_bound` rejects.
     """
-    rx, tx, p_u = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    rx, tx, p_u, noise_var = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
     active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
     avg_tx = float(np.sum(tx**2)) / active_cells
     ratio = (

@@ -146,12 +146,16 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="invalid value for snr"):
             parse_config(snr=snr)
 
-    @pytest.mark.parametrize("snr", [[True, 10], [0, None]], ids=["boolean", "null"])
+    @pytest.mark.parametrize("snr", [[True, 10], [0, None], ["0", "10"]],
+                             ids=["boolean", "null", "strings"])
     def test_json_snr_list_holds_only_numbers(self, tmp_path, snr):
         settings = tmp_path / "scenario.json"
         settings.write_text(json.dumps({"snr": snr}))
         with pytest.raises(ValueError, match="invalid value for snr"):
             parse_config(str(settings))
+        # The same list given as a flag; unchecked, strings read as floats.
+        with pytest.raises(ValueError, match="invalid value for snr"):
+            parse_config(snr=snr)
 
     def test_json_nan_snr_point_is_rejected(self, tmp_path):
         settings = tmp_path / "scenario.json"
@@ -267,6 +271,10 @@ class TestPresetJobs:
             preset_jobs("fig9")
         with pytest.raises(ValueError, match="scale"):
             preset_jobs("fig3", scale=0.0)
+        # Unchecked, True ran at native size and a string failed with a bare TypeError.
+        for scale in (True, "0.5"):
+            with pytest.raises(ValueError, match="invalid value for scale"):
+                preset_jobs("fig8", scale=scale)
 
     def test_spectrum_family_sweeps_receive_spacing(self, tmp_path, monkeypatch):
         calls = []
@@ -823,7 +831,7 @@ class TestCLI:
         status = main(["preset", "fig8", "--scale", scale, "--trials", "2",
                        "--out", str(tmp_path)])
         assert status == 1
-        assert "scale must be positive and finite, got" in capsys.readouterr().err
+        assert f"invalid value for scale: [{scale}]" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_name_is_a_usage_error(self, tmp_path):

@@ -156,6 +156,10 @@ class TestMMSE:
             mmse(h_a, snr=-3.0)
         with pytest.raises(ValueError, match="snr"):
             mmse(h_a, snr=math.inf)
+        # Unchecked, True ran at SNR 1 and a string failed with a bare TypeError.
+        for snr in (True, "10", [10.0]):
+            with pytest.raises(ValueError, match="invalid value for snr"):
+                mmse(h_a, snr)
 
 
 class TestNeumannInverse:

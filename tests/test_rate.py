@@ -2,9 +2,11 @@
 
 import inspect
 import math
+import numbers
 import sys
 import threading
 import time
+import types
 import warnings
 import weakref
 
@@ -94,10 +96,13 @@ class TestPerStreamSINR:
             per_stream_sinr(h_a, v, p_u=0.0, noise_var=1.0)
         with pytest.raises(ValueError):
             per_stream_sinr(h_a, v, p_u=1.0, noise_var=-0.1)
-        # Unchecked, a non-finite power or noise reads as SINR 0 on every stream.
+        # Unchecked, a non-finite power or noise reads as SINR 0 on every
+        # stream, True reads as 1, and a string fails with a bare TypeError.
         for p_u, noise_var, name in [(math.inf, 1.0, "p_u"), (1.0, math.inf, "noise_var"),
-                                     (1.0, math.nan, "noise_var")]:
-            with pytest.raises(ValueError, match=f"{name} must be"):
+                                     (1.0, math.nan, "noise_var"), (True, 1.0, "p_u"),
+                                     (1.0, True, "noise_var"), ("2", 1.0, "p_u"),
+                                     ([2.0], 1.0, "p_u")]:
+            with pytest.raises(ValueError, match=f"invalid value for {name}"):
                 per_stream_sinr(h_a, v, p_u, noise_var)
         other = draw_wavenumber_channel(*uniform_sigma(3, 4), 0)
         with pytest.raises(ValueError, match="disagree"):
@@ -127,6 +132,10 @@ class TestSEResult:
                 snr_grid_db=(0.0,),
                 scheme="MRT",
             )
+        # Unchecked, "05" read as the grid (0.0, 5.0) and "5" as 5 dB.
+        for grid in ("05", ("5",)):
+            with pytest.raises(ValueError, match="invalid value for snr_grid_db"):
+                SEResult(per_stream=np.ones((1, 2)), trials=1, snr_grid_db=grid, scheme="MRT")
 
 
 class TestSimulatedSE:
@@ -623,10 +632,22 @@ class TestTheoryTable:
             # Unchecked, an infinite power gives inf (ZF) or an invalid
             # divide (MRT), and an infinite noise variance gives SE 0.
             *(
-                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), "positive and finite")
+                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), f"invalid value for {name}")
                 for scheme in ("MRT", "ZF")
-                for p_u, noise_var in [(math.inf, 1.0), ([1.0, math.inf], 1.0),
-                                       (1.0, math.inf), (1.0, math.nan)]
+                for p_u, noise_var, name in [(math.inf, 1.0, "p_u"), ([1.0, math.inf], 1.0, "p_u"),
+                                             (1.0, math.inf, "noise_var"),
+                                             (1.0, math.nan, "noise_var")]
+            ),
+            # Unchecked, a string or a bool read as a float, a 2-D power
+            # gave stream i the power p_u[i], and an empty one an empty table.
+            *(
+                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), f"invalid value for {name}")
+                for scheme in ("MRT", "ZF")
+                for p_u, noise_var, name in [
+                    ("10", 1.0, "p_u"), (["1", "10"], 1.0, "p_u"), ([[1.0], [2.0]], 1.0, "p_u"),
+                    (True, 1.0, "p_u"), ([], 1.0, "p_u"),
+                    (1.0, True, "noise_var"), (1.0, "1", "noise_var"), (1.0, [1.0], "noise_var"),
+                ]
             ),
         ],
     )
@@ -728,14 +749,40 @@ class TestFactorCheck:
             (np.ones(2), np.ones((4, 1)), "tx_sigma"),
             (np.ones(2), [], "tx_sigma"),
             ([], np.ones(4), "rx_sigma"),
+            # Unchecked, a bool read as 1 or 0 and a string as its float; a
+            # None entry (read as NaN) and a scalar were already rejected.
+            ([True, False], np.ones(4), "rx_sigma"),
+            (np.ones(2), np.array([True, False, True, True]), "tx_sigma"),
+            (["1", "0.5"], np.ones(4), "rx_sigma"),
+            (np.ones(2), [1.0, None, 1.0, 1.0], "tx_sigma"),
+            (1.0, np.ones(4), "rx_sigma"),
         ],
-        ids=["nan", "inf", "negative", "2-D-rx", "2-D-tx", "empty-tx", "empty-rx"],
+        ids=["nan", "inf", "negative", "2-D-rx", "2-D-tx", "empty-tx", "empty-rx", "bool-list",
+             "bool-array", "string-entries", "none-entry", "scalar"],
     )
     def test_rejects_malformed_factors_before_any_draw(self, entry, rx, tx, name, count_calls):
         draws = count_calls(rate, "_draw_parts")
-        with pytest.raises(ValueError, match=f"{name} must be a nonempty vector"):
+        workers = count_calls(rate, "_prefetch")
+        with pytest.raises(ValueError, match=f"invalid value for {name}"):
             ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
-        assert draws == []
+        assert draws == [] and workers == []
+
+    def test_a_numeric_array_is_read_on_its_dtype(self, monkeypatch):
+        # Each entry of a list is checked in Python; an array's are not.
+        checked = []
+
+        class Counting(type):
+            def __instancecheck__(cls, value):
+                checked.append(value)
+                return isinstance(value, numbers.Real)
+
+        real = Counting("Real", (), {})
+        monkeypatch.setattr("holosim.channel.numbers", types.SimpleNamespace(Real=real))
+        from_arrays = correlation_eigenvalues(np.arange(1.0, 3.0), np.arange(1, 5))
+        assert checked == []
+        from_lists = correlation_eigenvalues([1.0, 2.0], np.arange(1, 5))
+        assert checked == [1.0, 2.0]
+        np.testing.assert_array_equal(from_arrays, from_lists)
 
     @pytest.mark.parametrize("entry", ENSEMBLE_ENTRY_POINTS)
     def test_a_list_of_floats_is_its_array(self, entry):
