@@ -39,8 +39,6 @@ from .rate import (
 )
 from .spectrum import (
     VarianceMap,
-    cell_variance,
-    hemisphere_total,
     variance_map,
 )
 
@@ -50,8 +48,6 @@ __all__ = [
     "ArrayGeometry",
     "lattice_ellipse",
     "VarianceMap",
-    "cell_variance",
-    "hemisphere_total",
     "variance_map",
     "draw_wavenumber_channel",
     "correlation_eigenvalues",

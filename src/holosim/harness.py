@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _DEFAULT_SNR = tuple(float(v) for v in range(-10, 31, 5))
+_MAX_SNR_POINTS = 10_001
 _NS_ORDERS = (2, 3, 4, 7)
 _SETTING_KEYS = ("ns", "nr", "delta_s", "delta_r", "users", "snr", "trials", "seed", "scheme",
                  "iters")
@@ -119,20 +120,25 @@ def _parse_spacing(value, field: str) -> float:
 
 
 def _parse_snr(value):
-    """Parse an SNR grid given as ``a:b:step`` or a comma list; return any non-string as given."""
+    """Parse an SNR grid given as ``a:b:step`` or a comma list; return any non-string as given.
+
+    A range is counted before it is built: an empty one, or one of more than
+    ``_MAX_SNR_POINTS`` points, is an error naming the input.
+    """
     if not isinstance(value, str):
         return value
     try:
-        if ":" in value:
-            lo_s, hi_s, step_s = value.split(":")
-            lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0.0:
-                raise ValueError
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            return tuple(lo + k * step for k in range(count))
-        return tuple(float(v) for v in value.split(","))
+        if ":" not in value:
+            return tuple(float(v) for v in value.split(","))
+        lo, hi, step = (float(part) for part in value.split(":"))
+        if not step > 0.0:
+            raise ValueError
+        count = math.floor((hi - lo) / step + 1e-9) + 1
+        if not 1 <= count <= _MAX_SNR_POINTS:
+            raise ValueError
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"invalid value for snr: {value!r}") from exc
+    return tuple(lo + k * step for k in range(count))
 
 
 def _parse_int(value, field: str) -> int:

@@ -52,7 +52,7 @@ _MAX_REDRAWS_PER_TRIAL = 64
 
 @dataclass(frozen=True)
 class SEResult:
-    """Monte Carlo spectral-efficiency estimate over an SNR grid.
+    """Monte Carlo spectral-efficiency estimate over an SNR grid, as the engine builds it.
 
     Attributes:
         per_stream: Real matrix of shape ``(streams, snr_points)`` in
@@ -70,20 +70,8 @@ class SEResult:
     trials: int
     snr_grid_db: tuple[float, ...]
     scheme: str
-    rejections: int = 0
-    per_stream_stderr: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        per_stream = np.asarray(self.per_stream, dtype=float)
-        object.__setattr__(self, "per_stream", per_stream)
-        grid = tuple(_real_vector(self.snr_grid_db, "snr_grid_db").tolist())
-        object.__setattr__(self, "snr_grid_db", grid)
-        if per_stream.ndim != 2 or per_stream.shape[1] != len(self.snr_grid_db):
-            raise ValueError("per_stream must be streams x snr_points")
-        if np.any(per_stream < 0.0):
-            raise ValueError("spectral efficiencies must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+    rejections: int
+    per_stream_stderr: np.ndarray
 
     @property
     def sum_se(self) -> np.ndarray:
@@ -438,6 +426,4 @@ def zf_theoretical(
         * rx[:, None] ** 2
         * avg_tx
     )
-    values = _log2_1p(ratio)
-    values[rx == 0.0] = 0.0
-    return values
+    return _log2_1p(ratio)

@@ -22,14 +22,12 @@ from .geometry import ArrayGeometry, lattice_ellipse
 
 __all__ = [
     "VarianceMap",
-    "cell_variance",
-    "hemisphere_total",
     "variance_map",
 ]
 
 @dataclass(frozen=True)
 class VarianceMap:
-    """Normalized per-cell variance profile of one surface.
+    """Normalized per-cell variance profile of one surface, as :func:`variance_map` builds it.
 
     Attributes:
         lattice: Read-only ``(cells, 2)`` int64 array of the ``(lx, ly)``
@@ -46,18 +44,6 @@ class VarianceMap:
     lattice: np.ndarray
     raw: np.ndarray
     normalized_sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.raw, dtype=float)
-        sigma = np.asarray(self.normalized_sigma, dtype=float)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "normalized_sigma", sigma)
-        if raw.shape != (len(self.lattice),):
-            raise ValueError("raw values must align with the lattice cells")
-        if sigma.shape != raw.shape:
-            raise ValueError("normalized_sigma must align with the lattice cells")
-        if np.any(raw < 0.0):
-            raise ValueError("raw variances must be nonnegative")
 
 
 def _corner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -91,26 +77,20 @@ def _fold(index: np.ndarray) -> np.ndarray:
     return np.where(index < 0, -index - 1, index)
 
 
-def _steps(length_x: float, length_y: float) -> tuple[float, float]:
-    """Cell widths in direction-cosine units, after checking the lengths."""
-    if not (0.0 < length_x < math.inf and 0.0 < length_y < math.inf):
-        raise ValueError("lengths must be positive and finite")
-    return 1.0 / length_x, 1.0 / length_y
-
-
 def _quarter(length_x: float, length_y: float) -> np.ndarray:
     """Cell variances of the first orthant ``0..reach`` of the enumeration rectangle.
 
     The rectangle spans ``-reach..reach`` on each axis, ``reach`` the
     aperture length in wavelengths rounded up, and covers the disk; mirror
     symmetry gives every other cell, so one vectorized pass over this
-    quarter evaluates all of it.
+    quarter evaluates all of it.  The lengths are an ``ArrayGeometry``'s,
+    positive and finite.
     """
-    steps = _steps(length_x, length_y)
     return _first_orthant_mass(
         np.arange(math.ceil(length_x) + 1)[:, None],
         np.arange(math.ceil(length_y) + 1)[None, :],
-        *steps,
+        1.0 / length_x,
+        1.0 / length_y,
     )
 
 
@@ -119,43 +99,6 @@ def _rectangle_total(quarter: np.ndarray) -> float:
     fold_x = _fold(np.arange(-reach_x, reach_x + 1))
     fold_y = _fold(np.arange(-reach_y, reach_y + 1))
     return float(quarter[np.ix_(fold_x, fold_y)].sum())
-
-
-def cell_variance(lx: int, ly: int, length_x: float, length_y: float) -> float:
-    """Coupling variance captured by one wavenumber cell.
-
-    The cell ``(lx, ly)`` covers the transverse-wavenumber rectangle
-    ``[lx, lx+1] / length_x`` by the matching vertical interval.
-    The returned value is the fraction of total hemisphere power whose
-    transverse direction falls inside that rectangle, from the closed-form
-    corner antiderivative, which holds for every cell, including cells on an
-    axis or clipped by the unit circle.  It is the one-cell case of the
-    vectorized pass behind :func:`variance_map`.
-
-    Args:
-        lx: Horizontal integer cell index.
-        ly: Vertical integer cell index.
-        length_x: Horizontal aperture length in wavelengths.
-        length_y: Vertical aperture length in wavelengths.
-
-    Returns:
-        Nonnegative variance; exactly 0 for cells entirely outside the disk.
-
-    Raises:
-        ValueError: On invalid lengths.
-    """
-    steps = _steps(length_x, length_y)
-    return float(_first_orthant_mass(_fold(np.asarray(lx)), _fold(np.asarray(ly)), *steps))
-
-
-def hemisphere_total(length_x: float, length_y: float) -> float:
-    """Sum of cell variances over the full rectangle covering the disk.
-
-    The enumeration rectangle spans the symmetric integer range that covers
-    the unit disk on both axes, so the sum recovers the hemisphere total of
-    one half regardless of aperture shape.
-    """
-    return _rectangle_total(_quarter(length_x, length_y))
 
 
 def variance_map(geometry: ArrayGeometry) -> VarianceMap:

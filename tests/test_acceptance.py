@@ -24,7 +24,6 @@ from holosim import (
     ArrayGeometry,
     correlation_eigenvalues,
     draw_wavenumber_channel,
-    hemisphere_total,
     lattice_ellipse,
     mrt_theoretical_bound,
     simulated_se,
@@ -33,6 +32,7 @@ from holosim import (
     zf_theoretical,
 )
 from holosim.harness import PRESET_NAMES, preset_jobs, run_preset
+from holosim.spectrum import _quarter, _rectangle_total
 
 SNR_GRID = tuple(float(v) for v in range(-10, 31, 5))
 
@@ -51,7 +51,8 @@ class TestHemisphereNormalization:
     @pytest.mark.parametrize("side", [6, 12, 30])
     def test_total_power_is_half(self, side):
         geometry = ArrayGeometry(side, side, 1 / 3)
-        assert abs(hemisphere_total(geometry.length_x, geometry.length_y) - 0.5) <= 1e-6
+        quarter = _quarter(geometry.length_x, geometry.length_y)
+        assert abs(_rectangle_total(quarter) - 0.5) <= 1e-6
 
 
 def preset_geometries():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ class TestParseConfig:
         )
         assert parse_config(snr="0,10,20").snr_grid_db == (0.0, 10.0, 20.0)
         assert parse_config(snr=[-5, 5]).snr_grid_db == (-5.0, 5.0)
+
+    def test_snr_range_is_counted_before_it_is_built(self):
+        # Unchecked, 0:10:1e-300 ran on building about 1e301 points, and
+        # 10:0:5 failed naming the empty tuple instead of the input.
+        cap = harness._MAX_SNR_POINTS
+        assert len(parse_config(snr=f"0:{cap - 1}:1").snr_grid_db) == cap
+        for snr in ["0:10:1e-300", f"0:{cap}:1", "10:0:5", "0:1e308:1e-308"]:
+            with pytest.raises(ValueError, match=re.escape(f"invalid value for snr: {snr!r}")):
+                parse_config(snr=snr)
 
     def test_scheme_lists(self):
         assert parse_config(scheme="mrt,zf").schemes == ("MRT", "ZF")

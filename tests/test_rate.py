@@ -12,10 +12,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from holosim import (
     ArrayGeometry,
-    SEResult,
     SINR_CAP,
     SingularChannelError,
     correlation_eigenvalues,
@@ -109,33 +110,40 @@ class TestPerStreamSINR:
             per_stream_sinr(other, v, p_u=1.0, noise_var=1.0)
 
 
-class TestSEResult:
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            SEResult(
-                per_stream=np.array([[-0.5]]),
-                trials=1,
-                snr_grid_db=(0.0,),
-                scheme="MRT",
-            )
-        with pytest.raises(ValueError, match="trials"):
-            SEResult(
-                per_stream=np.array([[1.0]]),
-                trials=0,
-                snr_grid_db=(0.0,),
-                scheme="MRT",
-            )
-        with pytest.raises(ValueError):
-            SEResult(
-                per_stream=np.array([1.0]),
-                trials=1,
-                snr_grid_db=(0.0,),
-                scheme="MRT",
-            )
-        # Unchecked, "05" read as the grid (0.0, 5.0) and "5" as 5 dB.
-        for grid in ("05", ("5",)):
-            with pytest.raises(ValueError, match="invalid value for snr_grid_db"):
-                SEResult(per_stream=np.ones((1, 2)), trials=1, snr_grid_db=grid, scheme="MRT")
+class TestBuiltResults:
+    # VarianceMap and SEResult are results: their builders, not the types,
+    # keep these invariants.
+    @given(
+        rx=st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1 / 3, 0.5])),
+        tx=st.tuples(st.integers(2, 9), st.integers(2, 9), st.sampled_from([1 / 6, 1 / 3, 0.7])),
+        users=st.integers(1, 3),
+        schemes=st.lists(st.sampled_from(["MRT", "ZF", "MMSE", "NS-ZF"]), min_size=1,
+                         unique=True),
+        grid=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=3),
+        trials=st.integers(1, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_maps_and_estimates_hold_their_documented_invariants(
+        self, rx, tx, users, schemes, grid, trials
+    ):
+        maps = []
+        for geometry in (ArrayGeometry(*rx), ArrayGeometry(*tx)):
+            vmap = variance_map(geometry)
+            assert vmap.raw.shape == vmap.normalized_sigma.shape == (len(vmap.lattice),)
+            assert np.all(vmap.raw >= 0.0) and np.all(vmap.normalized_sigma >= 0.0)
+            power = np.sum(vmap.normalized_sigma**2)
+            assert power == pytest.approx(geometry.num_patches, rel=1e-12)
+            maps.append(vmap.normalized_sigma)
+        rx_sigma, tx_sigma = np.tile(maps[0], users), maps[1]
+        if {"ZF", "NS-ZF"} & set(schemes):
+            assume(np.count_nonzero(rx_sigma) <= np.count_nonzero(tx_sigma))
+        specs = [(scheme, 2) for scheme in schemes]
+        for result in rate._simulate(rx_sigma, tx_sigma, specs, grid, trials, seed=3):
+            for values in (result.per_stream, result.per_stream_stderr):
+                assert values.shape == (rx_sigma.size, len(grid))
+                assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+            assert result.trials == trials
+            assert result.snr_grid_db == tuple(grid)
 
 
 class TestSimulatedSE:

@@ -13,15 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holosim
-from holosim import (
-    ArrayGeometry,
-    VarianceMap,
-    cell_variance,
-    hemisphere_total,
-    lattice_ellipse,
-    spectrum,
-    variance_map,
-)
+from holosim import ArrayGeometry, spectrum, variance_map
 from holosim.spectrum import _quarter, _rectangle_total
 
 # Central-cell value for a 4-wavelength square aperture, pinned by the
@@ -54,7 +46,7 @@ def spherical_estimate(lx, ly, length, samples=10**7, seed=0):
 
 @functools.lru_cache(maxsize=None)
 def oracle_cell_variance(lx, ly, length_x, length_y):
-    """High-precision reference for :func:`cell_variance`, by mpmath quadrature.
+    """High-precision reference for one cell's variance, by mpmath quadrature.
 
     After reflecting the cell's box (the same floating-point bounds the
     library forms) into the first orthant as ``[a, b] x [c, d]``, the
@@ -89,44 +81,46 @@ def oracle_cell_variance(lx, ly, length_x, length_y):
         return float(mpmath.quad(inner, knots) / (4 * mpmath.pi))
 
 
+def cell(vmap, lx, ly):
+    """The raw variance a map holds for the cell ``(lx, ly)``."""
+    return vmap.raw[vmap.lattice.tolist().index([lx, ly])]
+
+
 class TestCellVariance:
-    def test_origin_quartet_is_exactly_symmetric(self):
-        values = [
-            cell_variance(0, 0, 4.0, 4.0),
-            cell_variance(-1, 0, 4.0, 4.0),
-            cell_variance(0, -1, 4.0, 4.0),
-            cell_variance(-1, -1, 4.0, 4.0),
-        ]
+    def test_origin_quartet_is_exactly_symmetric(self, map_l4):
+        values = [cell(map_l4, lx, ly) for lx, ly in [(0, 0), (-1, 0), (0, -1), (-1, -1)]]
         assert values[0] == values[1] == values[2] == values[3]
         np.testing.assert_allclose(values[0], CENTER_CELL_L4, rtol=1e-12)
 
     @given(
-        lx=st.integers(min_value=-4, max_value=3),
-        ly=st.integers(min_value=-4, max_value=3),
-        length=st.floats(min_value=4.5, max_value=8.0),
+        side=st.integers(min_value=12, max_value=24),
+        spacing=st.floats(min_value=0.2, max_value=0.45),
     )
     @settings(max_examples=40, deadline=None)
-    def test_four_fold_symmetry(self, lx, ly, length):
-        base = cell_variance(lx, ly, length, length)
-        assert abs(cell_variance(-lx - 1, ly, length, length) - base) < 1e-9
-        assert abs(cell_variance(lx, -ly - 1, length, length) - base) < 1e-9
-        assert abs(cell_variance(-lx - 1, -ly - 1, length, length) - base) < 1e-9
+    def test_four_fold_symmetry(self, side, spacing):
+        # Cell [l, l+1] mirrors [-l-1, -l]; the lattice keeps the cells whose
+        # lower corner is on the disk, so compare the mirrors it holds.
+        vmap = variance_map(ArrayGeometry(side, side, spacing))
+        values = dict(zip(map(tuple, vmap.lattice.tolist()), vmap.raw))
+        pairs = [(values[mirror], base) for (lx, ly), base in values.items()
+                 for mirror in [(-lx - 1, ly), (lx, -ly - 1), (-lx - 1, -ly - 1)]
+                 if mirror in values]
+        assert pairs and all(value == base for value, base in pairs)
 
     def test_cell_fully_outside_disk_is_zero(self):
-        assert cell_variance(4, 0, 4.0, 4.0) == 0.0
-        assert cell_variance(3, 3, 4.0, 4.0) == 0.0
+        quarter = _quarter(4.0, 4.0)
+        assert quarter[4, 0] == 0.0
+        assert quarter[3, 3] == 0.0
 
     def test_enumeration_rectangle_sums_to_half(self):
         for length in (2.0, 4.0, 10.0):
-            assert hemisphere_total(length, length) == pytest.approx(0.5, abs=1e-9)
+            assert _rectangle_total(_quarter(length, length)) == pytest.approx(0.5, abs=1e-9)
 
     def test_rectangular_aperture_also_sums_to_half(self):
-        assert hemisphere_total(4 / 3, 3 / 2) == pytest.approx(0.5, abs=1e-9)
+        assert _rectangle_total(_quarter(4 / 3, 3 / 2)) == pytest.approx(0.5, abs=1e-9)
 
-    def test_closed_form_agrees_with_oracle_on_every_cell(self):
-        lattice = lattice_ellipse(ArrayGeometry(12, 12, 1 / 3))
-        for lx, ly in lattice:
-            closed = cell_variance(lx, ly, 4.0, 4.0)
+    def test_closed_form_agrees_with_oracle_on_every_cell(self, map_l4):
+        for (lx, ly), closed in zip(map_l4.lattice.tolist(), map_l4.raw):
             assert abs(closed - oracle_cell_variance(lx, ly, 4.0, 4.0)) < 1e-15
 
     def test_rim_clipped_cells_agree_with_oracle(self):
@@ -142,26 +136,15 @@ class TestCellVariance:
             ArrayGeometry(2, 40, 1 / 3),
         ):
             length_x, length_y = geometry.length_x, geometry.length_y
-            for lx in range(math.ceil(length_x) + 1):
-                for ly in range(math.ceil(length_y) + 1):
-                    closed = cell_variance(lx, ly, length_x, length_y)
-                    oracle = oracle_cell_variance(lx, ly, length_x, length_y)
-                    assert abs(closed - oracle) < 1e-15, (geometry, lx, ly)
+            quarter = _quarter(length_x, length_y)
+            assert quarter.shape == (math.ceil(length_x) + 1, math.ceil(length_y) + 1)
+            for (lx, ly), closed in np.ndenumerate(quarter):
+                oracle = oracle_cell_variance(lx, ly, length_x, length_y)
+                assert abs(closed - oracle) < 1e-15, (geometry, lx, ly)
 
-    def test_center_cell_matches_spherical_sampling(self):
+    def test_center_cell_matches_spherical_sampling(self, map_l4):
         estimate, stderr = spherical_estimate(0, 0, 4.0)
-        assert abs(cell_variance(0, 0, 4.0, 4.0) - estimate) < 3 * stderr
-
-    def test_rejects_nonpositive_lengths(self):
-        with pytest.raises(ValueError):
-            cell_variance(0, 0, -4.0, 4.0)
-
-    @pytest.mark.parametrize("lengths", [(math.inf, 1.0), (1.0, math.nan)])
-    def test_rejects_non_finite_lengths(self, lengths):
-        with pytest.raises(ValueError, match="finite"):
-            cell_variance(0, 0, *lengths)
-        with pytest.raises(ValueError, match="finite"):
-            hemisphere_total(*lengths)
+        assert abs(cell(map_l4, 0, 0) - estimate) < 3 * stderr
 
     @given(
         length_x=st.floats(min_value=0.3, max_value=40.0),
@@ -188,7 +171,8 @@ class TestCellVariance:
 class TestVarianceMap:
     def test_raw_values_nonnegative_with_unit_hemisphere(self, map_l4):
         assert np.all(map_l4.raw >= 0.0)
-        assert hemisphere_total(4.0, 4.0) == pytest.approx(0.5, abs=1e-9)  # map_l4's lengths
+        # map_l4's lengths
+        assert _rectangle_total(_quarter(4.0, 4.0)) == pytest.approx(0.5, abs=1e-9)
 
     def test_normalized_power_equals_patch_count(self, map_l4):
         assert np.sum(map_l4.normalized_sigma**2) == pytest.approx(144.0, abs=1e-9)
@@ -240,15 +224,6 @@ class TestVarianceMap:
         assert rim_values[0] > 2 * center
         assert rim_values[0] == pytest.approx(0.014133341086036762, rel=1e-12)
         assert center == pytest.approx(0.005082020815804469, rel=1e-12)
-
-    def test_rejects_negative_raw_values(self):
-        lattice = np.array([[0, 0], [1, 0]])
-        with pytest.raises(ValueError):
-            VarianceMap(
-                lattice=lattice,
-                raw=np.array([0.5, -0.1]),
-                normalized_sigma=np.array([1.0, 1.0]),
-            )
 
     def test_rejects_wrong_hemisphere_total(self, monkeypatch):
         monkeypatch.setattr(spectrum, "_rectangle_total", lambda quarter: 0.4)
