@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands map one-to-one onto the harness runners: ``variance-map`` and
-``eigvals`` emit analytic artifacts, ``se-sim``/``se-theory``/``ns-compare``
-run the rate estimators, and ``preset`` expands a named experiment family
-into its CSV series.  All outputs are CSV with a leading configuration
-comment line.
+Subcommands map onto the harness runners: ``variance-map`` and ``eigvals``
+emit analytic artifacts, ``se-sim`` and ``se-theory`` run the rate
+estimators, ``ns-compare`` is ``se-sim``'s runner given series orders, and
+``preset`` expands a named experiment family into its CSV series.  All
+outputs are CSV with a leading configuration comment line.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
             harness.run_se_theory(harness.parse_config(path, **flags), Path(args.out))
         elif args.command == "ns-compare":
             config, orders = harness.parse_ns_compare(path, **flags)
-            harness.run_ns_compare(config, orders, Path(args.out))
+            harness.run_se_sim(config, Path(args.out), ns_orders=orders)
         else:
             return harness.run_preset(
                 args.name,

@@ -9,8 +9,9 @@ row is self-describing, and identical configurations produce byte-identical
 files.  One column-wise writer serves every artifact, a block of rows at a
 time: SE blocks (Monte Carlo and the public closed forms alike) become four
 columns, and the correlation spectrum is padded here to its element-domain
-dimension.  The presets are one table of series, each a surface pair, a
-user count, its schemes and the runner that writes it.
+dimension.  One runner, :func:`run_se_sim`, writes every Monte Carlo
+artifact.  The presets are one table of series, each a surface pair, a user
+count, its schemes and the runner that writes it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "run_eigvals",
     "run_se_sim",
     "run_se_theory",
-    "run_ns_compare",
     "PRESET_NAMES",
 ]
 
@@ -235,7 +235,8 @@ def parse_ns_compare(path: str | None = None, **flags) -> tuple[ScenarioConfig, 
     ``iters`` holds the series orders, as a comma list or a JSON list
     (default 2, 3, 4 and 7, as in the ``fig8`` preset).  The run is always
     exact ZF, so a ``scheme`` from either source is an error, and the
-    scenario keeps the default ``ns_iterations`` as the preset's does.
+    scenario keeps the default ``ns_iterations`` as the preset's does.  An
+    empty list is an error: to :func:`run_se_sim` no orders is a plain run.
     """
     settings = _load_settings(path, flags)
     if "scheme" in settings:
@@ -244,6 +245,8 @@ def parse_ns_compare(path: str | None = None, **flags) -> tuple[ScenarioConfig, 
     orders = settings.pop("iters", _NS_ORDERS)
     if not isinstance(orders, (list, tuple)):
         orders = orders.split(",") if isinstance(orders, str) else [orders]
+    if not orders:
+        raise ValueError(f"invalid value for iters: {orders!r} (empty)")
     config = _scenario(settings, schemes=("ZF",))
     return config, tuple(_parse_int(order, "iters") for order in orders)
 
@@ -359,32 +362,39 @@ def _sigma(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(rx_map.normalized_sigma, config.users), tx_map.normalized_sigma
 
 
-def run_se_sim(
-    config: ScenarioConfig, out: Path, *, include_theory: bool = False
-) -> dict[str, SEResult]:
+def run_se_sim(config: ScenarioConfig, out: Path, *, include_theory: bool = False,
+               ns_orders: tuple[int, ...] = ()) -> dict[str, SEResult]:
     """Run the configured Monte Carlo estimates and write one CSV.
 
-    All schemes share each channel draw and its Gram matrix.
+    All schemes and series orders share each draw and its Gram matrix.
 
     Args:
         config: Scenario to run.
         out: CSV destination.
         include_theory: Also emit the closed-form curves for the schemes
             that have one (MRT bound, ZF approximation).
+        ns_orders: Series orders to run besides ``config.schemes``, each
+            tagged ``NS-ZF-<order>`` and listed in the config line; a
+            repeated or negative order raises ``ValueError`` before any draw.
 
     Returns:
-        The per-scheme estimates, keyed by scheme tag.
+        The estimates, keyed by tag.
     """
+    if len(set(ns_orders)) < len(ns_orders) or min(ns_orders, default=0) < 0:
+        raise ValueError(f"invalid value for iters: {ns_orders!r} (repeated or negative)")
     sigma = _sigma(config)
+    tags = [*config.schemes, *(f"NS-ZF-{order}" for order in ns_orders)]
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]
+    specs += [("NS-ZF", order) for order in ns_orders]
     estimates = _simulate(*sigma, specs, config.snr_grid_db, config.trials, config.seed)
     blocks = []
-    for scheme, result in zip(config.schemes, estimates):
-        blocks.append((scheme, result.per_stream))
-        if include_theory and scheme in _THEORY_TAGS:
-            blocks.append(_theory_block(config, sigma, scheme))
-    _write_se(out, config, _config_payload(config), blocks)
-    return dict(zip(config.schemes, estimates))
+    for tag, result in zip(tags, estimates):
+        blocks.append((tag, result.per_stream))
+        if include_theory and tag in _THEORY_TAGS:
+            blocks.append(_theory_block(config, sigma, tag))
+    payload = _config_payload(config, **({"ns_orders": list(ns_orders)} if ns_orders else {}))
+    _write_se(out, config, payload, blocks)
+    return dict(zip(tags, estimates))
 
 
 def run_se_theory(config: ScenarioConfig, out: Path) -> None:
@@ -395,27 +405,6 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
     sigma = _sigma(config)
     blocks = [_theory_block(config, sigma, scheme) for scheme in config.schemes]
     _write_se(out, config, _config_payload(config), blocks)
-
-
-def run_ns_compare(
-    config: ScenarioConfig, iterations: tuple[int, ...], out: Path
-) -> dict[str, SEResult]:
-    """Compare exact ZF with the series scheme at several orders.
-
-    All orders share each draw and one Horner pass; an empty list or a
-    repeated or negative order raises ``ValueError`` before any trial runs.
-    """
-    if not iterations or len(set(iterations)) < len(iterations) or min(iterations) < 0:
-        raise ValueError(f"invalid value for iters: {iterations!r} (empty, repeated or "
-                         "negative)")
-    sigma = _sigma(config)
-    tags = ["ZF", *(f"NS-ZF-{order}" for order in iterations)]
-    specs = [("ZF", None), *(("NS-ZF", order) for order in iterations)]
-    estimates = _simulate(*sigma, specs, config.snr_grid_db, config.trials, config.seed)
-    blocks = [(tag, result.per_stream) for tag, result in zip(tags, estimates)]
-    payload = _config_payload(config, ns_orders=list(iterations))
-    _write_se(out, config, payload, blocks)
-    return dict(zip(tags, estimates))
 
 
 def _spacing_tag(spacing: float) -> str:
@@ -446,7 +435,7 @@ def _se_job(config: ScenarioConfig, out: Path) -> None:
 
 
 def _ns_job(config: ScenarioConfig, out: Path) -> None:
-    run_ns_compare(config, _NS_ORDERS, out)
+    run_se_sim(config, out, ns_orders=_NS_ORDERS)
 
 
 _ALL = ("MRT", "ZF", "MMSE")

@@ -1,6 +1,7 @@
 """Scenario parsing, batch runners, CSV artifacts, and the CLI."""
 
 import hashlib
+import itertools
 import json
 import re
 
@@ -24,7 +25,6 @@ from holosim.harness import (
     parse_config,
     preset_jobs,
     run_eigvals,
-    run_ns_compare,
     run_preset,
     run_se_sim,
     run_se_theory,
@@ -320,9 +320,9 @@ class TestPresetJobs:
         ((stem, config, job),) = preset_jobs("fig8")
         assert stem == "fig8"
         calls = []
-        monkeypatch.setattr(harness, "run_ns_compare", lambda *args: calls.append(args))
+        monkeypatch.setattr(harness, "run_se_sim", lambda *args, **kw: calls.append((args, kw)))
         job(config, tmp_path / "fig8.csv")
-        assert calls == [(config, (2, 3, 4, 7), tmp_path / "fig8.csv")]
+        assert calls == [((config, tmp_path / "fig8.csv"), {"ns_orders": (2, 3, 4, 7)})]
         assert (config.tx.n_h, config.tx.n_v) == (27, 27)
         assert (config.rx.n_h, config.rx.n_v) == (12, 12)
         assert config.users == 1
@@ -540,11 +540,22 @@ class TestRunners:
 
     def test_ns_compare_tags_each_order(self, tmp_path):
         out = tmp_path / "ns.csv"
-        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2)
-        results = run_ns_compare(config, (2, 3), out)
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
+        results = run_se_sim(config, out, ns_orders=(2, 3))
         assert set(results) == {"ZF", "NS-ZF-2", "NS-ZF-3"}
         _, rows = read_csv(out)
         assert {row[1] for row in rows} == {"ZF", "NS-ZF-2", "NS-ZF-3"}
+
+    def test_series_orders_get_no_closed_form(self, tmp_path):
+        out = tmp_path / "ns.csv"
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
+        results = run_se_sim(config, out, include_theory=True, ns_orders=(2,))
+        assert set(results) == {"ZF", "NS-ZF-2"}
+        _, rows = read_csv(out)
+        blocks = [tag for tag, _ in itertools.groupby(row[1] for row in rows)]
+        assert blocks == ["ZF", "ZF-THEORY", "NS-ZF-2"]
+        line = out.read_text(encoding="utf-8").splitlines()[0]
+        assert json.loads(line.removeprefix("# config "))["ns_orders"] == [2]
 
     def test_se_job_builds_each_lattice_once(self, tmp_path, count_calls):
         # The feasibility check reads the cell counts off the variance
@@ -572,11 +583,15 @@ class TestRunners:
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
         self, tmp_path, count_calls, orders
     ):
+        # No orders is a plain se-sim run, so an empty list is the reader's error.
         draws = count_calls(rate, "_draw_parts")
         out = tmp_path / "ns.csv"
-        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2)
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
         with pytest.raises(ValueError, match="invalid value for iters"):
-            run_ns_compare(config, orders, out)
+            if orders:
+                run_se_sim(config, out, ns_orders=orders)
+            else:
+                harness.parse_ns_compare(iters=list(orders))
         assert draws == []
         assert not out.exists()
 
