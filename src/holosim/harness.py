@@ -30,6 +30,7 @@ import numpy as np
 
 from .channel import _real_vector, correlation_eigenvalues
 from .geometry import ArrayGeometry
+from .precoding import _check_order
 from .rate import SEResult, _canonical_scheme, _simulate, mrt_theoretical_bound, zf_theoretical
 from .spectrum import VarianceMap, variance_map
 
@@ -374,14 +375,21 @@ def run_se_sim(config: ScenarioConfig, out: Path, *, include_theory: bool = Fals
         include_theory: Also emit the closed-form curves for the schemes
             that have one (MRT bound, ZF approximation).
         ns_orders: Series orders to run besides ``config.schemes``, each
-            tagged ``NS-ZF-<order>`` and listed in the config line; a
-            repeated or negative order raises ``ValueError`` before any draw.
+            tagged ``NS-ZF-<order>`` and listed in the config line; an
+            order that is not a nonnegative ``int``, or a repeated one,
+            raises ``ValueError`` before any draw.
 
     Returns:
         The estimates, keyed by tag.
     """
-    if len(set(ns_orders)) < len(ns_orders) or min(ns_orders, default=0) < 0:
-        raise ValueError(f"invalid value for iters: {ns_orders!r} (repeated or negative)")
+    try:
+        for order in ns_orders:
+            _check_order(order)
+    except ValueError as exc:
+        raise ValueError(f"invalid value for iters: {ns_orders!r} ({exc})") from None
+    if len(set(ns_orders)) < len(ns_orders):
+        raise ValueError(f"invalid value for iters: {ns_orders!r} (repeated)")
+    ns_orders = tuple(map(int, ns_orders))  # the config line is JSON, which has no np.int64
     sigma = _sigma(config)
     tags = [*config.schemes, *(f"NS-ZF-{order}" for order in ns_orders)]
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]

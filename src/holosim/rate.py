@@ -13,19 +13,16 @@ every scheme and series order of a job, sharing each draw and its Gram
 reads each scheme's powers from its core in :mod:`holosim.precoding`, the
 one behind the public precoders.  Every spec's powers on a draw fill one
 buffer; one SINR and one ``log2`` evaluation give all their rates.
-While the main thread precodes one trial, one worker thread draws the next
-trial's first channel; the worker only draws (no BLAS runs on it), and each
-draw is a pure function of ``(seed, trial, attempt)``, so the results do not
-depend on thread timing.  The closed forms, :func:`mrt_theoretical_bound`
-and :func:`zf_theoretical`, are vectorized: each gives every stream at every
-power as one ``(streams, powers)`` table.
+Every draw is made on the calling thread, in turn, as a pure function of
+``(seed, trial, attempt)``, and is freed once its Gram exists.  The closed
+forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`, are
+vectorized: each gives every stream at every power as one
+``(streams, powers)`` table.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -163,21 +160,6 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     return active, power, rejected
 
 
-def _prefetch(rx: np.ndarray, tx: np.ndarray, seed, requests, draws) -> None:
-    """Worker loop: attempt 0 of each trial read from ``requests``, until ``None``.
-
-    Each draw goes to ``draws`` in request order, or the exception it raised
-    does, for the main thread to raise.  The worker only draws, and keeps no
-    reference to a draw it has handed over, so the main thread frees it.
-    """
-    for trial in iter(requests.get, None):
-        try:
-            root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0))
-            draws.put(_draw_parts(rx, tx, root))
-        except BaseException as exc:  # raised again by the main thread, which waits for it
-            draws.put(exc)
-
-
 def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) -> list[SEResult]:
     """Monte Carlo engine shared by every ``(scheme, series order)`` of a job.
 
@@ -185,13 +167,7 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     trial; one that rejects it waits for ``attempt + 1``, so each spec sees
     the draws, rejections and warning it would see alone.  The pending
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
-
-    After every input check, one worker thread makes the attempt-0 draws:
-    the main thread takes trial ``t``'s, forms its Gram, drops the draw and
-    only then asks for trial ``t + 1``'s (none past the last trial), so at
-    most one draw waits while a trial is precoded.  Redraws are made on the
-    main thread.  The worker runs no BLAS and every draw depends only on
-    ``(seed, trial, attempt)``, so the results are those of drawing in turn.
+    Each draw lives only until its Gram is formed, so no two are alive at once.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
     for tag, order in specs:
@@ -213,43 +189,26 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
     rejections = np.zeros(len(specs), dtype=int)
-    requests, draws = queue.SimpleQueue(), queue.SimpleQueue()
-    worker = threading.Thread(target=_prefetch, args=(rx, tx, seed, requests, draws), daemon=True)
-    worker.start()
-    requests.put(0)
-    try:
-        for trial in range(trials):
-            pending = np.arange(len(specs))
-            for attempt in range(_MAX_REDRAWS_PER_TRIAL):
-                if attempt:
-                    root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
-                    gram = _gram(_draw_parts(rx, tx, root))
-                else:
-                    parts = draws.get()
-                    if isinstance(parts, BaseException):
-                        raise parts
-                    gram = _gram(parts)
-                    del parts  # the next draw is made only once this one is freed
-                    if trial + 1 < trials:
-                        requests.put(trial + 1)
-                active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
-                trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr, 1.0))
-                # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
-                whole = pending.size == len(specs) and active.sum() == accum.shape[1]
-                rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
-                accum[rows] += trial_se
-                accum_sq[rows] += trial_se**2
-                rejections[pending[rejected]] += 1
-                pending = pending[rejected]
-                if not pending.size:
-                    break
-            else:
-                raise SingularChannelError(
-                    f"trial {trial} stayed singular after {_MAX_REDRAWS_PER_TRIAL} redraws"
-                )
-    finally:
-        requests.put(None)
-        worker.join()
+    for trial in range(trials):
+        pending = np.arange(len(specs))
+        for attempt in range(_MAX_REDRAWS_PER_TRIAL):
+            root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
+            gram = _gram(_draw_parts(rx, tx, root))
+            active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
+            trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr, 1.0))
+            # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
+            whole = pending.size == len(specs) and active.sum() == accum.shape[1]
+            rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
+            accum[rows] += trial_se
+            accum_sq[rows] += trial_se**2
+            rejections[pending[rejected]] += 1
+            pending = pending[rejected]
+            if not pending.size:
+                break
+        else:
+            raise SingularChannelError(
+                f"trial {trial} stayed singular after {_MAX_REDRAWS_PER_TRIAL} redraws"
+            )
 
     results = []
     for (tag, _), count, total, total_sq in zip(specs, rejections.tolist(), accum, accum_sq):

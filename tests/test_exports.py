@@ -34,19 +34,22 @@ def test_every_model_export_is_a_package_export(name):
 def test_presets_run_without_scipy(tmp_path):
     # pyproject.toml declares NumPy only; a fresh interpreter runs both
     # Monte Carlo presets, so modules the test session loaded do not count.
-    # The engine's draw worker is a plain thread, joined before each job
-    # returns: one thread is left and no executor module is imported.
+    # The engine draws on the calling thread: no thread is started while
+    # both presets run, and no executor module is imported.
     package_root = os.path.dirname(os.path.dirname(holosim.__file__))
     env = dict(os.environ, PYTHONPATH=package_root)
     probe = (
         "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
         "from holosim.harness import run_preset\n"
         "for name in ('fig4', 'fig8'):\n"
         f"    assert run_preset(name, scale=0.25, trials=2, out={str(tmp_path)!r}) == 0\n"
         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
-        "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+        "print(len(started), 'concurrent.futures' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.split() == ["False", "1", "False"]
+    assert result.stdout.split() == ["False", "0", "False"]

@@ -577,13 +577,25 @@ class TestRunners:
         run_se_sim(config, tmp_path / "se.csv", include_theory=True)
         assert len(bounds) == len(nulling) == 1
 
+    def test_a_numpy_integer_order_writes_the_bytes_of_an_int(self, tmp_path):
+        # Unconverted, np.int64 reached the JSON config line after every
+        # draw and raised a bare TypeError.
+        config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")
+        for name, order in (("int", 2), ("numpy", np.int64(2))):
+            run_se_sim(config, tmp_path / f"{name}.csv", ns_orders=(order,))
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
     @pytest.mark.parametrize(
-        "orders", [(3, 3), (3, -1), ()], ids=["repeated", "negative", "empty"]
+        "orders",
+        [(3, 3), (3, -1), (), ("2",), (2.5,), (True,)],
+        ids=["repeated", "negative", "empty", "string", "fraction", "bool"],
     )
     def test_ns_compare_rejects_repeated_or_negative_orders_before_any_trial(
         self, tmp_path, count_calls, orders
     ):
-        # No orders is a plain se-sim run, so an empty list is the reader's error.
+        # No orders is a plain se-sim run, so an empty list is the reader's
+        # error.  Unchecked, "2" raised a bare TypeError from the sign check,
+        # and 2.5 and True reached the engine's own order message.
         draws = count_calls(rate, "_draw_parts")
         out = tmp_path / "ns.csv"
         config = parse_config(ns=144, nr=36, users=1, snr="10", trials=2, scheme="zf")

@@ -3,9 +3,7 @@
 import inspect
 import math
 import numbers
-import sys
 import threading
-import time
 import types
 import warnings
 import weakref
@@ -289,10 +287,9 @@ class TestSimulatedSE:
     def test_rejects_a_string_bool_or_nested_snr_grid(self, grid, count_calls):
         # Unchecked, "10" ran at 10 dB, "05" at 0 and 5 dB, and True at 1 dB.
         draws = count_calls(rate, "_draw_parts")
-        workers = count_calls(rate, "_prefetch")
         with pytest.raises(ValueError, match="invalid value for snr"):
             simulated_se(*uniform_sigma(2, 5), "mrt", grid, trials=2, seed=0)
-        assert draws == [] and workers == []
+        assert draws == []
 
     @pytest.mark.parametrize("order", [True, 1.5, -1])
     def test_rejects_a_series_order_that_is_not_an_int(self, order, count_calls):
@@ -387,26 +384,7 @@ class TestSharedEngine:
         assert eighs == []
 
 
-def bounded(call):
-    """Run ``call`` on a helper thread; fail after 60 s instead of hanging."""
-    outcome = {}
-
-    def target():
-        try:
-            outcome["result"] = call()
-        except BaseException as exc:  # handed to the test thread below
-            outcome["error"] = exc
-
-    helper = threading.Thread(target=target)
-    helper.start()
-    helper.join(timeout=60)
-    assert not helper.is_alive(), "the engine did not return within 60 s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["result"]
-
-
-class TestDrawWorker:
+class TestOneThreadEngine:
     # The redraw ensemble of TestSharedEngine: ZF rejects 2 of 40 draws.
     RX = np.array([1.0] * 7 + [1e-5])
     TX = np.ones(9)
@@ -431,10 +409,10 @@ class TestDrawWorker:
         monkeypatch.setattr(rate, "_draw_parts", draw)
         before = threading.active_count()
         with pytest.raises(DrawFailed, match="trial 3"):
-            bounded(lambda: simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=6, seed=0))
+            simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=6, seed=0)
         assert threading.active_count() == before
 
-    def test_the_worker_is_joined_after_a_run_and_after_a_singular_trial(self, monkeypatch):
+    def test_no_thread_is_left_after_a_run_or_a_singular_trial(self, monkeypatch):
         before = threading.active_count()
         simulated_se(*uniform_sigma(2, 5), "zf", [0.0], trials=3, seed=0)
         assert threading.active_count() == before
@@ -450,66 +428,23 @@ class TestDrawWorker:
             simulated_se(*uniform_sigma(2, 5), "zf", [0.0], trials=3, seed=0)
         assert threading.active_count() == before
 
-    def test_the_worker_only_makes_first_attempts(self, monkeypatch):
-        # Every redraw, Gram and eigendecomposition runs on the calling
-        # thread; the worker makes each trial's attempt-0 draw and nothing else.
-        calls = {"_draw_parts": [], "_gram": [], "eigh": []}
-        for owner, name in ((rate, "_draw_parts"), (rate, "_gram"), (np.linalg, "eigh")):
-
-            def record(*args, _name=name, _original=getattr(owner, name)):
-                key = args[2].spawn_key if _name == "_draw_parts" else None
-                calls[_name].append((threading.current_thread() is threading.main_thread(), key))
-                return _original(*args)
-
-            monkeypatch.setattr(owner, name, record)
-        self.run()
-        draws = calls["_draw_parts"]
-        assert len(draws) == len(calls["_gram"]) == 42
-        assert sorted(key for main, key in draws if not main) == [(t, 0) for t in range(40)]
-        assert all(key[1] > 0 for main, key in draws if main)
-        assert all(main for main, _ in calls["_gram"] + calls["eigh"])
-
     def test_a_draw_is_freed_before_the_next_is_made(self, monkeypatch):
-        # The calling thread drops each draw after its Gram, before it asks
-        # for the next, and the worker keeps none it handed over: no other
-        # draw is alive when the worker draws, and at most the prefetched
-        # one when the calling thread redraws.
-        made, alive = [], {True: [], False: []}
+        # Each draw is dropped once its Gram exists, redraws included, so
+        # no earlier draw is alive when any draw is made.
+        made, alive, threads = [], [], set()
         original = rate._draw_parts
 
         def draw(rx, tx, seed):
-            on_main = threading.current_thread() is threading.main_thread()
-            alive[on_main].append(sum(ref() is not None for ref in made))
+            threads.add(threading.get_ident())
+            alive.append(sum(ref() is not None for ref in made))
             parts = original(rx, tx, seed)
             made.append(weakref.ref(parts))
             return parts
 
         monkeypatch.setattr(rate, "_draw_parts", draw)
         self.run()
-        assert alive[False] == [0] * 40
-        assert len(alive[True]) == 2 and max(alive[True]) <= 1
-
-    def test_a_slow_worker_leaves_every_bit_as_it_is(self, monkeypatch):
-        steady = self.run()
-        original = rate._draw_parts
-
-        def slow_on_even_trials(rx, tx, seed):
-            on_worker = threading.current_thread() is not threading.main_thread()
-            if on_worker and seed.spawn_key[0] % 2 == 0:
-                time.sleep(0.003)
-            return original(rx, tx, seed)
-
-        monkeypatch.setattr(rate, "_draw_parts", slow_on_even_trials)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter over as often as it allows
-        try:
-            slowed = self.run()
-        finally:
-            sys.setswitchinterval(interval)
-        assert [r.rejections for r in steady] == [r.rejections for r in slowed] == [0, 2, 0, 0]
-        for a, b in zip(steady, slowed):
-            np.testing.assert_array_equal(a.per_stream, b.per_stream)
-            np.testing.assert_array_equal(a.per_stream_stderr, b.per_stream_stderr)
+        assert alive == [0] * 42
+        assert threads == {threading.get_ident()}
 
 
 @pytest.fixture(scope="module")
@@ -770,10 +705,9 @@ class TestFactorCheck:
     )
     def test_rejects_malformed_factors_before_any_draw(self, entry, rx, tx, name, count_calls):
         draws = count_calls(rate, "_draw_parts")
-        workers = count_calls(rate, "_prefetch")
         with pytest.raises(ValueError, match=f"invalid value for {name}"):
             ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
-        assert draws == [] and workers == []
+        assert draws == []
 
     def test_a_numeric_array_is_read_on_its_dtype(self, monkeypatch):
         # Each entry of a list is checked in Python; an array's are not.
