@@ -11,7 +11,8 @@ from them in real arithmetic, never holding the complex matrix.  The
 correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries;
 its zeros up to the element-domain dimension are left to the CSV writer.
-:func:`_real_vector` reads every number the package takes from outside.
+:func:`_real_vector` reads every number the package takes from outside, and
+:func:`_count` every count.
 """
 
 from __future__ import annotations
@@ -47,6 +48,17 @@ def _real_vector(values, name: str) -> np.ndarray:
             return vector
     raise ValueError(f"invalid value for {name}: {reprlib.repr(values)} "
                      "(must be a finite real number or a nonempty 1-D vector of them)")
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an ``int`` of at least ``least``; a NumPy integer is the ``int`` it holds.
+
+    A ``bool``, a float (``2.0`` too), a string or ``None`` is not a count.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"invalid value for {name}: {reprlib.repr(value)} "
+                     f"(must be an integer of at least {least})")
 
 
 def _factors(rx_sigma, tx_sigma) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,12 @@ enumerates their wavenumber cells, the index set of every later stage.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import _count, _real_vector
 
 __all__ = [
     "ArrayGeometry",
@@ -33,14 +32,15 @@ class ArrayGeometry:
     The surface normal is the first coordinate axis; patches are spaced on a
     regular grid along the remaining two axes.  Every length is in carrier
     wavelengths, the one unit of the model: the aperture lengths are
-    ``n_h * spacing`` by ``n_v * spacing``.
+    ``n_h * spacing`` by ``n_v * spacing``.  The sides are read as counts
+    of at least 1 and the spacing as one number, by the package's two
+    readers in :mod:`holosim.channel`.
 
     Attributes:
         n_h: Patch count along the horizontal in-plane axis.
         n_v: Patch count along the vertical in-plane axis.
         spacing: Patch pitch in wavelengths (e.g. ``1/3`` for a third of a
-            wavelength); any real number but a ``bool`` is accepted and
-            stored as a ``float``.
+            wavelength), stored as a ``float``.
     """
 
     n_h: int
@@ -49,17 +49,13 @@ class ArrayGeometry:
 
     def __post_init__(self) -> None:
         for field in ("n_h", "n_v"):
-            value = getattr(self, field)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
-            if value > sys.float_info.max:
-                raise ValueError(f"{field} is too large to convert to float")
-        if isinstance(self.spacing, numbers.Real) and not isinstance(self.spacing, bool):
-            with contextlib.suppress(OverflowError):  # an int or Fraction past float range
-                object.__setattr__(self, "spacing", float(self.spacing))
-        longest = max(self.length_x, self.length_y) if type(self.spacing) is float else math.nan
-        if not 0.0 < longest < math.inf:
-            raise ValueError(f"spacing must be positive with finite lengths, got {self.spacing!r}")
+            value = _count(getattr(self, field), field, 1)
+            _real_vector([value], field)  # a side past the float range has no length
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "spacing", _real_vector([self.spacing], "spacing").item())
+        if not 0.0 < max(self.length_x, self.length_y) < math.inf:
+            raise ValueError(f"invalid value for spacing: {self.spacing!r} "
+                             "(must be positive with finite lengths)")
 
     @property
     def num_patches(self) -> int:

@@ -28,9 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import _real_vector, correlation_eigenvalues
+from .channel import _count, _real_vector, correlation_eigenvalues
 from .geometry import ArrayGeometry
-from .precoding import _check_order
 from .rate import SEResult, _canonical_scheme, _simulate, mrt_theoretical_bound, zf_theoretical
 from .spectrum import VarianceMap, variance_map
 
@@ -60,8 +59,9 @@ _BLOCK_ROWS = 4096
 class ScenarioConfig:
     """Fully resolved description of one experiment run.
 
-    The four counts must be plain ``int`` values: a ``bool``, a float or a
-    NumPy integer fails with ``invalid value for <field>``.
+    The four counts are read by :func:`holosim.channel._count` and stored as
+    ``int``: a NumPy integer is the ``int`` it holds, while a ``bool``, a
+    float, a string or ``None`` fails with ``invalid value for <field>``.
 
     Attributes:
         tx: Transmit surface geometry.
@@ -85,9 +85,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for field, least in {"users": 1, "trials": 1, "seed": 0, "ns_iterations": 0}.items():
-            value = getattr(self, field)
-            if type(value) is not int or value < least:
-                raise ValueError(f"invalid value for {field}: {value!r} (minimum {least})")
+            object.__setattr__(self, field, _count(getattr(self, field), field, least))
         grid = tuple(_real_vector(self.snr_grid_db, "snr").tolist())
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
@@ -161,9 +159,7 @@ def _parse_schemes(value) -> tuple[str, ...]:
 
 def _surface(count, spacing, count_key: str, spacing_key: str) -> ArrayGeometry:
     """Near-square surface of ``count`` patches ``spacing`` wavelengths apart."""
-    patches = _parse_int(count, count_key)
-    if patches < 1:
-        raise ValueError(f"invalid value for {count_key}: {count!r} (minimum 1)")
+    patches = _count(_parse_int(count, count_key), count_key, 1)
     return ArrayGeometry(*_near_square(patches), _parse_spacing(spacing, spacing_key))
 
 
@@ -376,20 +372,16 @@ def run_se_sim(config: ScenarioConfig, out: Path, *, include_theory: bool = Fals
             that have one (MRT bound, ZF approximation).
         ns_orders: Series orders to run besides ``config.schemes``, each
             tagged ``NS-ZF-<order>`` and listed in the config line; an
-            order that is not a nonnegative ``int``, or a repeated one,
-            raises ``ValueError`` before any draw.
+            order that is not an integer of at least 0, or a repeated one,
+            raises ``ValueError`` (``invalid value for iters``) before any
+            draw.
 
     Returns:
         The estimates, keyed by tag.
     """
-    try:
-        for order in ns_orders:
-            _check_order(order)
-    except ValueError as exc:
-        raise ValueError(f"invalid value for iters: {ns_orders!r} ({exc})") from None
+    ns_orders = tuple(_count(order, "iters", 0) for order in ns_orders)
     if len(set(ns_orders)) < len(ns_orders):
         raise ValueError(f"invalid value for iters: {ns_orders!r} (repeated)")
-    ns_orders = tuple(map(int, ns_orders))  # the config line is JSON, which has no np.int64
     sigma = _sigma(config)
     tags = [*config.schemes, *(f"NS-ZF-{order}" for order in ns_orders)]
     specs = [(scheme, config.ns_iterations) for scheme in config.schemes]

@@ -9,18 +9,18 @@ row of ``s²`` marks a draw the scheme rejects as singular.  MRT has
 ``X = I``; ZF and MMSE filter one ``eigh`` of ``G_AA`` with ``f = 1/λ`` or
 ``1/(λ + a)`` at every SNR (a positive, finite SNR); NS-ZF's one core takes
 every series order, its coupled matrix and its powers from one Horner loop,
-and its callers check each order with ``_check_order`` before a Gram is
-formed or a channel drawn.  The public precoders take the ``(K, N)``
-channel matrix ``H_a`` and return the unit-norm ``(N, K)`` matrix
-``V = H_aᴴ X diag(s)`` formed from a core; the Monte Carlo engine of
-:mod:`holosim.rate` reads only the core's powers.
+and its callers read each order with :func:`holosim.channel._count` before a
+Gram is formed or a channel drawn.  The public precoders take the ``(K, N)``
+channel matrix ``H_a`` (any other rank fails) and return the unit-norm
+``(N, K)`` matrix ``V = H_aᴴ X diag(s)`` formed from a core; the Monte
+Carlo engine of :mod:`holosim.rate` reads only the core's powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import _real_vector
+from .channel import _count, _real_vector
 
 __all__ = [
     "SingularChannelError",
@@ -40,7 +40,7 @@ class SingularChannelError(RuntimeError):
 def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the active streams (``G_ii > 0``) and their Gram block ``G_AA``."""
     active = np.diagonal(gram).real > 0.0
-    if active.all():
+    if active.all():  # MRT's |G|² s² rounds differently on the Fortran-ordered copy
         return active, gram
     if not active.any():
         raise ValueError("cannot precode an all-zero channel")
@@ -103,12 +103,6 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
     return (u, 1.0 / shifted.T), 1.0 / energy, powers
 
 
-def _check_order(order) -> None:
-    """Raise ``ValueError`` unless a series order is a nonnegative ``int``."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValueError(f"iterations must be a nonnegative integer, got {order!r}")
-
-
 def _ns_zf_core(g_aa: np.ndarray, orders) -> tuple:
     """NS-ZF at every order, one row each: the series ``X_n`` and ``s_j² = 1/(|A| e_j)``.
 
@@ -153,6 +147,8 @@ def _precode(h_a: np.ndarray, core, nulling: bool = False) -> np.ndarray:
     A ``nulling`` scheme (ZF, NS-ZF) first checks that the live streams fit
     the live transmit cells.
     """
+    if np.ndim(h_a) != 2:
+        raise ValueError(f"invalid value for h_a: shape {np.shape(h_a)} (must be a (K, N) matrix)")
     if nulling:
         nonzero = h_a != 0.0
         _require_cells(nonzero.any(axis=1), nonzero.any(axis=0))
@@ -180,7 +176,7 @@ def mrt(h_a: np.ndarray) -> np.ndarray:
         norm, shape ``(N, K)``.
 
     Raises:
-        ValueError: If the channel is identically zero.
+        ValueError: If the channel is not a matrix or is identically zero.
     """
     return _precode(h_a, _mrt_core)
 
@@ -206,8 +202,8 @@ def zf(h_a: np.ndarray) -> np.ndarray:
         SingularChannelError: If the Gram block of the active streams has
             condition number ``λ_max/λ_min`` above 1e12 or a nonpositive
             smallest eigenvalue.
-        ValueError: If there are more active streams than transmit cells or
-            no active streams at all.
+        ValueError: If the channel is not a matrix, or if there are more
+            active streams than transmit cells or no active streams at all.
     """
     return _precode(h_a, lambda g_aa: _zf_core(_spectrum(g_aa)), nulling=True)
 
@@ -232,13 +228,12 @@ def mmse(h_a: np.ndarray, snr: float) -> np.ndarray:
 
     Raises:
         ValueError: If ``snr`` is not a number, not positive and finite, or
-            the channel is all zero.
+            the channel is not a matrix or all zero.
     """
     snr = _real_vector([snr], "snr").item()
     if not snr > 0.0:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    streams = h_a.shape[0]
-    return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, streams))
+    return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, h_a.shape[0]))
 
 
 def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
@@ -255,18 +250,19 @@ def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
 
     Args:
         h_a: Channel matrix of shape ``(K, N)``.
-        iterations: Highest series order, a nonnegative ``int``; defaults
-            to 3.
+        iterations: Highest series order, an integer of at least 0;
+            defaults to 3.
 
     Returns:
         The unit-norm ``(N, K)`` precoder.
 
     Raises:
         SingularChannelError: If a precoding column has zero energy.
-        ValueError: If there are more active streams than transmit cells,
-            no active stream at all, or an invalid order.
+        ValueError: If the channel is not a matrix, there are more active
+            streams than transmit cells, no active stream at all, or the
+            order is not a count (``invalid value for iterations``).
     """
-    _check_order(iterations)
+    iterations = _count(iterations, "iterations", 0)
 
     def core(g_aa):
         series, scale_sq, _ = _ns_zf_core(g_aa, [iterations])

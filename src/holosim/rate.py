@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _draw_parts, _factors, _gram, _real_vector
-from .precoding import (SingularChannelError, _active_block, _check_order, _coupled_powers,
-                        _mmse_core, _mrt_core, _ns_zf_core, _require_cells, _spectrum, _zf_core)
+from .channel import _count, _draw_parts, _factors, _gram, _real_vector
+from .precoding import (SingularChannelError, _active_block, _coupled_powers, _mmse_core,
+                        _mrt_core, _ns_zf_core, _require_cells, _spectrum, _zf_core)
 
 __all__ = [
     "SEResult",
@@ -115,7 +115,8 @@ def per_stream_sinr(
 
     Raises:
         ValueError: Naming the input, on a power or noise variance that is
-            not a number, out of range or non-finite, or mismatched dimensions.
+            not a number, out of range or non-finite, or on ``h_a`` and ``v``
+            that are not ``(K, N)`` and ``(N, K)`` matrices.
     """
     p_u = _real_vector([p_u], "p_u").item()
     noise_var = _real_vector([noise_var], "noise_var").item()
@@ -123,10 +124,9 @@ def per_stream_sinr(
         raise ValueError(f"p_u must be positive and finite, got {p_u!r}")
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
-    if h_a.shape[1] != v.shape[0] or h_a.shape[0] != v.shape[1]:
-        raise ValueError(
-            f"channel {h_a.shape} and precoder {v.shape} dimensions disagree"
-        )
+    if h_a.ndim != 2 or v.shape != h_a.shape[::-1]:
+        raise ValueError(f"h_a {h_a.shape} and v {v.shape} dimensions disagree "
+                         "(must be (K, N) and (N, K) matrices)")
     coupled = h_a @ v
     powers = _coupled_powers(coupled.real**2 + coupled.imag**2, np.ones(h_a.shape[0]))
     return _sinr(*powers, p_u, noise_var)
@@ -170,12 +170,9 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     Each draw lives only until its Gram is formed, so no two are alive at once.
     """
     specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
-    for tag, order in specs:
-        if tag == "NS-ZF":
-            _check_order(order)
-    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    specs = [(tag, _count(order, "ns_iterations", 0) if tag == "NS-ZF" else order)
+             for tag, order in specs]
+    trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
     rx, tx = _factors(rx_sigma, tx_sigma)
     rx_live, tx_live = rx != 0.0, tx != 0.0
     live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
@@ -261,12 +258,12 @@ def simulated_se(
         The averaged estimate.
 
     Raises:
-        ValueError: On an unknown scheme, a trial count that is not an
-            integer of at least 1, a seed that is not a nonnegative integer,
+        ValueError: On an unknown scheme, a trial count below 1, a seed or
+            NS-ZF series order below 0, any of the three not an integer
+            (``invalid value for trials``, ``seed`` or ``ns_iterations``),
             malformed scale factors, an SNR grid that is not a number or a
-            nonempty 1-D vector of finite numbers, an NS-ZF series order
-            that is not a nonnegative ``int``, or, for ZF and NS-ZF, more
-            active streams than transmit cells; always before any draw.
+            nonempty 1-D vector of finite numbers, or, for ZF and NS-ZF,
+            more active streams than transmit cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """

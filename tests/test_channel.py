@@ -13,10 +13,12 @@ from holosim import (
     correlation_eigenvalues,
     draw_wavenumber_channel,
     lattice_ellipse,
+    ns_zf,
+    simulated_se,
     variance_map,
 )
 from holosim.channel import _draw_parts, _gram
-from holosim.harness import run_eigvals
+from holosim.harness import run_eigvals, run_se_sim, run_se_theory, run_variance_map
 
 
 def dead_cell_sigma(rx_map, tx_map, users):
@@ -262,3 +264,78 @@ class TestCorrelationEigenvalues:
         written = run_eigvals(config, tmp_path / "eig.csv")
         assert written.size == 36 * 196 and written[-1] == 0.0
         assert np.all(np.diff(written) <= 0.0) and np.all(written >= 0.0)
+
+
+def _geometry(field):
+    def run(count, out):
+        sides = {"n_h": 3, "n_v": 3, field: count}
+        run_variance_map(ArrayGeometry(**sides, spacing=1 / 3), out)
+        return out.read_bytes()
+
+    return run
+
+
+def _scenario(field):
+    def run(count, out):
+        surfaces = {"tx": ArrayGeometry(6, 6, 1 / 3), "rx": ArrayGeometry(3, 3, 1 / 3)}
+        run_se_theory(ScenarioConfig(**surfaces, schemes=("MRT",), **{field: count}), out)
+        return out.read_bytes()
+
+    return run
+
+
+def _engine(field):
+    def run(count, out):
+        counts = {"trials": 2, "seed": 0, "ns_iterations": 2, field: count}
+        result = simulated_se(*uniform_sigma(2, 5), "ns-zf", [0.0, 10.0], **counts)
+        assert type(result.trials) is int
+        return result.per_stream.tobytes() + result.per_stream_stderr.tobytes()
+
+    return run
+
+
+def _series(count, out):
+    return ns_zf(draw_wavenumber_channel(*uniform_sigma(2, 5), 0), count).tobytes()
+
+
+def _orders(count, out):
+    config = ScenarioConfig(tx=ArrayGeometry(6, 6, 1 / 3), rx=ArrayGeometry(3, 3, 1 / 3),
+                            users=1, snr_grid_db=(10.0,), trials=2, schemes=("ZF",))
+    run_se_sim(config, out, ns_orders=(count,))
+    return out.read_bytes()
+
+
+# (name in the message, least count, a valid count, a run that returns what it produced)
+COUNT_INPUTS = {
+    "ArrayGeometry.n_h": ("n_h", 1, 3, _geometry("n_h")),
+    "ArrayGeometry.n_v": ("n_v", 1, 3, _geometry("n_v")),
+    "ScenarioConfig.users": ("users", 1, 2, _scenario("users")),
+    "ScenarioConfig.trials": ("trials", 1, 2, _scenario("trials")),
+    "ScenarioConfig.seed": ("seed", 0, 3, _scenario("seed")),
+    "ScenarioConfig.ns_iterations": ("ns_iterations", 0, 2, _scenario("ns_iterations")),
+    "simulated_se.trials": ("trials", 1, 2, _engine("trials")),
+    "simulated_se.seed": ("seed", 0, 3, _engine("seed")),
+    "simulated_se.ns_iterations": ("ns_iterations", 0, 2, _engine("ns_iterations")),
+    "ns_zf.iterations": ("iterations", 0, 2, _series),
+    "run_se_sim.ns_orders": ("iters", 0, 2, _orders),
+}
+
+
+class TestCountRule:
+    # Every count the package takes is read by one rule: an int or a NumPy
+    # integer of at least the input's least value, and nothing else.
+    @pytest.mark.parametrize("entry", COUNT_INPUTS.values(), ids=COUNT_INPUTS.keys())
+    @pytest.mark.parametrize("bad", [True, 2.0, "2", None, "least - 1"],
+                             ids=["bool", "float", "string", "none", "below-least"])
+    def test_a_value_that_is_not_a_count_names_the_input(self, entry, bad, tmp_path):
+        name, least, _, run = entry
+        value = least - 1 if bad == "least - 1" else bad
+        with pytest.raises(ValueError, match=f"^invalid value for {name}: "):
+            run(value, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("entry", COUNT_INPUTS.values(), ids=COUNT_INPUTS.keys())
+    def test_a_numpy_integer_is_the_int_it_holds(self, entry, tmp_path):
+        # What each run produced: a CSV with its config line, or the bits of a result.
+        _, _, count, run = entry
+        as_int = run(count, tmp_path / "int.csv")
+        assert run(np.int64(count), tmp_path / "numpy.csv") == as_int

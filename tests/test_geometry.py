@@ -84,15 +84,15 @@ class TestArrayGeometry:
     def test_rejects_bad_parameters(self, kwargs):
         usable = {"n_h": 2, "n_v": 2, "spacing": 0.5}
         (field,) = (key for key, value in kwargs.items() if value != usable[key])
-        with pytest.raises(ValueError, match=f"^{field} "):
+        with pytest.raises(ValueError, match=f"^invalid value for {field}: "):
             ArrayGeometry(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"n_h": True, "n_v": 2, "spacing": 0.5}, "n_h must be a positive integer"),
-            ({"n_h": 2, "n_v": True, "spacing": 0.5}, "n_v must be a positive integer"),
-            ({"n_h": 2, "n_v": 2, "spacing": True}, "spacing must be positive"),
+            ({"n_h": True, "n_v": 2, "spacing": 0.5}, "invalid value for n_h: True"),
+            ({"n_h": 2, "n_v": True, "spacing": 0.5}, "invalid value for n_v: True"),
+            ({"n_h": 2, "n_v": 2, "spacing": True}, "invalid value for spacing"),
         ],
         ids=["n_h", "n_v", "spacing"],
     )
@@ -114,7 +114,7 @@ class TestArrayGeometry:
 
     @pytest.mark.parametrize("spacing", [math.inf, 1e308], ids=["inf", "overflowing-length"])
     def test_rejects_non_finite_spacing_or_lengths(self, spacing):
-        with pytest.raises(ValueError, match="spacing must be positive with finite lengths"):
+        with pytest.raises(ValueError, match="invalid value for spacing"):
             ArrayGeometry(2, 10, spacing)
 
 

@@ -249,7 +249,7 @@ class TestNSZF:
 
     @pytest.mark.parametrize("order", [True, 2.0, -1])
     def test_rejects_an_order_that_is_not_a_nonnegative_int(self, h_a, order):
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="invalid value for iterations"):
             ns_zf(h_a, order)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -282,6 +282,16 @@ class TestPowerConstraint:
         for v in (mrt(h_a), zf(h_a), mmse(h_a, snr=10.0), ns_zf(h_a, 3)):
             assert isinstance(v, np.ndarray) and v.shape == h_a.T.shape
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestChannelRank:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4,)], ids=["3-d", "1-d"])
+    def test_every_scheme_rejects_a_channel_that_is_not_a_matrix(self, shape):
+        # Unchecked, a 3-D channel raised a bare IndexError in every scheme.
+        h_a = np.ones(shape, dtype=complex)
+        for precode in (mrt, zf, lambda h: mmse(h, 10.0), lambda h: ns_zf(h, 3)):
+            with pytest.raises(ValueError, match="invalid value for h_a"):
+                precode(h_a)
 
 
 class TestSeriesOrderSufficiency:

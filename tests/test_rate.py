@@ -106,6 +106,10 @@ class TestPerStreamSINR:
         other = draw_wavenumber_channel(*uniform_sigma(3, 4), 0)
         with pytest.raises(ValueError, match="disagree"):
             per_stream_sinr(other, v, p_u=1.0, noise_var=1.0)
+        # Unchecked, a 3-D channel gave a 2x2 table and a 1-D input a bare IndexError.
+        for bad_h, bad_v in [(np.ones((2, 2, 2)), np.ones((2, 2))), (h_a[0], v), (h_a, v[:, 0])]:
+            with pytest.raises(ValueError, match=r"h_a \(.*\) and v \(.*\) dimensions disagree"):
+                per_stream_sinr(bad_h, bad_v, p_u=1.0, noise_var=1.0)
 
 
 class TestBuiltResults:
@@ -251,7 +255,7 @@ class TestSimulatedSE:
     @pytest.mark.parametrize("trials", [True, 2.5, 2.0])
     def test_rejects_a_trial_count_that_is_not_a_positive_int(self, trials, count_calls):
         draws = count_calls(rate, "_draw_parts")
-        with pytest.raises(ValueError, match="trials must be an integer"):
+        with pytest.raises(ValueError, match="invalid value for trials"):
             simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=trials)
         assert draws == []
 
@@ -259,7 +263,7 @@ class TestSimulatedSE:
     def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed, count_calls):
         # None would draw from fresh OS entropy and True would run as seed 1.
         draws = count_calls(rate, "_draw_parts")
-        with pytest.raises(ValueError, match="seed must be an integer"):
+        with pytest.raises(ValueError, match="invalid value for seed"):
             simulated_se(*uniform_sigma(2, 5), "mrt", [0.0], trials=2, seed=seed)
         assert draws == []
 
@@ -294,7 +298,7 @@ class TestSimulatedSE:
     @pytest.mark.parametrize("order", [True, 1.5, -1])
     def test_rejects_a_series_order_that_is_not_an_int(self, order, count_calls):
         draws = count_calls(rate, "_draw_parts")
-        with pytest.raises(ValueError, match="nonnegative integer"):
+        with pytest.raises(ValueError, match="invalid value for ns_iterations"):
             simulated_se(*uniform_sigma(2, 5), "ns-zf", [0.0], trials=1, ns_iterations=order)
         assert draws == []
 
