@@ -11,8 +11,8 @@ from them in real arithmetic, never holding the complex matrix.  The
 correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries;
 its zeros up to the element-domain dimension are left to the CSV writer.
-:func:`_real_vector` reads every number the package takes from outside, and
-:func:`_count` every count.
+:func:`_real_vector` reads every number the package takes from outside,
+:func:`_count` every count and :func:`_numeric` every matrix.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ def _count(value, name: str, least: int) -> int:
         return int(value)
     raise ValueError(f"invalid value for {name}: {reprlib.repr(value)} "
                      f"(must be an integer of at least {least})")
+
+
+def _numeric(values, name: str) -> np.ndarray:
+    """``values`` as an array of integers, reals or complex numbers; an array keeps its bits."""
+    with contextlib.suppress(ValueError):  # a ragged nested list is no array
+        if (array := np.asarray(values)).dtype.kind in "iufc":
+            return array
+    raise ValueError(f"invalid value for {name}: {reprlib.repr(values)} (must hold numbers)")
 
 
 def _factors(rx_sigma, tx_sigma) -> tuple[np.ndarray, np.ndarray]:

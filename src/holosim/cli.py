@@ -4,7 +4,10 @@ Subcommands map onto the harness runners: ``variance-map`` and ``eigvals``
 emit analytic artifacts, ``se-sim`` and ``se-theory`` run the rate
 estimators, ``ns-compare`` is ``se-sim``'s runner given series orders, and
 ``preset`` expands a named experiment family into its CSV series.  All
-outputs are CSV with a leading configuration comment line.
+outputs are CSV with a leading configuration comment line.  The parser
+converts no value: every option reaches the harness as text and is read like
+the same key of a ``--config`` file (``preset --scale`` like a spacing, so
+``1/4`` is a scale), and a bad value exits with status 1.
 """
 
 from __future__ import annotations
@@ -17,29 +20,24 @@ from . import harness
 
 
 def _add_geometry_flags(parser: argparse.ArgumentParser, receive: bool = True) -> None:
-    parser.add_argument("--ns", type=int, default=None,
-                        help="transmit surface patch count (near-square grid)")
-    parser.add_argument("--delta-s", default=None, metavar="FRAC",
+    parser.add_argument("--ns", help="transmit surface patch count (near-square grid)")
+    parser.add_argument("--delta-s", metavar="FRAC",
                         help="transmit patch spacing in wavelengths, e.g. 1/6")
     if receive:
-        parser.add_argument("--nr", type=int, default=None,
-                            help="receive surface patch count (near-square grid)")
-        parser.add_argument("--delta-r", default=None, metavar="FRAC",
+        parser.add_argument("--nr", help="receive surface patch count (near-square grid)")
+        parser.add_argument("--delta-r", metavar="FRAC",
                             help="receive patch spacing in wavelengths, e.g. 1/3")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--users", type=int, default=None, help="number of users")
-    parser.add_argument("--snr", default=None, metavar="A:B:STEP",
+    parser.add_argument("--users", help="number of users")
+    parser.add_argument("--snr", metavar="A:B:STEP",
                         help="SNR grid in dB, a:b:step or a comma list")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-    parser.add_argument("--seed", type=int, default=None, help="root seed")
-    parser.add_argument("--scheme", default=None, metavar="LIST",
-                        help="comma list from mrt,zf,mmse,ns-zf")
-    parser.add_argument("--iters", default=None, metavar="N[,N...]",
-                        help="series order(s) for ns-zf")
-    parser.add_argument("--config", default=None, metavar="JSON",
-                        help="JSON settings file; flags override it")
+    parser.add_argument("--trials", help="Monte Carlo trials")
+    parser.add_argument("--seed", help="root seed")
+    parser.add_argument("--scheme", metavar="LIST", help="comma list from mrt,zf,mmse,ns-zf")
+    parser.add_argument("--iters", metavar="N[,N...]", help="series order(s) for ns-zf")
+    parser.add_argument("--config", metavar="JSON", help="JSON settings file; flags override it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     preset = sub.add_parser("preset", help="run a named experiment family")
     preset.add_argument("name", choices=harness.PRESET_NAMES)
-    preset.add_argument("--scale", type=float, default=1.0,
-                        help="patch-count multiplier for every surface")
-    preset.add_argument("--trials", type=int, default=None, help="trial override")
-    preset.add_argument("--seed", type=int, default=None, help="seed override")
+    preset.add_argument("--scale", default=1.0, metavar="FRAC",
+                        help="patch-count multiplier for every surface, e.g. 1/4")
+    preset.add_argument("--trials", help="trial override")
+    preset.add_argument("--seed", help="seed override")
     preset.add_argument("--out", default=".", help="output directory")
     return parser
 
@@ -106,13 +104,10 @@ def main(argv: list[str] | None = None) -> int:
             config, orders = harness.parse_ns_compare(path, **flags)
             harness.run_se_sim(config, Path(args.out), ns_orders=orders)
         else:
-            return harness.run_preset(
-                args.name,
-                scale=args.scale,
-                trials=args.trials,
-                seed=args.seed,
-                out=args.out,
-            )
+            counts = {key: harness._parse_int(flags[key], key)
+                      for key in ("trials", "seed") if flags[key] is not None}
+            scale = harness._parse_rational(args.scale, "scale")
+            return harness.run_preset(args.name, scale=scale, out=args.out, **counts)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into status
         print(f"holosim {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,9 @@ time: SE blocks (Monte Carlo and the public closed forms alike) become four
 columns, and the correlation spectrum is padded here to its element-domain
 dimension.  One runner, :func:`run_se_sim`, writes every Monte Carlo
 artifact.  The presets are one table of series, each a surface pair, a user
-count, its schemes and the runner that writes it.
+count, its schemes and the runner that writes it, stems included.  Settings
+from a file and from command-line text share their readers; only spacing
+or scale text needs the exact fraction reader, and no preset table has any.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,18 +105,19 @@ def _near_square(count: int) -> tuple[int, int]:
     return side, count // side
 
 
-def _parse_spacing(value, field: str) -> float:
-    """Parse a patch spacing given as a rational-of-wavelength literal."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        spacing = float(value)
-    else:
+def _parse_rational(value, field: str) -> float:
+    """A positive number; text is first read exactly as a fraction (``"1/6"``, ``"0.25"``)."""
+    number = value
+    if isinstance(value, str):
+        from fractions import Fraction  # only text needs it; no preset gives any
         try:
-            spacing = float(Fraction(str(value)))
-        except (ValueError, ZeroDivisionError) as exc:
+            number = float(Fraction(value))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"invalid value for {field}: {value!r}") from exc
-    if spacing <= 0.0:
+    number = _real_vector([number], field).item()
+    if not number > 0.0:
         raise ValueError(f"invalid value for {field}: {value!r} (must be positive)")
-    return spacing
+    return number
 
 
 def _parse_snr(value):
@@ -160,7 +162,7 @@ def _parse_schemes(value) -> tuple[str, ...]:
 def _surface(count, spacing, count_key: str, spacing_key: str) -> ArrayGeometry:
     """Near-square surface of ``count`` patches ``spacing`` wavelengths apart."""
     patches = _count(_parse_int(count, count_key), count_key, 1)
-    return ArrayGeometry(*_near_square(patches), _parse_spacing(spacing, spacing_key))
+    return ArrayGeometry(*_near_square(patches), _parse_rational(spacing, spacing_key))
 
 
 def _load_settings(path: str | None, flags: dict) -> dict:
@@ -202,16 +204,16 @@ def _scenario(settings: dict, **fields) -> ScenarioConfig:
 def parse_config(path: str | None = None, **flags) -> ScenarioConfig:
     """Build a scenario from an optional JSON file plus flag overrides.
 
-    The file and the flags are read the same way and share these keys:
-    ``ns``, ``nr`` (patch counts, factored into near-square grids),
-    ``delta_s``, ``delta_r`` (spacings as rational-of-wavelength literals
-    such as ``"1/6"``), ``users``, ``snr`` (``a:b:step``, a comma list or a
-    JSON list), ``trials``, ``seed``, ``scheme`` (comma or JSON list) and
+    The file and the flags are read the same way and share these keys: ``ns``,
+    ``nr`` (patch counts, factored into near-square grids), ``delta_s``,
+    ``delta_r`` (positive spacings in wavelengths; text is read exactly as a
+    fraction such as ``"1/6"``), ``users``, ``snr`` (``a:b:step``, a comma list
+    or a JSON list), ``trials``, ``seed``, ``scheme`` (comma or JSON list) and
     ``iters`` (one series order).  Flags override file values.  The surfaces
     default to 900 transmit and 144 receive patches at one-third wavelength;
-    every other key left unset keeps its :class:`ScenarioConfig` default,
-    which also checks every range.  Counts must be integral: ``2.7`` is an
-    error, JSON ``1e3`` is 1000.
+    every other key left unset keeps its :class:`ScenarioConfig` default, which
+    also checks every range.  Counts must be integral: ``2.7`` is an error,
+    JSON ``1e3`` is 1000.
 
     Args:
         path: Optional JSON file of settings.
@@ -407,20 +409,13 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
     _write_se(out, config, _config_payload(config), blocks)
 
 
-def _spacing_tag(spacing: float) -> str:
-    frac = Fraction(spacing).limit_denominator(1000)
-    return f"{frac.numerator}_{frac.denominator}"
-
-
 def _geometry_for(count: int, spacing: float, scale: float) -> ArrayGeometry:
     """Near-square grid of ``count`` patches, the count multiplied by ``scale``.
 
     Each side is scaled by the square root of ``scale`` and rounded, so the
     grid stays proper.
     """
-    sides = _near_square(count)
-    if scale != 1.0:
-        sides = tuple(max(1, round(side * math.sqrt(scale))) for side in sides)
+    sides = (max(1, round(side * math.sqrt(scale))) for side in _near_square(count))
     return ArrayGeometry(*sides, spacing)
 
 
@@ -441,16 +436,16 @@ def _ns_job(config: ScenarioConfig, out: Path) -> None:
 _ALL = ("MRT", "ZF", "MMSE")
 # name -> [(stem, (ns, delta_s, nr, delta_r, users, schemes), job)]
 _PRESETS = {
-    "fig3": [(f"fig3_dr{_spacing_tag(dr)}", (900, _THIRD, 576, dr, 1, ("MRT",)), _eigvals_job)
-             for dr in (_SIXTH, _THIRD, 0.5)],
+    "fig3": [(f"fig3_dr{tag}", (900, _THIRD, 576, dr, 1, ("MRT",)), _eigvals_job)
+             for tag, dr in (("1_6", _SIXTH), ("1_3", _THIRD), ("1_2", 0.5))],
     "fig4": [(f"fig4_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("ZF", "MMSE")), _se_job)
              for ns in (576, 900, 3600)],
     "fig5": [(f"fig5_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("MRT",)), _se_job)
              for ns in (144, 576, 900)],
     "fig6": [(f"fig6_nr{nr}", (900, _SIXTH, nr, _SIXTH, 3, _ALL), _se_job)
              for nr in (72, 144, 288)],
-    "fig7": [(f"fig7_ds{_spacing_tag(ds)}", (3600, ds, 144, _THIRD, 1, _ALL), _se_job)
-             for ds in (_SIXTH, 1.0 / 15.0)],
+    "fig7": [(f"fig7_ds{tag}", (3600, ds, 144, _THIRD, 1, _ALL), _se_job)
+             for tag, ds in (("1_6", _SIXTH), ("1_15", 1.0 / 15.0))],
     "fig8": [("fig8", (729, _THIRD, 144, _THIRD, 1, ("ZF",)), _ns_job)],
 }
 PRESET_NAMES = tuple(_PRESETS)
@@ -475,8 +470,8 @@ def preset_jobs(
     scale = _real_vector([scale], "scale").item()
     if not scale > 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    overrides = {"trials": trials, "seed": seed}
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    overrides = {key: value for key, value in (("trials", trials), ("seed", seed))
+                 if value is not None}
     jobs = []
     for stem, (ns, ds, nr, dr, users, schemes), job in _PRESETS[name]:
         tx, rx = _geometry_for(ns, ds, scale), _geometry_for(nr, dr, scale)

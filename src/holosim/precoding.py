@@ -10,17 +10,17 @@ row of ``s²`` marks a draw the scheme rejects as singular.  MRT has
 ``1/(λ + a)`` at every SNR (a positive, finite SNR); NS-ZF's one core takes
 every series order, its coupled matrix and its powers from one Horner loop,
 and its callers read each order with :func:`holosim.channel._count` before a
-Gram is formed or a channel drawn.  The public precoders take the ``(K, N)``
-channel matrix ``H_a`` (any other rank fails) and return the unit-norm
-``(N, K)`` matrix ``V = H_aᴴ X diag(s)`` formed from a core; the Monte
-Carlo engine of :mod:`holosim.rate` reads only the core's powers.
+Gram is formed or a channel drawn.  The public precoders take the numeric
+``(K, N)`` channel matrix ``H_a`` (any other rank fails) and return the
+unit-norm ``(N, K)`` matrix ``V = H_aᴴ X diag(s)`` formed from a core; the
+Monte Carlo engine of :mod:`holosim.rate` reads only the core's powers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import _count, _real_vector
+from .channel import _count, _numeric, _real_vector
 
 __all__ = [
     "SingularChannelError",
@@ -147,8 +147,9 @@ def _precode(h_a: np.ndarray, core, nulling: bool = False) -> np.ndarray:
     A ``nulling`` scheme (ZF, NS-ZF) first checks that the live streams fit
     the live transmit cells.
     """
-    if np.ndim(h_a) != 2:
-        raise ValueError(f"invalid value for h_a: shape {np.shape(h_a)} (must be a (K, N) matrix)")
+    h_a = _numeric(h_a, "h_a")
+    if h_a.ndim != 2:
+        raise ValueError(f"invalid value for h_a: shape {h_a.shape} (must be a (K, N) matrix)")
     if nulling:
         nonzero = h_a != 0.0
         _require_cells(nonzero.any(axis=1), nonzero.any(axis=0))
@@ -176,7 +177,7 @@ def mrt(h_a: np.ndarray) -> np.ndarray:
         norm, shape ``(N, K)``.
 
     Raises:
-        ValueError: If the channel is not a matrix or is identically zero.
+        ValueError: If the channel is not a numeric matrix or is identically zero.
     """
     return _precode(h_a, _mrt_core)
 
@@ -202,7 +203,7 @@ def zf(h_a: np.ndarray) -> np.ndarray:
         SingularChannelError: If the Gram block of the active streams has
             condition number ``λ_max/λ_min`` above 1e12 or a nonpositive
             smallest eigenvalue.
-        ValueError: If the channel is not a matrix, or if there are more
+        ValueError: If the channel is not a numeric matrix, or if there are more
             active streams than transmit cells or no active streams at all.
     """
     return _precode(h_a, lambda g_aa: _zf_core(_spectrum(g_aa)), nulling=True)
@@ -228,12 +229,12 @@ def mmse(h_a: np.ndarray, snr: float) -> np.ndarray:
 
     Raises:
         ValueError: If ``snr`` is not a number, not positive and finite, or
-            the channel is not a matrix or all zero.
+            the channel is not a numeric matrix or all zero.
     """
     snr = _real_vector([snr], "snr").item()
     if not snr > 0.0:
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
-    return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, h_a.shape[0]))
+    return _precode(h_a, lambda g_aa: _mmse_core(_spectrum(g_aa), snr, len(h_a)))
 
 
 def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
@@ -258,7 +259,7 @@ def ns_zf(h_a: np.ndarray, iterations: int = 3) -> np.ndarray:
 
     Raises:
         SingularChannelError: If a precoding column has zero energy.
-        ValueError: If the channel is not a matrix, there are more active
+        ValueError: If the channel is not a numeric matrix, there are more active
             streams than transmit cells, no active stream at all, or the
             order is not a count (``invalid value for iterations``).
     """

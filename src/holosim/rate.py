@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count, _draw_parts, _factors, _gram, _real_vector
+from .channel import _count, _draw_parts, _factors, _gram, _numeric, _real_vector
 from .precoding import (SingularChannelError, _active_block, _coupled_powers, _mmse_core,
                         _mrt_core, _ns_zf_core, _require_cells, _spectrum, _zf_core)
 
@@ -116,7 +116,7 @@ def per_stream_sinr(
     Raises:
         ValueError: Naming the input, on a power or noise variance that is
             not a number, out of range or non-finite, or on ``h_a`` and ``v``
-            that are not ``(K, N)`` and ``(N, K)`` matrices.
+            that are not numeric ``(K, N)`` and ``(N, K)`` matrices.
     """
     p_u = _real_vector([p_u], "p_u").item()
     noise_var = _real_vector([noise_var], "noise_var").item()
@@ -124,6 +124,7 @@ def per_stream_sinr(
         raise ValueError(f"p_u must be positive and finite, got {p_u!r}")
     if not noise_var >= 0.0:
         raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
+    h_a, v = _numeric(h_a, "h_a"), _numeric(v, "v")
     if h_a.ndim != 2 or v.shape != h_a.shape[::-1]:
         raise ValueError(f"h_a {h_a.shape} and v {v.shape} dimensions disagree "
                          "(must be (K, N) and (N, K) matrices)")
@@ -169,9 +170,8 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
     Each draw lives only until its Gram is formed, so no two are alive at once.
     """
-    specs = [(_canonical_scheme(scheme), order) for scheme, order in specs]
-    specs = [(tag, _count(order, "ns_iterations", 0) if tag == "NS-ZF" else order)
-             for tag, order in specs]
+    specs = [(_canonical_scheme(scheme), _count(order, "ns_iterations", 0))
+             for scheme, order in specs]
     trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
     rx, tx = _factors(rx_sigma, tx_sigma)
     rx_live, tx_live = rx != 0.0, tx != 0.0
@@ -252,14 +252,15 @@ def simulated_se(
             power is ``10**(dB/10)``.
         trials: Monte Carlo trials to average, at least 1.
         seed: Root seed (a nonnegative integer) of the per-trial splits.
-        ns_iterations: Series order for the ``"ns-zf"`` scheme.
+        ns_iterations: Series order for the ``"ns-zf"`` scheme, read as a
+            count whatever the scheme.
 
     Returns:
         The averaged estimate.
 
     Raises:
         ValueError: On an unknown scheme, a trial count below 1, a seed or
-            NS-ZF series order below 0, any of the three not an integer
+            series order below 0, any of the three not an integer
             (``invalid value for trials``, ``seed`` or ``ns_iterations``),
             malformed scale factors, an SNR grid that is not a number or a
             nonempty 1-D vector of finite numbers, or, for ZF and NS-ZF,

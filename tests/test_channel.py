@@ -14,6 +14,7 @@ from holosim import (
     draw_wavenumber_channel,
     lattice_ellipse,
     ns_zf,
+    rate,
     simulated_se,
     variance_map,
 )
@@ -284,10 +285,10 @@ def _scenario(field):
     return run
 
 
-def _engine(field):
+def _engine(field, scheme="ns-zf"):
     def run(count, out):
         counts = {"trials": 2, "seed": 0, "ns_iterations": 2, field: count}
-        result = simulated_se(*uniform_sigma(2, 5), "ns-zf", [0.0, 10.0], **counts)
+        result = simulated_se(*uniform_sigma(2, 5), scheme, [0.0, 10.0], **counts)
         assert type(result.trials) is int
         return result.per_stream.tobytes() + result.per_stream_stderr.tobytes()
 
@@ -316,6 +317,15 @@ COUNT_INPUTS = {
     "simulated_se.trials": ("trials", 1, 2, _engine("trials")),
     "simulated_se.seed": ("seed", 0, 3, _engine("seed")),
     "simulated_se.ns_iterations": ("ns_iterations", 0, 2, _engine("ns_iterations")),
+    "simulated_se[mrt].ns_iterations": (
+        "ns_iterations", 0, 2, _engine("ns_iterations", "mrt")
+    ),
+    "simulated_se[zf].ns_iterations": (
+        "ns_iterations", 0, 2, _engine("ns_iterations", "zf")
+    ),
+    "simulated_se[mmse].ns_iterations": (
+        "ns_iterations", 0, 2, _engine("ns_iterations", "mmse")
+    ),
     "ns_zf.iterations": ("iterations", 0, 2, _series),
     "run_se_sim.ns_orders": ("iters", 0, 2, _orders),
 }
@@ -332,6 +342,14 @@ class TestCountRule:
         value = least - 1 if bad == "least - 1" else bad
         with pytest.raises(ValueError, match=f"^invalid value for {name}: "):
             run(value, tmp_path / "out.csv")
+
+    @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
+    def test_every_scheme_reads_its_series_order_before_any_draw(self, scheme, count_calls):
+        # Unchecked, every scheme but NS-ZF ran with any order at all.
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="^invalid value for ns_iterations: 'x'"):
+            simulated_se(*uniform_sigma(2, 5), scheme, [0.0], trials=2, ns_iterations="x")
+        assert draws == []
 
     @pytest.mark.parametrize("entry", COUNT_INPUTS.values(), ids=COUNT_INPUTS.keys())
     def test_a_numpy_integer_is_the_int_it_holds(self, entry, tmp_path):

@@ -89,6 +89,8 @@ class TestParseConfig:
     def test_error_messages_name_the_field(self):
         with pytest.raises(ValueError, match="invalid value for delta-s"):
             parse_config(delta_s="fast")
+        with pytest.raises(ValueError, match="invalid value for delta-s: '1e400'"):
+            parse_config(delta_s="1e400")  # exact, but past the float range
         with pytest.raises(ValueError, match="invalid value for snr"):
             parse_config(snr="0:10")
         with pytest.raises(ValueError, match="invalid value for trials"):
@@ -130,7 +132,9 @@ class TestParseConfig:
         settings = tmp_path / "scenario.json"
         settings.write_text(json.dumps({key: True}))
         field = key.replace("_", "-")
-        with pytest.raises(ValueError, match=f"invalid value for {field}: True"):
+        # A spacing is one entry of the number reader, which names the entry list.
+        shown = "[True]" if key.startswith("delta") else "True"
+        with pytest.raises(ValueError, match=re.escape(f"invalid value for {field}: {shown}")):
             parse_config(str(settings))
 
     @pytest.mark.parametrize("orders", [True, [2, True]], ids=["scalar", "list"])
@@ -692,6 +696,21 @@ SCALED_SERIES = [
 ]
 
 
+# (command, flag, a bad value, the --config key its reader reads); a preset's
+# scale is read by the spacing reader.
+BAD_FLAGS = [
+    ("se-sim", "--ns", "144.5", "ns"),
+    ("se-sim", "--nr", "-36", "nr"),
+    ("se-sim", "--users", "two", "users"),
+    ("se-sim", "--trials", "2.5", "trials"),
+    ("se-sim", "--seed", "-1", "seed"),
+    ("preset", "--trials", "2.5", "trials"),
+    ("preset", "--seed", "1e3", "seed"),
+    ("preset", "--scale", "1/0", "delta_s"),
+]
+COMMAND_ARGS = {"se-sim": ["--snr", "10", "--trials", "1"], "preset": ["fig8"]}
+
+
 class TestCLI:
     @pytest.mark.parametrize(
         ("name", "stem", "command"), SCALED_SERIES, ids=[stem for _, stem, _ in SCALED_SERIES]
@@ -874,8 +893,41 @@ class TestCLI:
         status = main(["preset", "fig8", "--scale", scale, "--trials", "2",
                        "--out", str(tmp_path)])
         assert status == 1
-        assert f"invalid value for scale: [{scale}]" in capsys.readouterr().err
+        assert f"invalid value for scale: '{scale}'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value", "key"), BAD_FLAGS,
+        ids=[f"{command}{flag}" for command, flag, _, _ in BAD_FLAGS],
+    )
+    def test_a_bad_flag_fails_like_the_same_value_in_a_file(
+        self, tmp_path, capsys, command, flag, value, key
+    ):
+        # The command converts no flag: each reaches the reader of the same
+        # key of a --config file, so a bad value exits 1 with that message
+        # (argparse used to refuse some as usage errors, exit status 2).
+        out = tmp_path / "out"
+        assert main([command, *COMMAND_ARGS[command], flag, value, "--out", str(out)]) == 1
+        from_flag = capsys.readouterr().err
+        assert from_flag.startswith(f"holosim {command}")
+        settings = tmp_path / "scenario.json"
+        settings.write_text(json.dumps({key: value}))
+        assert main(["se-sim", "--config", str(settings), "--out", str(out)]) == 1
+        from_file = capsys.readouterr().err
+        message = from_flag.split(": ", 1)[1]
+        assert message.startswith(f"invalid value for {flag[2:]}: ")
+        field = key.replace("_", "-")
+        assert message == from_file.split(": ", 1)[1].replace(field, flag[2:], 1)
+        assert not out.exists()
+
+    def test_preset_scale_reads_a_fraction(self, tmp_path):
+        for scale in ("1/4", "0.25"):
+            status = main(["preset", "fig8", "--scale", scale, "--trials", "2",
+                           "--out", str(tmp_path / scale.replace("/", "_"))])
+            assert status == 0
+        assert (tmp_path / "1_4" / "fig8.csv").read_bytes() == (
+            tmp_path / "0.25" / "fig8.csv"
+        ).read_bytes()
 
     def test_unknown_preset_name_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -284,13 +284,35 @@ class TestPowerConstraint:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+PRECODERS = (mrt, zf, lambda h: mmse(h, 10.0), lambda h: ns_zf(h, 3))
+
+
 class TestChannelRank:
     @pytest.mark.parametrize("shape", [(2, 2, 2), (4,)], ids=["3-d", "1-d"])
     def test_every_scheme_rejects_a_channel_that_is_not_a_matrix(self, shape):
         # Unchecked, a 3-D channel raised a bare IndexError in every scheme.
         h_a = np.ones(shape, dtype=complex)
-        for precode in (mrt, zf, lambda h: mmse(h, 10.0), lambda h: ns_zf(h, 3)):
+        for precode in PRECODERS:
             with pytest.raises(ValueError, match="invalid value for h_a"):
+                precode(h_a)
+
+    def test_every_scheme_reads_a_nested_list_as_its_array(self):
+        # Unchecked, a list failed with a bare AttributeError ('conj').
+        h_a = draw_wavenumber_channel(np.ones(2), np.ones(4), 5)
+        for precode in PRECODERS:
+            np.testing.assert_array_equal(precode(h_a.tolist()), precode(h_a))
+        np.testing.assert_array_equal(mrt([[1.0, 0.5]]), mrt(np.array([[1.0, 0.5]])))
+
+    @pytest.mark.parametrize(
+        "h_a",
+        [[[1.0, None]], [["1", "0.5"]], [[1.0], [2.0, 3.0]], np.ones((1, 2), dtype=bool)],
+        ids=["none-entry", "strings", "ragged", "booleans"],
+    )
+    def test_every_scheme_rejects_a_channel_that_is_not_numeric(self, h_a):
+        # Unchecked, lists failed with bare AttributeErrors or NumPy's ragged-array
+        # error, and a boolean channel ran in three schemes.
+        for precode in PRECODERS:
+            with pytest.raises(ValueError, match="^invalid value for h_a: "):
                 precode(h_a)
 
 

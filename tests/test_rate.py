@@ -110,6 +110,15 @@ class TestPerStreamSINR:
         for bad_h, bad_v in [(np.ones((2, 2, 2)), np.ones((2, 2))), (h_a[0], v), (h_a, v[:, 0])]:
             with pytest.raises(ValueError, match=r"h_a \(.*\) and v \(.*\) dimensions disagree"):
                 per_stream_sinr(bad_h, bad_v, p_u=1.0, noise_var=1.0)
+        # Unchecked, a nested list failed with a bare AttributeError ('ndim').
+        np.testing.assert_array_equal(
+            per_stream_sinr(h_a.tolist(), v.tolist(), 2.0, 1.0), per_stream_sinr(h_a, v, 2.0, 1.0)
+        )
+        assert per_stream_sinr([[1.0, 0.5]], [[1.0], [0.0]], 1.0, 1.0).tolist() == [1.0]
+        for bad_h, bad_v, name in [([["1", "0"]], v, "h_a"), (h_a, [[None, 1.0]] * 4, "v"),
+                                   (h_a.astype(bool), v, "h_a"), (h_a, [[1.0], [2.0, 3.0]], "v")]:
+            with pytest.raises(ValueError, match=f"^invalid value for {name}: "):
+                per_stream_sinr(bad_h, bad_v, p_u=1.0, noise_var=1.0)
 
 
 class TestBuiltResults:
@@ -364,13 +373,13 @@ class TestSharedEngine:
         # draw must leave each spec's estimate bit for bit as it is alone.
         rx = np.array([1.0] * 7 + [1e-5])
         tx = np.ones(9)
-        specs = [("MRT", None), ("ZF", None), ("MMSE", None)]
+        specs = [("MRT", 0), ("ZF", 0), ("MMSE", 0)]
         specs += [("NS-ZF", order) for order in (0, 1, 2, 7)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             joint = rate._simulate(rx, tx, specs, [0.0, 20.0], 40, 3)
             alone = [
-                simulated_se(rx, tx, tag, [0.0, 20.0], trials=40, seed=3, ns_iterations=order or 0)
+                simulated_se(rx, tx, tag, [0.0, 20.0], trials=40, seed=3, ns_iterations=order)
                 for tag, order in specs
             ]
         assert [r.rejections for r in joint][:3] == [0, 2, 0]
@@ -392,7 +401,7 @@ class TestOneThreadEngine:
     # The redraw ensemble of TestSharedEngine: ZF rejects 2 of 40 draws.
     RX = np.array([1.0] * 7 + [1e-5])
     TX = np.ones(9)
-    SPECS = [("MRT", None), ("ZF", None), ("MMSE", None), ("NS-ZF", 2)]
+    SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), ("NS-ZF", 2)]
 
     def run(self):
         with warnings.catch_warnings():
