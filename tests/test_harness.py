@@ -703,7 +703,7 @@ BAD_FLAGS = [
     ("se-sim", "--nr", "-36", "nr"),
     ("se-sim", "--users", "two", "users"),
     ("se-sim", "--trials", "2.5", "trials"),
-    ("se-sim", "--seed", "-1", "seed"),
+    ("se-sim", "--seed", "1.0", "seed"),
     ("preset", "--trials", "2.5", "trials"),
     ("preset", "--seed", "1e3", "seed"),
     ("preset", "--scale", "1/0", "delta_s"),
