@@ -9,10 +9,7 @@ on that compact representation.  A CLI (``holosim``) exposes experiment
 presets that emit reproducible CSV artifacts.
 """
 
-from .channel import (
-    correlation_eigenvalues,
-    draw_wavenumber_channel,
-)
+from .channel import correlation_eigenvalues
 from .geometry import (
     ArrayGeometry,
     lattice_ellipse,
@@ -22,18 +19,11 @@ from .harness import (
     parse_config,
     run_preset,
 )
-from .precoding import (
-    SingularChannelError,
-    mmse,
-    mrt,
-    ns_zf,
-    zf,
-)
+from .precoding import SingularChannelError
 from .rate import (
     SEResult,
     SINR_CAP,
     mrt_theoretical_bound,
-    per_stream_sinr,
     simulated_se,
     zf_theoretical,
 )
@@ -49,16 +39,10 @@ __all__ = [
     "lattice_ellipse",
     "VarianceMap",
     "variance_map",
-    "draw_wavenumber_channel",
     "correlation_eigenvalues",
     "SingularChannelError",
-    "mrt",
-    "zf",
-    "mmse",
-    "ns_zf",
     "SEResult",
     "SINR_CAP",
-    "per_stream_sinr",
     "simulated_se",
     "mrt_theoretical_bound",
     "zf_theoretical",

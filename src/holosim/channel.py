@@ -12,7 +12,7 @@ correlation structure is separable, which keeps its eigen-analysis
 closed-form even for surfaces with hundreds of thousands of matrix entries;
 its zeros up to the element-domain dimension are left to the CSV writer.
 :func:`_real_vector` reads every number the package takes from outside,
-:func:`_count` every count and :func:`_numeric` every matrix.
+and :func:`_count` every count.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ import reprlib
 
 import numpy as np
 
-__all__ = [
-    "draw_wavenumber_channel",
-    "correlation_eigenvalues",
-]
+__all__ = ["correlation_eigenvalues"]
 
 
 def _real_vector(values, name: str) -> np.ndarray:
@@ -59,14 +56,6 @@ def _count(value, name: str, least: int) -> int:
         return int(value)
     raise ValueError(f"invalid value for {name}: {reprlib.repr(value)} "
                      f"(must be an integer of at least {least})")
-
-
-def _numeric(values, name: str) -> np.ndarray:
-    """``values`` as an array of integers, reals or complex numbers; an array keeps its bits."""
-    with contextlib.suppress(ValueError):  # a ragged nested list is no array
-        if (array := np.asarray(values)).dtype.kind in "iufc":
-            return array
-    raise ValueError(f"invalid value for {name}: {reprlib.repr(values)} (must hold numbers)")
 
 
 def _factors(rx_sigma, tx_sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -107,33 +96,6 @@ def _gram(parts: np.ndarray) -> np.ndarray:
     gram.real += imag @ imag.T
     gram.imag = cross - cross.T
     return gram
-
-
-def draw_wavenumber_channel(rx_sigma, tx_sigma, seed) -> np.ndarray:
-    """Draw one wavenumber-domain channel with the given per-cell scales.
-
-    Every entry ``(i, j)`` is an independent circular complex Gaussian of
-    unit variance (real and imaginary parts of variance one half each)
-    multiplied by ``rx_sigma[i] * tx_sigma[j]``.  The draw is
-    deterministic in the seed, and the Monte Carlo engine reads the same
-    numbers as real parts without building the complex matrix.
-
-    Args:
-        rx_sigma: Stacked per-user receive scale factors, one per row.
-        tx_sigma: Transmit scale factors, one per column.
-        seed: Anything accepted by :func:`numpy.random.default_rng` — an
-            integer for standalone use, or a spawned seed sequence when a
-            caller manages streams itself.
-
-    Returns:
-        The complex channel matrix of shape ``(K, N)``: one row per stacked
-        receive cell, one column per transmit cell.
-
-    Raises:
-        ValueError: Naming a factor that is not a vector of finite nonnegative numbers.
-    """
-    parts = _draw_parts(*_factors(rx_sigma, tx_sigma), seed)
-    return parts[0] + 1j * parts[1]
 
 
 def correlation_eigenvalues(rx_sigma, tx_sigma) -> np.ndarray:

@@ -106,8 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             counts = {key: harness._parse_int(flags[key], key)
                       for key in ("trials", "seed") if flags[key] is not None}
-            scale = harness._parse_rational(args.scale, "scale")
-            return harness.run_preset(args.name, scale=scale, out=args.out, **counts)
+            return harness.run_preset(args.name, scale=args.scale, out=args.out, **counts)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into status
         print(f"holosim {args.command}: {exc}", file=sys.stderr)
         return 1

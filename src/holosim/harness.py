@@ -467,9 +467,7 @@ def preset_jobs(
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    scale = _real_vector([scale], "scale").item()
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    scale = _parse_rational(scale, "scale")
     overrides = {key: value for key, value in (("trials", trials), ("seed", seed))
                  if value is not None}
     jobs = []
@@ -493,7 +491,8 @@ def run_preset(
     Args:
         name: Preset name (``fig3`` .. ``fig8``).
         scale: Patch-count multiplier applied to every surface (each side is
-            scaled by its square root and rounded to keep a proper grid).
+            scaled by its square root and rounded to keep a proper grid),
+            read like a spacing: a positive number, or text such as ``"1/4"``.
         trials: Optional trial-count override.
         seed: Optional seed override.
         out: Output directory.

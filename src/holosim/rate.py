@@ -10,11 +10,11 @@ with per-trial seeds split deterministically from one root seed, so results
 are reproducible regardless of scheme or trial count.  One engine serves
 every scheme and series order of a job, sharing each draw and its Gram
 (built in real arithmetic from the draw's real and imaginary parts), and
-reads each scheme's powers from its core in :mod:`holosim.precoding`, the
-one behind the public precoders.  Every spec's powers on a draw fill one
-buffer; one SINR and one ``log2`` evaluation give all their rates.
-Every draw is made on the calling thread, in turn, as a pure function of
-``(seed, trial, attempt)``, and is freed once its Gram exists.  The closed
+reads each scheme's powers from its core in :mod:`holosim.precoding`.
+Every spec's powers on a draw fill one buffer; one SINR and one ``log2``
+evaluation give all their rates.  Every draw is made on the calling
+thread, in turn, as a pure function of ``(seed, trial, attempt)``, and is
+freed once its Gram exists.  The closed
 forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`, are
 vectorized: each gives every stream at every power as one
 ``(streams, powers)`` table.
@@ -28,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _count, _draw_parts, _factors, _gram, _numeric, _real_vector
-from .precoding import (SingularChannelError, _active_block, _coupled_powers, _mmse_core,
-                        _mrt_core, _ns_zf_core, _require_cells, _spectrum, _zf_core)
+from .channel import _count, _draw_parts, _factors, _gram, _real_vector
+from .precoding import (SingularChannelError, _active_block, _mmse_core, _mrt_core,
+                        _ns_zf_core, _require_cells, _spectrum, _zf_core)
 
 __all__ = [
     "SEResult",
     "SINR_CAP",
-    "per_stream_sinr",
     "simulated_se",
     "mrt_theoretical_bound",
     "zf_theoretical",
@@ -83,54 +82,12 @@ def _canonical_scheme(scheme: str) -> str:
     return tag
 
 
-def _sinr(signal: np.ndarray, interference: np.ndarray, p_u, noise_var) -> np.ndarray:
-    """Capped SINR, zero where the signal is zero; broadcasts over SNR columns."""
+def _sinr(signal: np.ndarray, interference: np.ndarray, snr) -> np.ndarray:
+    """Capped SINR at unit noise, zero where the signal is zero; broadcasts over SNR columns."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p_u * signal / (p_u * interference + noise_var)
+        ratio = snr * signal / (snr * interference + 1.0)
     capped = np.minimum(np.nan_to_num(ratio, copy=False, posinf=SINR_CAP), SINR_CAP)
     return np.where(signal > 0.0, capped, 0.0)
-
-
-def per_stream_sinr(
-    h_a: np.ndarray,
-    v: np.ndarray,
-    p_u: float,
-    noise_var: float,
-) -> np.ndarray:
-    """SINR of every stream under joint precoding.
-
-    Stream ``i`` receives its own precoded signal on the diagonal of the
-    coupled matrix and the other ``K - 1`` columns, both of its own user and
-    of all others, as interference.  SINRs are capped at ``SINR_CAP`` so
-    that interference-free streams at zero noise stay finite.
-
-    Args:
-        h_a: Channel matrix of shape ``(K, N)``.
-        v: Precoding matrix of shape ``(N, K)``.
-        p_u: Transmit power, positive and finite.
-        noise_var: Receiver noise variance, nonnegative and finite.
-
-    Returns:
-        Vector of per-stream SINRs.
-
-    Raises:
-        ValueError: Naming the input, on a power or noise variance that is
-            not a number, out of range or non-finite, or on ``h_a`` and ``v``
-            that are not numeric ``(K, N)`` and ``(N, K)`` matrices.
-    """
-    p_u = _real_vector([p_u], "p_u").item()
-    noise_var = _real_vector([noise_var], "noise_var").item()
-    if not p_u > 0.0:
-        raise ValueError(f"p_u must be positive and finite, got {p_u!r}")
-    if not noise_var >= 0.0:
-        raise ValueError(f"noise_var must be nonnegative and finite, got {noise_var!r}")
-    h_a, v = _numeric(h_a, "h_a"), _numeric(v, "v")
-    if h_a.ndim != 2 or v.shape != h_a.shape[::-1]:
-        raise ValueError(f"h_a {h_a.shape} and v {v.shape} dimensions disagree "
-                         "(must be (K, N) and (N, K) matrices)")
-    coupled = h_a @ v
-    powers = _coupled_powers(coupled.real**2 + coupled.imag**2, np.ones(h_a.shape[0]))
-    return _sinr(*powers, p_u, noise_var)
 
 
 def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
@@ -145,17 +102,17 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     power = np.zeros((2, len(specs), g_aa.shape[0], snr.size))
     rejected = np.zeros(len(specs), dtype=bool)
     if rows["MRT"]:
-        power[:, rows["MRT"]] = _mrt_core(g_aa)[2][:, None, :, None]
+        power[:, rows["MRT"]] = _mrt_core(g_aa)[1][:, None, :, None]
     if rows["ZF"] or rows["MMSE"]:
         spectrum = _spectrum(g_aa)
     if rows["ZF"]:
-        _, scale_sq, zf_powers = _zf_core(spectrum)
+        scale_sq, zf_powers = _zf_core(spectrum)
         power[:, rows["ZF"]] = zf_powers[:, None, :, None]
         rejected[rows["ZF"]] = not np.all(scale_sq > 0.0)
     if rows["MMSE"]:
-        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[2][:, None]
+        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[1][:, None]
     if rows["NS-ZF"]:
-        _, scale_sq, series_powers = _ns_zf_core(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
+        scale_sq, series_powers = _ns_zf_core(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
         power[:, rows["NS-ZF"]] = series_powers[..., None]
         rejected[rows["NS-ZF"]] = ~np.all(scale_sq > 0.0, axis=1)
     return active, power, rejected
@@ -192,7 +149,7 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(rx, tx, root))
             active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
-            trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr, 1.0))
+            trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr))
             # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
             whole = pending.size == len(specs) and active.sum() == accum.shape[1]
             rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
@@ -234,13 +191,13 @@ def simulated_se(
 
     Each trial draws one channel from a seed split deterministically off the
     root seed by ``(trial, attempt)``, forms its Gram matrix once, applies
-    the scheme's Gram-domain core (the one behind the public precoders) and
-    accumulates ``log2(1 + SINR)`` per stream over the whole SNR grid at
-    once; ZF and MMSE read every SNR point from one eigendecomposition of
-    the active Gram block.  Draws rejected as singular by the inverting
-    schemes are redrawn with the attempt counter bumped, so the output is
-    reproducible even when rejections occur; a rejection rate above 1% of
-    the trial count is reported as a warning.  The harness runs the same
+    the scheme's Gram-domain core and accumulates ``log2(1 + SINR)`` per
+    stream over the whole SNR grid at once; ZF and MMSE read every SNR point
+    from one eigendecomposition of the active Gram block.  Draws rejected
+    as singular by the inverting schemes are redrawn with the attempt
+    counter bumped, so the output is reproducible even when rejections
+    occur; a rejection rate above 1% of the trial count is reported as a
+    warning.  The harness runs the same
     engine once for all schemes and series orders of a job, sharing each
     draw among them, with bit-identical results.
 

@@ -19,19 +19,20 @@ import pytest
 
 from element_domain import harmonic_basis
 from test_spectrum import oracle_cell_variance, spherical_estimate
+from vector_domain import complex_draw, zf
 
 from holosim import (
     ArrayGeometry,
     correlation_eigenvalues,
-    draw_wavenumber_channel,
     lattice_ellipse,
     mrt_theoretical_bound,
     simulated_se,
     variance_map,
-    zf,
     zf_theoretical,
 )
+from holosim.channel import _draw_parts, _gram
 from holosim.harness import PRESET_NAMES, preset_jobs, run_preset
+from holosim.rate import _draw_powers
 from holosim.spectrum import _quarter, _rectangle_total
 
 SNR_GRID = tuple(float(v) for v in range(-10, 31, 5))
@@ -99,7 +100,7 @@ class TestExactNulling:
         start = time.monotonic()
         sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
         for draw in range(100):
-            h_a = draw_wavenumber_channel(*sigma, draw)
+            h_a = complex_draw(*sigma, draw)
             v = zf(h_a)
             coupled = np.abs(h_a @ v)
             alive = np.any(v != 0.0, axis=0)
@@ -107,6 +108,15 @@ class TestExactNulling:
             leakage = np.max(off[np.ix_(alive, alive)])
             floor = np.min(np.diagonal(coupled)[alive])
             assert leakage / floor < 1e-9
+            # The engine nulls by construction; its signal powers are the oracle's.
+            active, power, rejected = _draw_powers(
+                _gram(_draw_parts(*sigma, draw)), [("ZF", 0)], np.ones(1)
+            )
+            assert not rejected.any() and not power[1].any()
+            assert np.array_equal(active, alive)
+            np.testing.assert_allclose(
+                power[0, 0, :, 0], np.diagonal(coupled)[alive] ** 2, rtol=1e-10
+            )
         assert time.monotonic() - start < 300.0
 
     def test_closed_form_tracks_the_simulation(self, rx_map_small, tx_map_medium):

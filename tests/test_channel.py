@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from element_domain import assemble_element_channel, harmonic_basis
+from vector_domain import complex_draw
 
 from holosim import (
     ArrayGeometry,
     ScenarioConfig,
     correlation_eigenvalues,
-    draw_wavenumber_channel,
     lattice_ellipse,
-    ns_zf,
     rate,
     simulated_se,
     variance_map,
 )
-from holosim.channel import _draw_parts, _gram
+from holosim.channel import _draw_parts, _factors, _gram
 from holosim.harness import run_eigvals, run_se_sim, run_se_theory, run_variance_map
 
 
@@ -35,70 +34,62 @@ def uniform_sigma(rows, cols, scale=1.0):
     return np.full(rows, float(scale)), np.full(cols, 1.0)
 
 
-class TestDrawWavenumberChannel:
+def many_draws(sigma, count):
+    """The complex draws of seeds ``0 .. count - 1``, the factors checked once."""
+    rx, tx = _factors(*sigma)
+    for seed in range(count):
+        parts = _draw_parts(rx, tx, seed)
+        yield parts[0] + 1j * parts[1]
+
+
+class TestChannelDraw:
     def test_same_seed_is_bit_identical(self):
         sigma = uniform_sigma(3, 4)
-        first = draw_wavenumber_channel(*sigma, 7)
-        second = draw_wavenumber_channel(*sigma, 7)
+        first = complex_draw(*sigma, 7)
+        second = complex_draw(*sigma, 7)
         np.testing.assert_array_equal(first, second)
         assert first.shape == (3, 4) and first.dtype == complex
 
     def test_different_seeds_differ(self):
-        sigma = uniform_sigma(3, 4)
-        assert not np.array_equal(
-            draw_wavenumber_channel(*sigma, 0),
-            draw_wavenumber_channel(*sigma, 1),
-        )
+        first, second = many_draws(uniform_sigma(3, 4), 2)
+        assert not np.array_equal(first, second)
 
     def test_zero_scales_annihilate_the_draw(self):
         sigma = uniform_sigma(2, 3, scale=0.0)
-        np.testing.assert_array_equal(draw_wavenumber_channel(*sigma, 5), 0.0)
+        np.testing.assert_array_equal(complex_draw(*sigma, 5), 0.0)
 
     def test_entry_variance_follows_the_scale(self):
         # One entry with scale 2 must show sample variance 4 over many draws.
         sigma = np.array([2.0, 1.0]), np.array([1.0, 1.0, 1.0])
-        draws = 10**5
-        acc = 0.0
-        for k in range(draws):
-            acc += abs(draw_wavenumber_channel(*sigma, k)[0, 0]) ** 2
-        assert acc / draws == pytest.approx(4.0, rel=0.05)
+        count = 10**5
+        acc = sum(abs(h[0, 0]) ** 2 for h in many_draws(sigma, count))
+        assert acc / count == pytest.approx(4.0, rel=0.05)
 
     def test_covariance_matches_scale_matrix_entrywise(self):
         sigma = np.array([1.0, 0.5]), np.array([2.0, 3.0])
-        draws = 3 * 10**4
-        acc = np.zeros((2, 2))
-        for k in range(draws):
-            acc += np.abs(draw_wavenumber_channel(*sigma, k)) ** 2
+        count = 3 * 10**4
+        acc = sum(np.abs(h) ** 2 for h in many_draws(sigma, count))
         expected = np.outer(*sigma) ** 2
-        np.testing.assert_allclose(acc / draws, expected, rtol=0.05)
+        np.testing.assert_allclose(acc / count, expected, rtol=0.05)
 
     def test_user_blocks_are_uncorrelated(self):
-        sigma = uniform_sigma(4, 3)
-        draws = 2 * 10**4
-        cross = 0.0 + 0.0j
-        for k in range(draws):
-            h = draw_wavenumber_channel(*sigma, k)
-            cross += h[0, 0] * np.conj(h[2, 0])
-        assert abs(cross / draws) < 0.05
+        count = 2 * 10**4
+        cross = sum(h[0, 0] * np.conj(h[2, 0]) for h in many_draws(uniform_sigma(4, 3), count))
+        assert abs(cross / count) < 0.05
 
 
 class TestRealArithmeticKernel:
-    def test_public_draw_is_the_real_parts_of_the_kernel_draw(
-        self, rx_map_small, tx_map_medium
-    ):
+    def test_one_call_draw_is_the_two_call_complex_formula(self, rx_map_small, tx_map_medium):
         rx, tx = dead_cell_sigma(rx_map_small, tx_map_medium, 3)
         seed = np.random.SeedSequence(entropy=5, spawn_key=(3, 1))
-        h_a = draw_wavenumber_channel(rx, tx, seed)
-        parts = _draw_parts(rx, tx, seed)
         shape = (rx.size, tx.size)
-        assert parts.shape == (2, *shape)
-        assert np.array_equal(h_a, parts[0] + 1j * parts[1])
+        assert _draw_parts(rx, tx, seed).shape == (2, *shape)
         # The two-call complex formula the kernel's single call replaces,
         # scaled rows by rx/sqrt(2) and then columns by tx.
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows = (rx / np.sqrt(2.0))[:, None]
-        assert np.array_equal(h_a, noise * rows * tx)
+        assert np.array_equal(complex_draw(rx, tx, seed), noise * rows * tx)
 
     def test_gram_matches_the_complex_product_and_is_exactly_hermitian(
         self, rx_map_small, tx_map_medium
@@ -125,7 +116,7 @@ class TestAssembleElementChannel:
         )
         tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
         sigma = np.tile(rx_map_small.normalized_sigma, 2), tx_map_medium.normalized_sigma
-        h_a = draw_wavenumber_channel(*sigma, 13)
+        h_a = complex_draw(*sigma, 13)
         element = assemble_element_channel(h_a, [rx_basis, rx_basis], tx_basis)
         return h_a, rx_basis, tx_basis, element
 
@@ -152,7 +143,7 @@ class TestAssembleElementChannel:
         tx_basis = harmonic_basis(tx_geometry, lattice_ellipse(tx_geometry))
         widths = [basis.shape[1] for basis in rx_bases]
         sigma = uniform_sigma(sum(widths), tx_basis.shape[1])
-        h_a = draw_wavenumber_channel(*sigma, 2)
+        h_a = complex_draw(*sigma, 2)
         element = assemble_element_channel(h_a, rx_bases, tx_basis)
         assert element.shape == (36 + 9, 64)
         np.testing.assert_allclose(
@@ -165,7 +156,7 @@ class TestAssembleElementChannel:
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
         sigma = uniform_sigma(1, 1)
-        h_a = draw_wavenumber_channel(*sigma, 0)
+        h_a = complex_draw(*sigma, 0)
         scale = h_a[0, 0]
         element = assemble_element_channel(h_a, [rx_basis], tx_basis)
         np.testing.assert_allclose(element, scale * np.full((4, 4), 0.25), atol=1e-15)
@@ -220,14 +211,13 @@ class TestCorrelationEigenvalues:
         rx_basis = harmonic_basis(geometry, lattice, receive=True)
         tx_basis = harmonic_basis(geometry, lattice)
         sigma = vmap.normalized_sigma, vmap.normalized_sigma
-        draws = 3 * 10**4
+        count = 3 * 10**4
         acc = np.zeros((81, 81), dtype=complex)
-        for k in range(draws):
-            h_a = draw_wavenumber_channel(*sigma, k)
+        for h_a in many_draws(sigma, count):
             element = assemble_element_channel(h_a, [rx_basis], tx_basis)
             flat = element.reshape(-1)
             acc += np.outer(flat, flat.conj())
-        empirical = np.linalg.eigvalsh(acc / draws)[::-1]
+        empirical = np.linalg.eigvalsh(acc / count)[::-1]
         analytic = correlation_eigenvalues(*sigma)
         positive = analytic > 1e-12
         np.testing.assert_allclose(
@@ -295,10 +285,6 @@ def _engine(field, scheme="ns-zf"):
     return run
 
 
-def _series(count, out):
-    return ns_zf(draw_wavenumber_channel(*uniform_sigma(2, 5), 0), count).tobytes()
-
-
 def _orders(count, out):
     config = ScenarioConfig(tx=ArrayGeometry(6, 6, 1 / 3), rx=ArrayGeometry(3, 3, 1 / 3),
                             users=1, snr_grid_db=(10.0,), trials=2, schemes=("ZF",))
@@ -326,7 +312,6 @@ COUNT_INPUTS = {
     "simulated_se[mmse].ns_iterations": (
         "ns_iterations", 0, 2, _engine("ns_iterations", "mmse")
     ),
-    "ns_zf.iterations": ("iterations", 0, 2, _series),
     "run_se_sim.ns_orders": ("iters", 0, 2, _orders),
 }
 

@@ -31,6 +31,17 @@ def test_every_model_export_is_a_package_export(name):
     assert [attr for attr in exported if attr not in holosim.__all__] == []
 
 
+def test_the_public_surface_is_pinned():
+    # The package stops at the Gram: no precoding matrix, draw or SINR of a
+    # given V is exported.
+    assert sorted(holosim.__all__) == sorted([
+        "ArrayGeometry", "lattice_ellipse", "VarianceMap", "variance_map",
+        "correlation_eigenvalues", "SingularChannelError", "SEResult", "SINR_CAP",
+        "simulated_se", "mrt_theoretical_bound", "zf_theoretical", "ScenarioConfig",
+        "parse_config", "run_preset", "__version__",
+    ])
+
+
 def test_presets_run_without_scipy(tmp_path):
     # pyproject.toml declares NumPy only; a fresh interpreter runs both
     # Monte Carlo presets, so modules the test session loaded do not count.

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -289,12 +290,12 @@ class TestPresetJobs:
         assert PRESET_NAMES == ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
         with pytest.raises(ValueError, match="unknown preset"):
             preset_jobs("fig9")
-        with pytest.raises(ValueError, match="scale"):
+        with pytest.raises(ValueError, match="invalid value for scale"):
             preset_jobs("fig3", scale=0.0)
-        # Unchecked, True ran at native size and a string failed with a bare TypeError.
-        for scale in (True, "0.5"):
-            with pytest.raises(ValueError, match="invalid value for scale"):
-                preset_jobs("fig8", scale=scale)
+        # Unchecked, True ran at native size; text is read like a spacing.
+        with pytest.raises(ValueError, match="invalid value for scale"):
+            preset_jobs("fig8", scale=True)
+        assert preset_jobs("fig8", scale="1/2") == preset_jobs("fig8", scale=0.5)
 
     def test_spectrum_family_sweeps_receive_spacing(self, tmp_path, monkeypatch):
         calls = []
@@ -894,6 +895,19 @@ class TestCLI:
                        "--out", str(tmp_path)])
         assert status == 1
         assert f"invalid value for scale: '{scale}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scale", [0, -1, math.nan], ids=["0", "-1", "nan"])
+    def test_a_bad_scale_fails_alike_from_python_and_the_command(
+        self, tmp_path, capsys, scale
+    ):
+        # One reader serves both routes, and neither writes a CSV.
+        assert run_preset("fig8", scale=scale, trials=2, out=str(tmp_path)) == 1
+        argv = ["preset", "fig8", "--scale", str(scale), "--trials", "2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        assert all(": invalid value for scale: " in line for line in errors), errors
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

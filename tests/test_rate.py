@@ -13,112 +13,102 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import vector_domain as oracle
+
 from holosim import (
     ArrayGeometry,
     SINR_CAP,
     SingularChannelError,
     correlation_eigenvalues,
-    draw_wavenumber_channel,
-    mmse,
-    mrt,
     mrt_theoretical_bound,
-    ns_zf,
-    per_stream_sinr,
     simulated_se,
     variance_map,
-    zf,
     zf_theoretical,
 )
 from holosim import harness, rate
 from holosim.harness import ScenarioConfig, run_se_sim
 
 
-def channel(matrix):
-    return np.asarray(matrix, dtype=complex)
-
-
 def uniform_sigma(rows, cols):
     return np.ones(rows), np.ones(cols)
 
 
-class TestPerStreamSINR:
-    def test_zero_forcing_turns_gains_into_exact_sinr(self):
-        h_a = channel([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
-        v = zf(h_a)
-        sinr = per_stream_sinr(h_a, v, p_u=2.0, noise_var=0.5)
-        gains = np.diagonal(h_a @ v)
-        expected = 2.0 * np.abs(gains) ** 2 / 0.5
-        np.testing.assert_allclose(sinr, expected, rtol=1e-12)
-        assert sinr[1] == 0.0
+# Stream 1 of this ensemble is dead: its receive scale is zero.
+DEAD_STREAM = np.array([1.0, 0.0, 2.0, 0.5]), np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
+ORACLE_SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), *(("NS-ZF", order) for order in (0, 1, 3, 7))]
+ORACLE_IDS = [f"{tag}-{order}" if tag == "NS-ZF" else tag for tag, order in ORACLE_SPECS]
+ORACLE_GRID = [-5.0, 10.0, 25.0]
 
-    def test_interference_free_streams_cap_at_zero_noise(self):
-        h_a = channel([[1, 0, 0], [0, 0, 0], [0, 2, 0]])
-        sinr = per_stream_sinr(h_a, zf(h_a), p_u=1.0, noise_var=0.0)
-        np.testing.assert_array_equal(sinr, [SINR_CAP, 0.0, SINR_CAP])
+
+def first_draw(rx, tx, seed=17):
+    """The complex draw of ``(trial, attempt) = (0, 0)``, which one trial reads."""
+    return oracle.complex_draw(rx, tx, np.random.SeedSequence(seed, spawn_key=(0, 0)))
+
+
+@pytest.fixture(params=["dead-stream", "three-users"])
+def ensemble(request):
+    """The dead-stream ensemble, or three 6x6 users against 14x14 cells at λ/3."""
+    if request.param == "dead-stream":
+        return DEAD_STREAM
+    rx_map, tx_map = map(request.getfixturevalue, ("rx_map_small", "tx_map_medium"))
+    return np.tile(rx_map.normalized_sigma, 3), tx_map.normalized_sigma
+
+
+class TestVectorDomainOracle:
+    # The engine reads only the Gram; tests/vector_domain.py forms V on the
+    # complex draw with textbook formulas and reads the SINR off H V.
+    @pytest.mark.parametrize("scheme, order", ORACLE_SPECS, ids=ORACLE_IDS)
+    def test_one_trial_gives_the_oracle_rates(self, ensemble, scheme, order):
+        rx, tx = ensemble
+        result = simulated_se(rx, tx, scheme, ORACLE_GRID, trials=1, seed=17, ns_iterations=order)
+        assert result.rejections == 0
+        expected = oracle.rates(first_draw(rx, tx), scheme, ORACLE_GRID, order)
+        np.testing.assert_allclose(result.per_stream, expected, rtol=1e-10)
+        assert np.count_nonzero(rx == 0.0) > 0
+        np.testing.assert_array_equal(result.per_stream[rx == 0.0], 0.0)
+
+    @pytest.mark.parametrize("scheme, order", ORACLE_SPECS, ids=ORACLE_IDS)
+    def test_transmit_phase_offsets_do_not_change_the_rates(self, scheme, order):
+        # A per-cell unit-modulus phase (a shifted transmit origin) leaves
+        # the oracle's rates, and so the engine's, untouched.
+        rx, tx = DEAD_STREAM
+        phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=tx.size))
+        shifted = oracle.rates(first_draw(rx, tx) * phases, scheme, ORACLE_GRID, order)
+        result = simulated_se(rx, tx, scheme, ORACLE_GRID, trials=1, seed=17, ns_iterations=order)
+        np.testing.assert_allclose(shifted, result.per_stream, rtol=1e-9)
+
+    def test_interference_free_streams_stop_at_the_sinr_cap(self):
+        # At 200 dB every live ZF stream's SINR passes SINR_CAP.
+        rx, tx = DEAD_STREAM
+        result = simulated_se(rx, tx, "zf", [200.0], trials=1, seed=17)
+        expected = np.where(rx > 0.0, np.log2(1.0 + SINR_CAP), 0.0)
+        np.testing.assert_array_equal(result.per_stream[:, 0], expected)
 
     def test_single_stream_matched_transmission(self):
-        rng = np.random.default_rng(6)
-        h = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
-        sinr = per_stream_sinr(h, mrt(h), p_u=3.0, noise_var=2.0)
-        energy = np.linalg.norm(h) ** 2
-        assert sinr[0] == pytest.approx(3.0 * energy / 2.0, rel=1e-12)
+        # No interference, and the matched filter's norm cancels: SINR = p |h|^2.
+        rx, tx = np.array([2.0]), np.ones(5)
+        result = simulated_se(rx, tx, "mrt", [0.0, 10.0], trials=1, seed=6)
+        energy = np.linalg.norm(first_draw(rx, tx, seed=6)) ** 2
+        expected = np.log2(1.0 + np.array([1.0, 10.0]) * energy)
+        np.testing.assert_allclose(result.per_stream[0], expected, rtol=1e-12)
 
-    def test_scales_cancel_between_power_and_noise(self):
-        h_a = draw_wavenumber_channel(*uniform_sigma(3, 6), 8)
-        v = mrt(h_a)
-        base = per_stream_sinr(h_a, v, p_u=2.0, noise_var=0.5)
-        scaled = per_stream_sinr(h_a, v, p_u=20.0, noise_var=5.0)
-        np.testing.assert_allclose(scaled, base, rtol=1e-12)
+    def test_loading_moves_from_matching_to_nulling(self):
+        # The loading K/snr gives MRT's rates at -100 dB and those of the
+        # Frobenius-normalized pseudo-inverse at 80 dB.
+        rx, tx = DEAD_STREAM
+        mmse, mrt = (simulated_se(rx, tx, scheme, [-100.0, 80.0], trials=1, seed=17).per_stream
+                     for scheme in ("mmse", "mrt"))
+        np.testing.assert_allclose(mmse[:, 0], mrt[:, 0], rtol=1e-9)
+        h = first_draw(rx, tx)
+        pinv = np.linalg.pinv(h)
+        signal, interference = oracle.powers(h, pinv / np.linalg.norm(pinv))
+        expected = np.log2(1.0 + 1e8 * signal / (1e8 * interference + 1.0))
+        np.testing.assert_allclose(mmse[:, 1], expected, rtol=1e-6)
 
-    def test_transmit_phase_offsets_do_not_change_sinr(self):
-        # A per-cell unit-modulus phase (a shifted transmit origin) must leave
-        # every scheme's SINRs untouched.
-        sigma = uniform_sigma(3, 6)
-        h_a = draw_wavenumber_channel(*sigma, 12)
-        phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=6))
-        shifted = h_a * phases
-        builders = [
-            mrt,
-            zf,
-            lambda r: mmse(r, snr=10.0),
-            lambda r: ns_zf(r, 3),
-        ]
-        for build in builders:
-            base = per_stream_sinr(h_a, build(h_a), 2.0, 1.0)
-            moved = per_stream_sinr(shifted, build(shifted), 2.0, 1.0)
-            np.testing.assert_allclose(moved, base, rtol=1e-9)
-
-    def test_rejects_bad_scalars_and_shapes(self):
-        h_a = draw_wavenumber_channel(*uniform_sigma(2, 4), 0)
-        v = mrt(h_a)
-        with pytest.raises(ValueError):
-            per_stream_sinr(h_a, v, p_u=0.0, noise_var=1.0)
-        with pytest.raises(ValueError):
-            per_stream_sinr(h_a, v, p_u=1.0, noise_var=-0.1)
-        # Unchecked, a non-finite power or noise reads as SINR 0 on every
-        # stream, True reads as 1, and a string fails with a bare TypeError.
-        for p_u, noise_var, name in [(math.inf, 1.0, "p_u"), (1.0, math.inf, "noise_var"),
-                                     (1.0, math.nan, "noise_var"), (True, 1.0, "p_u"),
-                                     (1.0, True, "noise_var"), ("2", 1.0, "p_u"),
-                                     ([2.0], 1.0, "p_u")]:
-            with pytest.raises(ValueError, match=f"invalid value for {name}"):
-                per_stream_sinr(h_a, v, p_u, noise_var)
-        other = draw_wavenumber_channel(*uniform_sigma(3, 4), 0)
-        with pytest.raises(ValueError, match="disagree"):
-            per_stream_sinr(other, v, p_u=1.0, noise_var=1.0)
-        # Unchecked, a 3-D channel gave a 2x2 table and a 1-D input a bare IndexError.
-        for bad_h, bad_v in [(np.ones((2, 2, 2)), np.ones((2, 2))), (h_a[0], v), (h_a, v[:, 0])]:
-            with pytest.raises(ValueError, match=r"h_a \(.*\) and v \(.*\) dimensions disagree"):
-                per_stream_sinr(bad_h, bad_v, p_u=1.0, noise_var=1.0)
-        # Unchecked, a nested list failed with a bare AttributeError ('ndim').
-        np.testing.assert_array_equal(
-            per_stream_sinr(h_a.tolist(), v.tolist(), 2.0, 1.0), per_stream_sinr(h_a, v, 2.0, 1.0)
-        )
-        assert per_stream_sinr([[1.0, 0.5]], [[1.0], [0.0]], 1.0, 1.0).tolist() == [1.0]
-        for bad_h, bad_v, name in [([["1", "0"]], v, "h_a"), (h_a, [[None, 1.0]] * 4, "v"),
-                                   (h_a.astype(bool), v, "h_a"), (h_a, [[1.0], [2.0, 3.0]], "v")]:
-            with pytest.raises(ValueError, match=f"^invalid value for {name}: "):
-                per_stream_sinr(bad_h, bad_v, p_u=1.0, noise_var=1.0)
+    @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
+    def test_an_all_zero_ensemble_has_nothing_to_precode(self, scheme):
+        with pytest.raises(ValueError, match="cannot precode an all-zero channel"):
+            simulated_se(np.zeros(2), np.ones(3), scheme, [0.0], trials=1)
 
 
 class TestBuiltResults:
@@ -189,60 +179,6 @@ class TestSimulatedSE:
         with pytest.raises(ValueError, match="trials"):
             simulated_se(*sigma, "mrt", [0.0], trials=0)
 
-    @pytest.mark.parametrize(
-        "scheme, build",
-        [
-            ("mrt", lambda r, snr: mrt(r)),
-            ("zf", lambda r, snr: zf(r)),
-            ("mmse", mmse),
-            ("ns-zf", lambda r, snr: ns_zf(r, 2)),
-        ],
-    )
-    def test_monte_carlo_matches_the_public_precoders(self, scheme, build):
-        # One trial at attempt 0 gives the rate of the public precoder on the
-        # same draw, dead stream included.
-        rx = np.array([1.0, 0.0, 2.0, 0.5])
-        tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        grid = [-5.0, 10.0, 25.0]
-        h_a = draw_wavenumber_channel(
-            rx, tx, np.random.SeedSequence(17, spawn_key=(0, 0))
-        )
-        expected = []
-        for snr_db in grid:
-            snr = 10.0 ** (snr_db / 10.0)
-            sinr = per_stream_sinr(h_a, build(h_a, snr), snr, 1.0)
-            expected.append(np.log2(1.0 + sinr))
-        result = simulated_se(rx, tx, scheme, grid, trials=1, seed=17, ns_iterations=2)
-        assert result.rejections == 0
-        np.testing.assert_allclose(
-            result.per_stream, np.column_stack(expected), rtol=1e-10
-        )
-        np.testing.assert_array_equal(result.per_stream[1], 0.0)
-
-    @pytest.mark.parametrize("order", [0, 1, 3, 7])
-    def test_monte_carlo_matches_the_public_series_at_every_order(self, order):
-        # The engine reads each order's coupled matrix from the Horner pass
-        # instead of forming G X; one trial still gives the public rates.
-        rx = np.array([1.0, 0.0, 2.0, 0.5])
-        tx = np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
-        grid = [-5.0, 10.0, 25.0]
-        h_a = draw_wavenumber_channel(
-            rx, tx, np.random.SeedSequence(17, spawn_key=(0, 0))
-        )
-        v = ns_zf(h_a, order)
-        expected = np.column_stack(
-            [
-                np.log2(1.0 + per_stream_sinr(h_a, v, snr, 1.0))
-                for snr in 10.0 ** (np.asarray(grid) / 10.0)
-            ]
-        )
-        result = simulated_se(
-            rx, tx, "ns-zf", grid, trials=1, seed=17, ns_iterations=order
-        )
-        assert result.rejections == 0
-        np.testing.assert_allclose(result.per_stream, expected, rtol=1e-10)
-        np.testing.assert_array_equal(result.per_stream[1], 0.0)
-
     def test_zero_forcing_rejects_more_streams_than_cells(self):
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed"):
@@ -252,10 +188,6 @@ class TestSimulatedSE:
         # Three streams on two live cells of three: every Gram has rank 2.
         tx = np.array([1.0, 1.0, 0.0])
         draws = count_calls(rate, "_draw_parts")
-        h_a = channel([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        for precode in (zf, ns_zf):
-            with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
-                precode(h_a)
         for scheme in ("zf", "ns-zf"):
             with pytest.raises(ValueError, match="exceed 2 active transmit cells"):
                 simulated_se(np.ones(3), tx, scheme, [10.0], trials=2, seed=0)
@@ -682,10 +614,9 @@ class TestTheoreticalExpressions:
         assert simulated[0] > 0.0 and theory[0] > 0.0
 
 
-# The five entry points that take the ensemble; every one runs the shared
+# The four entry points that take the ensemble; every one runs the shared
 # factor check first.
 ENSEMBLE_ENTRY_POINTS = {
-    "draw": lambda rx, tx: draw_wavenumber_channel(rx, tx, 0),
     "simulated_se": lambda rx, tx: simulated_se(rx, tx, "zf", [0.0], trials=2, seed=0),
     "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, 1.0, 1.0),
     "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 1.0, 1.0),

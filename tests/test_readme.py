@@ -17,8 +17,9 @@ def quick_start(title, language):
 def test_library_quick_start_runs(capsys):
     namespace = {}
     exec(compile(quick_start("library", "python"), str(README), "exec"), namespace)
-    sinr, result = namespace["sinr"], namespace["result"]
-    assert sinr.shape == (namespace["rx_sigma"].size,) and (sinr >= 0.0).all()
+    result = namespace["result"]
+    assert result.per_stream.shape == (namespace["rx_sigma"].size, 4)
+    assert (result.per_stream >= 0.0).all()
     assert capsys.readouterr().out == f"{result.sum_se}\n"
 
 
