@@ -35,6 +35,10 @@ def uniform_sigma(rows, cols):
 
 # Stream 1 of this ensemble is dead: its receive scale is zero.
 DEAD_STREAM = np.array([1.0, 0.0, 2.0, 0.5]), np.array([1.0, 0.7, 1.3, 0.4, 0.9, 1.1])
+# The dead stream again, with transmit cells 1 and 4 dead: 3 live streams on 4 live cells.
+DEAD_CELLS = DEAD_STREAM[0], np.array([1.0, 0.0, 1.3, 0.4, 0.0, 1.1])
+# One live stream beside a dead one: every scheme's Gram block is 1x1.
+ONE_LIVE_STREAM = np.array([0.0, 2.0]), DEAD_STREAM[1]
 ORACLE_SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), *(("NS-ZF", order) for order in (0, 1, 3, 7))]
 ORACLE_IDS = [f"{tag}-{order}" if tag == "NS-ZF" else tag for tag, order in ORACLE_SPECS]
 ORACLE_GRID = [-5.0, 10.0, 25.0]
@@ -45,11 +49,13 @@ def first_draw(rx, tx, seed=17):
     return oracle.complex_draw(rx, tx, np.random.SeedSequence(seed, spawn_key=(0, 0)))
 
 
-@pytest.fixture(params=["dead-stream", "three-users"])
+@pytest.fixture(params=["dead-stream", "three-users", "dead-cells", "one-live-stream"])
 def ensemble(request):
-    """The dead-stream ensemble, or three 6x6 users against 14x14 cells at λ/3."""
-    if request.param == "dead-stream":
-        return DEAD_STREAM
+    """A small ensemble with a dead stream, or three 6x6 users against 14x14 cells at λ/3."""
+    small = {"dead-stream": DEAD_STREAM, "dead-cells": DEAD_CELLS,
+             "one-live-stream": ONE_LIVE_STREAM}
+    if request.param in small:
+        return small[request.param]
     rx_map, tx_map = map(request.getfixturevalue, ("rx_map_small", "tx_map_medium"))
     return np.tile(rx_map.normalized_sigma, 3), tx_map.normalized_sigma
 
@@ -68,10 +74,10 @@ class TestVectorDomainOracle:
         np.testing.assert_array_equal(result.per_stream[rx == 0.0], 0.0)
 
     @pytest.mark.parametrize("scheme, order", ORACLE_SPECS, ids=ORACLE_IDS)
-    def test_transmit_phase_offsets_do_not_change_the_rates(self, scheme, order):
+    def test_transmit_phase_offsets_do_not_change_the_rates(self, ensemble, scheme, order):
         # A per-cell unit-modulus phase (a shifted transmit origin) leaves
         # the oracle's rates, and so the engine's, untouched.
-        rx, tx = DEAD_STREAM
+        rx, tx = ensemble
         phases = np.exp(2j * np.pi * np.random.default_rng(1).uniform(size=tx.size))
         shifted = oracle.rates(first_draw(rx, tx) * phases, scheme, ORACLE_GRID, order)
         result = simulated_se(rx, tx, scheme, ORACLE_GRID, trials=1, seed=17, ns_iterations=order)
@@ -327,6 +333,17 @@ class TestSharedEngine:
         eighs = count_calls(np.linalg, "eigh")
         simulated_se(*uniform_sigma(3, 6), "mrt", [0.0, 10.0], trials=4, seed=1)
         assert eighs == []
+
+    def test_a_repeated_row_is_rejected_by_zero_forcing_only(self):
+        # Two equal rows make G_AA singular: ZF's condition check rejects the
+        # draw and zeroes its powers.  MRT and MMSE keep it, and so does the
+        # order-0 series D⁻¹, whose energies 1/G_jj are positive.
+        h = oracle.complex_draw(np.ones(3), np.ones(5), 4)[[0, 1, 1]]
+        specs = [("MRT", 0), ("ZF", 0), ("MMSE", 0), ("NS-ZF", 0)]
+        _, power, rejected = rate._draw_powers(h @ h.conj().T, specs, np.array([10.0]))
+        assert rejected.tolist() == [False, True, False, False]
+        np.testing.assert_array_equal(power[:, 1], 0.0)
+        assert np.all(power[0, [0, 2, 3]] > 0.0)
 
 
 class TestOneThreadEngine:
