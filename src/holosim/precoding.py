@@ -100,27 +100,27 @@ def _ns_zf_core(g_aa: np.ndarray, orders) -> tuple:
     one order past each ``n``, it gives the coupled matrix
     ``G X_n = I + D (X_n - X_{n+1})`` without a product of its own, and
     ``e_j = (X_nᴴ G X_n)_jj`` is read from it; the order is singular if some
-    ``e_j <= 0``.  The orders are checked by the caller.
+    ``e_j <= 0``.  Each order's row is filled as soon as ``X_{n+1}`` exists,
+    so only two complex iterates, ``X_{k-1}`` and ``X_k``, are alive at once.
+    The orders are checked by the caller.
     """
     diag = np.diag(g_aa)
     inv_diag = 1.0 / diag
     scaled_off = inv_diag[:, None] * (g_aa - np.diag(diag))
     base = np.diag(inv_diag)
-    wanted = {*orders, *(order + 1 for order in orders)}
-    snapshots = {}
-    for k in range(max(wanted) + 1):
-        x = base if k == 0 else base - scaled_off @ x
-        if k in wanted:
-            snapshots[k] = x
     squares = np.empty((len(orders), *g_aa.shape))
     energy = np.empty(squares.shape[:2])
-    for row, order in enumerate(orders):
-        series = snapshots[order]
-        coupled = series - snapshots[order + 1]
-        coupled *= diag[:, None]
-        coupled.reshape(-1)[:: diag.size + 1] += 1.0
-        energy[row] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
-        squares[row] = coupled.real**2 + coupled.imag**2
+    series = None
+    for k in range(max(orders) + 2):
+        x = base if k == 0 else base - scaled_off @ series
+        for row, order in enumerate(orders):
+            if order + 1 == k:
+                coupled = series - x
+                coupled *= diag[:, None]
+                coupled.reshape(-1)[:: diag.size + 1] += 1.0
+                energy[row] = (series.real * coupled.real + series.imag * coupled.imag).sum(axis=0)
+                squares[row] = coupled.real**2 + coupled.imag**2
+        series = x
     singular = np.any(energy <= 0.0, axis=1)
     energy[singular] = np.inf
     scale_sq = 1.0 / (g_aa.shape[0] * energy)

@@ -139,6 +139,8 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     grid = tuple(values.tolist())
     snr = 10.0 ** (values / 10.0)
     streams = rx.size
+    if not live.any():
+        raise ValueError("cannot precode an all-zero channel")
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
@@ -220,8 +222,9 @@ def simulated_se(
             series order below 0, any of the three not an integer
             (``invalid value for trials``, ``seed`` or ``ns_iterations``),
             malformed scale factors, an SNR grid that is not a number or a
-            nonempty 1-D vector of finite numbers, or, for ZF and NS-ZF,
-            more active streams than transmit cells; always before any draw.
+            nonempty 1-D vector of finite numbers, no live stream, or, for
+            ZF and NS-ZF, more active streams than transmit cells; always
+            before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """

@@ -486,6 +486,20 @@ class TestColumnWriter:
         rows = zip(values.tolist(), labels, index.tolist())
         assert out.read_bytes() == reference_csv(out, header, rows)
 
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        # SE rows mix floats with ready-made strings, eigvals rows ints with
+        # floats; neither count (720 and 5,184) is a multiple of 7.
+        written = []
+        for block_rows in (1, 7, 10**6):
+            monkeypatch.setattr(harness, "_BLOCK_ROWS", block_rows)
+            se, eig = tmp_path / f"se-{block_rows}.csv", tmp_path / f"eig-{block_rows}.csv"
+            run_se_theory(parse_config(ns=144, nr=36, scheme="mrt,zf"), se)
+            run_eigvals(parse_config(ns=144, nr=36), eig)
+            written.append((se.read_bytes(), eig.read_bytes()))
+        assert [se.count(b"\n") - 2 for se, _ in written] == [720] * 3
+        assert [eig.count(b"\n") - 2 for _, eig in written] == [5184] * 3
+        assert written[0] == written[1] == written[2]
+
 
 class TestRunners:
     def test_variance_map_artifact(self, tmp_path):

@@ -1,6 +1,7 @@
 """Precoding cores against the vector-domain oracle, and the Neumann series."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ class TestNeumannInverse:
             expected = powers(h, ns_zf(h, order))
             error = np.abs(engine[:, row] - expected).max() / np.abs(expected).max()
             assert error < 1e-12, order
+
+    def test_the_pass_keeps_two_iterates_alive(self):
+        # Each order's row is filled once X_{n+1} exists, so at fig8's K the
+        # traced peak stays under nine complex K×K arrays (8.6 measured; a
+        # pass that keeps every wanted iterate until the end reads 12.6).
+        h = complex_draw(np.ones(47), np.ones(253), 0)
+        gram = h @ h.conj().T
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _ns_zf_core(gram, (2, 3, 4, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * gram.nbytes
 
 
 class TestNSZF:

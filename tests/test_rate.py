@@ -112,9 +112,11 @@ class TestVectorDomainOracle:
         np.testing.assert_allclose(mmse[:, 1], expected, rtol=1e-6)
 
     @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
-    def test_an_all_zero_ensemble_has_nothing_to_precode(self, scheme):
+    def test_an_all_zero_ensemble_has_nothing_to_precode(self, scheme, count_calls):
+        draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match="cannot precode an all-zero channel"):
             simulated_se(np.zeros(2), np.ones(3), scheme, [0.0], trials=1)
+        assert draws == []
 
 
 class TestBuiltResults:
