@@ -348,10 +348,9 @@ def _write_se(out: Path, config: ScenarioConfig, payload: dict, blocks: list) ->
 
 
 def _theory_block(config: ScenarioConfig, sigma: tuple, scheme: str) -> tuple:
-    """Closed-form ``(tag, per_stream)`` block of one scheme at unit noise."""
+    """Closed-form ``(tag, per_stream)`` block of one scheme on the config's SNR grid."""
     formula = {"MRT": mrt_theoretical_bound, "ZF": zf_theoretical}[scheme]
-    p_u = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
-    return _THEORY_TAGS[scheme], formula(*sigma, p_u, 1.0)
+    return _THEORY_TAGS[scheme], formula(*sigma, config.snr_grid_db)
 
 
 def _sigma(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

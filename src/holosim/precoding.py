@@ -87,7 +87,9 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
     gain = lam / shifted
     diagonal = w @ gain
     energy = (lam / shifted**2).sum(axis=0)
-    powers = np.array([diagonal**2, w @ gain**2 - diagonal**2]) / energy
+    # At high SNR the interference cancels to zero, and can round below it.
+    interference = np.maximum(w @ gain**2 - diagonal**2, 0.0)
+    powers = np.array([diagonal**2, interference]) / energy
     return 1.0 / energy, powers
 
 

@@ -1,7 +1,8 @@
 """Spectral-efficiency evaluation: Monte Carlo and closed forms.
 
-Every estimator takes the ensemble as the same two scale-factor vectors,
-``(rx_sigma, tx_sigma)``, checked once by :func:`holosim.channel._factors`.
+Every estimator takes the ensemble as the same two scale-factor vectors
+and an SNR grid in dB, ``(rx_sigma, tx_sigma, snr_grid_db)``, read by one
+reader, :func:`_ensemble`, into the grid's powers at unit noise.
 Per-stream SINR treats every other stream, of every user, as interference:
 all streams are precoded jointly, so the interference footprint seen in
 simulation matches the one assumed by the closed-form expressions.  Monte
@@ -16,13 +17,12 @@ evaluation give all their rates.  Every draw is made on the calling
 thread, in turn, as a pure function of ``(seed, trial, attempt)``, and is
 freed once its Gram exists.  The closed
 forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`, are
-vectorized: each gives every stream at every power as one
-``(streams, powers)`` table.
+vectorized: each gives every stream at every SNR point as one
+``(streams, snr_points)`` table.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,6 +90,26 @@ def _sinr(signal: np.ndarray, interference: np.ndarray, snr) -> np.ndarray:
     return np.where(signal > 0.0, capped, 0.0)
 
 
+def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
+    """Checked factors, the dB grid as a tuple and its powers ``10**(dB/10)`` at unit noise.
+
+    Every estimator reads its inputs here, so all of them refuse a dead
+    ensemble, and a grid whose power overflows, with the same message.
+    """
+    rx, tx = _factors(rx_sigma, tx_sigma)
+    values = _real_vector(snr_grid_db, "snr")
+    with np.errstate(over="ignore"):
+        snr = 10.0 ** (values / 10.0)
+    if not np.isfinite(snr).all():
+        raise ValueError(f"invalid value for snr: {values.max():g} dB "
+                         "(its power 10**(dB/10) overflows a float)")
+    if not rx.any():
+        raise ValueError("rx_sigma has no live stream")
+    if not tx.any():
+        raise ValueError("tx_sigma has no live cell")
+    return rx, tx, tuple(values.tolist()), snr
+
+
 def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     """Active-stream mask, powers ``(2, specs, active streams, SNR)`` and rejections.
 
@@ -130,17 +150,11 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     specs = [(_canonical_scheme(scheme), _count(order, "ns_iterations", 0))
              for scheme, order in specs]
     trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
-    rx, tx = _factors(rx_sigma, tx_sigma)
-    rx_live, tx_live = rx != 0.0, tx != 0.0
-    live = rx_live & tx_live.any()  # the others have G_ii = 0 on every draw
+    rx, tx, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    live = rx != 0.0  # the others have G_ii = 0 on every draw
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
-        _require_cells(live, tx_live & rx_live.any())
-    values = _real_vector(snr_grid_db, "snr")
-    grid = tuple(values.tolist())
-    snr = 10.0 ** (values / 10.0)
+        _require_cells(live, tx != 0.0)
     streams = rx.size
-    if not live.any():
-        raise ValueError("cannot precode an all-zero channel")
 
     accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
     accum_sq = np.zeros_like(accum)
@@ -222,44 +236,20 @@ def simulated_se(
             series order below 0, any of the three not an integer
             (``invalid value for trials``, ``seed`` or ``ns_iterations``),
             malformed scale factors, an SNR grid that is not a number or a
-            nonempty 1-D vector of finite numbers, no live stream, or, for
-            ZF and NS-ZF, more active streams than transmit cells; always
-            before any draw.
+            nonempty 1-D vector of finite numbers or whose power
+            ``10**(dB/10)`` overflows, above about 3,082.5 dB
+            (``invalid value for snr``), no live stream
+            (``rx_sigma has no live stream``), no live transmit cell
+            (``tx_sigma has no live cell``), or, for ZF and NS-ZF, more
+            active streams than transmit cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
     return _simulate(rx_sigma, tx_sigma, [(scheme, ns_iterations)], snr_grid_db, trials, seed)[0]
 
 
-def _theory_args(rx_sigma, tx_sigma, p_u, noise_var) -> tuple:
-    rx, tx = _factors(rx_sigma, tx_sigma)
-    powers = _real_vector(p_u, "p_u")
-    noise_var = _real_vector([noise_var], "noise_var").item()
-    if not np.any(rx > 0.0):
-        raise ValueError("rx_sigma has no live stream")
-    if not np.any(tx > 0.0):
-        raise ValueError("tx_sigma has no live cell")
-    if not (np.all(powers > 0.0) and noise_var > 0.0):
-        raise ValueError("p_u and noise_var must be positive and finite")
-    return rx, tx, powers, noise_var
-
-
-def _log2_1p(ratio: np.ndarray) -> np.ndarray:
-    """``log2(1 + ratio)`` with libm's ``log2``, one entry at a time.
-
-    NumPy's SIMD ``log2`` differs from libm's in the last bit on some
-    inputs; the closed-form CSV rows stay those of the per-stream formula.
-    """
-    return np.reshape([math.log2(v) for v in (1.0 + ratio).ravel().tolist()], ratio.shape)
-
-
-def mrt_theoretical_bound(
-    rx_sigma: np.ndarray,
-    tx_sigma: np.ndarray,
-    p_u,
-    noise_var: float,
-) -> np.ndarray:
-    """Closed-form approximation of the MRT per-stream SE at every power.
+def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
+    """Closed-form approximation of the MRT per-stream SE over an SNR grid.
 
     Each power in the SINR of the unit-Frobenius matched precoder is
     replaced by its ensemble average (valid for many transmit cells), with
@@ -283,37 +273,32 @@ def mrt_theoretical_bound(
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
         tx_sigma: Transmit scale factors (more than two live cells required).
-        p_u: Transmit power, a scalar or a vector of powers.
-        noise_var: Noise variance.
+        snr_grid_db: SNR grid in dB, read as by :func:`simulated_se`.
 
     Returns:
-        Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``.
+        Spectral efficiency in bits/s/Hz of shape ``(streams, snr_points)``.
 
     Raises:
-        ValueError: On malformed scale factors, a power that is not a number
-            or a nonempty 1-D vector of numbers, a noise variance that is not
-            a number, a power or noise variance that is not positive and
-            finite, no live stream, or too few live transmit cells.
+        ValueError: On malformed scale factors, an SNR grid that is not a
+            number or a nonempty 1-D vector of finite numbers or whose power
+            ``10**(dB/10)`` overflows (``invalid value for snr``), no live
+            stream (``rx_sigma has no live stream``), no live transmit cell
+            (``tx_sigma has no live cell``), or too few live transmit cells.
     """
-    rx, tx, p_u, noise_var = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    rx, tx, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     if np.count_nonzero(tx > 0.0) <= 2:
         raise ValueError("the closed form requires more than two live transmit cells")
     own = (rx**2)[:, None]
     total_rx = float(np.sum(rx**2))
     total_tx = float(np.sum(tx**2))
     cross_tx = float(np.sum(tx**4)) / total_tx
-    numerator = p_u * total_tx * own**2
-    denominator = p_u * cross_tx * own * (total_rx - own) + noise_var * total_rx
-    return _log2_1p(numerator / denominator)
+    numerator = snr * total_tx * own**2
+    denominator = snr * cross_tx * own * (total_rx - own) + total_rx
+    return np.log2(1.0 + numerator / denominator)
 
 
-def zf_theoretical(
-    rx_sigma: np.ndarray,
-    tx_sigma: np.ndarray,
-    p_u,
-    noise_var: float,
-) -> np.ndarray:
-    """Closed-form approximation of the ZF per-stream SE at every power.
+def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
+    """Closed-form approximation of the ZF per-stream SE over an SNR grid.
 
     Only streams and transmit cells with nonzero scale factors take part in
     zero-forcing, so the degrees-of-freedom factor and the power split count
@@ -322,25 +307,24 @@ def zf_theoretical(
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
         tx_sigma: Transmit scale factors.
-        p_u: Transmit power, a scalar or a vector of powers.
-        noise_var: Noise variance.
+        snr_grid_db: SNR grid in dB, read as by :func:`simulated_se`.
 
     Returns:
-        Spectral efficiency in bits/s/Hz of shape ``(streams, powers)``;
+        Spectral efficiency in bits/s/Hz of shape ``(streams, snr_points)``;
         zero on the rows of streams with zero scale.
 
     Raises:
-        ValueError: If no stream or no transmit cell is live, if more
-            streams than transmit cells are live, or on the inputs that
-            :func:`mrt_theoretical_bound` rejects.
+        ValueError: If more streams than transmit cells are live, or on the
+            inputs that :func:`mrt_theoretical_bound` rejects for any number
+            of live cells.
     """
-    rx, tx, p_u, noise_var = _theory_args(rx_sigma, tx_sigma, p_u, noise_var)
+    rx, tx, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
     avg_tx = float(np.sum(tx**2)) / active_cells
     ratio = (
-        (p_u / (active_streams * noise_var))
+        (snr / active_streams)
         * (active_cells - active_streams + 1)
         * rx[:, None] ** 2
         * avg_tx
     )
-    return _log2_1p(ratio)
+    return np.log2(1.0 + ratio)

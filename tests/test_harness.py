@@ -460,8 +460,7 @@ class TestColumnWriter:
                                  result.per_stream[k, col]))
                 rows.append((snr_db, scheme, "all", "sum", result.sum_se[col]))
             for snr_db in config.snr_grid_db:
-                p_u = 10.0 ** (snr_db / 10.0)
-                values = fn(*sigma, p_u, 1.0)[:, 0].tolist()
+                values = fn(*sigma, snr_db)[:, 0].tolist()
                 for k, value in enumerate(values):
                     rows.append((snr_db, tag, k // per_user + 1, k % per_user + 1, value))
                 rows.append((snr_db, tag, "all", "sum", sum(values)))
@@ -881,6 +880,33 @@ class TestCLI:
         assert status == 1
         assert "invalid value for iters" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["se-sim", "se-theory"])
+    def test_an_overflowing_snr_fails_before_any_csv(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        status = main(
+            [
+                command, "--ns", "36", "--nr", "16", "--users", "1",
+                "--snr", "0,4000", "--trials", "2", "--scheme", "zf", "--out", str(out),
+            ]
+        )
+        assert status == 1
+        assert "invalid value for snr: 4000 dB" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_se_sim_writes_a_finite_regularized_rate_at_high_snr(self, tmp_path):
+        out = tmp_path / "se.csv"
+        status = main(
+            [
+                "se-sim", "--ns", "36", "--nr", "16", "--users", "1", "--snr", "0,200",
+                "--trials", "4", "--scheme", "zf,mmse", "--out", str(out),
+            ]
+        )
+        assert status == 0
+        sums = {tuple(row.split(",")[:2]): row.split(",")[4]
+                for row in out.read_text().splitlines() if ",all,sum," in row}
+        assert "nan" not in sums.values()
+        assert sums["200", "MMSE"] == sums["200", "ZF"]
 
     def test_se_theory_command_rejects_mmse(self, tmp_path, capsys):
         status = main(

@@ -112,10 +112,15 @@ class TestVectorDomainOracle:
         np.testing.assert_allclose(mmse[:, 1], expected, rtol=1e-6)
 
     @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
-    def test_an_all_zero_ensemble_has_nothing_to_precode(self, scheme, count_calls):
+    @pytest.mark.parametrize("rx, tx, match", [
+        (np.zeros(2), np.ones(3), "rx_sigma has no live stream"),
+        (np.ones(2), np.zeros(3), "tx_sigma has no live cell"),
+    ], ids=["dead-streams", "dead-cells"])
+    def test_a_dead_ensemble_has_nothing_to_precode(self, scheme, rx, tx, match, count_calls):
+        # The closed forms' two messages, from the one reader of every estimator.
         draws = count_calls(rate, "_draw_parts")
-        with pytest.raises(ValueError, match="cannot precode an all-zero channel"):
-            simulated_se(np.zeros(2), np.ones(3), scheme, [0.0], trials=1)
+        with pytest.raises(ValueError, match=match):
+            simulated_se(rx, tx, scheme, [0.0], trials=1)
         assert draws == []
 
 
@@ -231,6 +236,29 @@ class TestSimulatedSE:
         with pytest.raises(ValueError, match="snr"):
             simulated_se(*uniform_sigma(2, 5), "mrt", grid, trials=2, seed=0)
         assert draws == []
+
+    @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
+    def test_rejects_a_grid_whose_power_overflows(self, scheme, count_calls):
+        # Unchecked, 10**(4000/10) overflowed to inf with a RuntimeWarning,
+        # and every scheme wrote 0 bits at 4,000 dB.
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match=r"invalid value for snr: 4000 dB .*overflows"):
+            simulated_se(np.ones(4), np.ones(9), scheme, [10.0, 3000.0, 4000.0], trials=2, seed=1)
+        assert draws == []
+        # 10*log10(float max) is about 3,082.5 dB: 3,000 dB is a valid point.
+        result = simulated_se(np.ones(4), np.ones(9), scheme, [10.0, 3000.0], trials=2, seed=1)
+        assert np.all(result.sum_se > 0.0) and np.isfinite(result.sum_se).all()
+
+    def test_regularized_streams_stop_where_nulling_does(self):
+        # From about 150 dB MMSE's interference cancels to zero; unclamped,
+        # it rounded below zero and the SINR, and so the rate, came out NaN.
+        grid = [80.0, 100.0, 120.0, 150.0, 200.0, 300.0]
+        mmse, zf = (simulated_se(np.ones(4), np.ones(9), scheme, grid, trials=20, seed=1).sum_se
+                    for scheme in ("mmse", "zf"))
+        assert np.isfinite(mmse).all()
+        assert mmse.tolist() == sorted(mmse.tolist())
+        np.testing.assert_array_equal(mmse[3:], zf[3:])
+        np.testing.assert_array_equal(zf[3:], 4 * np.log2(1.0 + SINR_CAP))
 
     @pytest.mark.parametrize(
         "grid",
@@ -469,32 +497,32 @@ class TestSchemeOrdering:
         assert sums["mrt", 1 / 6] > sums["mrt", 1 / 15]
 
 
-def scalar_mrt_bound(rx, tx, p_u, noise_var, stream):
-    """Per-stream MRT closed form, one stream and one power at a time."""
+def scalar_mrt_bound(rx, tx, p_u, stream):
+    """Per-stream MRT closed form at unit noise, one stream and one power at a time."""
     rx_sq = rx**2
     own = rx_sq[stream]
     total_tx = float(np.sum(tx**2))
     cross_tx = float(np.sum(tx**4)) / total_tx
     others = float(np.sum(rx_sq)) - own
     numerator = p_u * total_tx * own**2
-    denominator = p_u * cross_tx * own * others + noise_var * float(np.sum(rx_sq))
-    return math.log2(1.0 + numerator / denominator)
+    denominator = p_u * cross_tx * own * others + float(np.sum(rx_sq))
+    return np.log2(1.0 + numerator / denominator)
 
 
-def scalar_zf(rx, tx, p_u, noise_var, stream):
-    """Per-stream ZF closed form, one stream and one power at a time."""
+def scalar_zf(rx, tx, p_u, stream):
+    """Per-stream ZF closed form at unit noise, one stream and one power at a time."""
     active_streams = int(np.count_nonzero(rx > 0.0))
     active_cells = int(np.count_nonzero(tx > 0.0))
     if rx[stream] == 0.0:
         return 0.0
     avg_tx = float(np.sum(tx**2)) / active_cells
     gain = (
-        (p_u / (active_streams * noise_var))
+        (p_u / active_streams)
         * (active_cells - active_streams + 1)
         * rx[stream] ** 2
         * avg_tx
     )
-    return math.log2(1.0 + gain)
+    return np.log2(1.0 + gain)
 
 
 class TestTheoryTable:
@@ -505,56 +533,74 @@ class TestTheoryTable:
         tx = tx_map_medium.normalized_sigma.copy()
         rx[4] = 0.0  # a dead stream
         tx[0] = 0.0  # and a dead transmit cell
-        powers = [10.0 ** (snr / 10.0) for snr in range(-10, 31, 5)]
+        grid = list(range(-10, 31, 5))
+        powers = rate._ensemble(rx, tx, grid)[3]  # the engine's powers, 10**(dB/10)
         for scheme, scalar, public in (
             ("MRT", scalar_mrt_bound, mrt_theoretical_bound),
             ("ZF", scalar_zf, zf_theoretical),
         ):
-            table = public(rx, tx, powers, 0.7)
+            table = public(rx, tx, grid)
             expected = np.array(
-                [[scalar(rx, tx, p_u, 0.7, k) for p_u in powers] for k in range(rx.size)]
+                [[scalar(rx, tx, p_u, k) for p_u in powers] for k in range(rx.size)]
             )
             assert table.shape == (rx.size, len(powers))
             assert np.array_equal(table, expected)
             # Column sums add the rows in order, like a running sum per power.
             running = [sum(expected[:, col].tolist()) for col in range(len(powers))]
             assert table.sum(axis=0).tolist() == running
-            # A scalar power gives one column.
-            assert np.array_equal(public(rx, tx, powers[3], 0.7), expected[:, 3:4])
-        assert zf_theoretical(rx, tx, powers, 0.7)[4].tolist() == [0.0] * 9
+            # A scalar SNR gives one column.
+            assert np.array_equal(public(rx, tx, grid[3]), expected[:, 3:4])
+        assert zf_theoretical(rx, tx, grid)[4].tolist() == [0.0] * 9
+
+    @given(
+        rx=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=1, max_size=6),
+        tx=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=3, max_size=12),
+        tenths=st.lists(st.integers(-400, 800), min_size=1, max_size=6, unique=True),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tables_are_finite_monotone_and_pointwise(self, rx, tx, tenths):
+        rx, tx = np.array(rx), np.array(tx)
+        assume(rx.any() and np.count_nonzero(rx) <= np.count_nonzero(tx))
+        assume(np.count_nonzero(tx) > 2)
+        grid = [value / 10.0 for value in sorted(tenths)]  # -40 to 80 dB, 0.1 dB apart
+        for public in (mrt_theoretical_bound, zf_theoretical):
+            table = public(rx, tx, grid)
+            assert table.shape == (rx.size, len(grid))
+            assert np.isfinite(table).all()
+            assert np.all(np.diff(table, axis=1) >= 0.0)
+            # Each column is the table of its one point, bit for bit.
+            for col, snr_db in enumerate(grid):
+                assert np.array_equal(public(rx, tx, snr_db)[:, 0], table[:, col])
+        assert not zf_theoretical(rx, tx, grid)[rx == 0.0].any()
 
     @pytest.mark.parametrize(
         "scheme, args, match",
         [
-            ("MRT", (np.array([]), np.ones(3), 1.0, 1.0), "nonempty"),
-            ("ZF", (np.ones(2), np.ones(4), 0.0, 1.0), "positive"),
-            ("ZF", (np.ones(2), np.ones(4), 1.0, 0.0), "positive"),
-            ("MRT", (np.ones(2), np.ones(2), 1.0, 1.0), "more than two"),
-            ("ZF", (np.ones(5), np.ones(3), 1.0, 1.0), "exceed"),
-            ("MRT", (np.ones(2), np.array([1.0, 0.0, 0.0]), 1.0, 1.0), "more than two"),
-            ("ZF", (np.zeros(2), np.zeros(3), 1.0, 1.0), "rx_sigma has no live stream"),
-            ("MRT", (np.zeros(2), np.ones(3), 1.0, 1.0), "rx_sigma has no live stream"),
-            ("ZF", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
-            ("MRT", (np.ones(2), np.zeros(3), 1.0, 1.0), "tx_sigma has no live cell"),
+            ("MRT", (np.array([]), np.ones(3), 0.0), "nonempty"),
+            # 10*log10(float max) is about 3,082.5 dB.
+            ("ZF", (np.ones(2), np.ones(4), 4000.0), "4000 dB .*overflows"),
+            ("MRT", (np.ones(2), np.ones(4), [0.0, 3083.0]), "3083 dB .*overflows"),
+            ("MRT", (np.ones(2), np.ones(2), 0.0), "more than two"),
+            ("ZF", (np.ones(5), np.ones(3), 0.0), "exceed"),
+            ("MRT", (np.ones(2), np.array([1.0, 0.0, 0.0]), 0.0), "more than two"),
+            ("ZF", (np.zeros(2), np.zeros(3), 0.0), "rx_sigma has no live stream"),
+            ("MRT", (np.zeros(2), np.ones(3), 0.0), "rx_sigma has no live stream"),
+            ("ZF", (np.ones(2), np.zeros(3), 0.0), "tx_sigma has no live cell"),
+            ("MRT", (np.ones(2), np.zeros(3), 0.0), "tx_sigma has no live cell"),
             # Unchecked, an infinite power gives inf (ZF) or an invalid
-            # divide (MRT), and an infinite noise variance gives SE 0.
+            # divide (MRT), and one past the float range does too.
             *(
-                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), f"invalid value for {name}")
+                (scheme, (np.ones(2), np.ones(4), grid), "invalid value for snr")
                 for scheme in ("MRT", "ZF")
-                for p_u, noise_var, name in [(math.inf, 1.0, "p_u"), ([1.0, math.inf], 1.0, "p_u"),
-                                             (1.0, math.inf, "noise_var"),
-                                             (1.0, math.nan, "noise_var")]
+                for grid in [math.inf, [0.0, math.inf], -math.inf, math.nan, 1e308]
             ),
-            # Unchecked, a string or a bool read as a float, a 2-D power
-            # gave stream i the power p_u[i], and an empty one an empty table.
+            # Unchecked, a string or a bool read as a float, a 2-D grid
+            # gave stream i the power of point i, and an empty one an empty table.
             *(
-                (scheme, (np.ones(2), np.ones(4), p_u, noise_var), f"invalid value for {name}")
+                (scheme, (np.ones(2), np.ones(4), grid), "invalid value for snr")
                 for scheme in ("MRT", "ZF")
-                for p_u, noise_var, name in [
-                    ("10", 1.0, "p_u"), (["1", "10"], 1.0, "p_u"), ([[1.0], [2.0]], 1.0, "p_u"),
-                    (True, 1.0, "p_u"), ([], 1.0, "p_u"),
-                    (1.0, True, "noise_var"), (1.0, "1", "noise_var"), (1.0, [1.0], "noise_var"),
-                ]
+                for grid in ["10", ["1", "10"], [[1.0], [2.0]], True, [], [True, 10.0],
+                             None, [0.0, "1"]]
             ),
         ],
     )
@@ -566,55 +612,55 @@ class TestTheoryTable:
 
 class TestTheoreticalExpressions:
     def test_single_stream_matched_bound_reduces_to_snr_formula(self):
-        (value,) = mrt_theoretical_bound(np.array([2.0]), np.ones(3), p_u=4.0, noise_var=0.5)[0]
+        # p_u = 4 over a noise variance of 1/2: SNR 8.
+        (value,) = mrt_theoretical_bound(np.array([2.0]), np.ones(3), 10.0 * math.log10(8.0))[0]
         assert value == pytest.approx(math.log2(1.0 + 4.0 * 3.0 * 4.0 / 0.5), rel=1e-12)
 
     def test_matched_cross_talk_uses_the_fourth_transmit_moment(self):
         # E|h_0 h_1^H|^2 = s_0^2 s_1^2 sum(t^4): with t = (1, 1, 2) the
         # cross-talk factor is sum(t^4) / sum(t^2) = 18 / 6 = 3, not the
         # mean power sum(t^2) / N = 2.  SINR = 6 / (3 * 1 * 4 + 5) = 6 / 17.
-        value = mrt_theoretical_bound(np.array([1.0, 2.0]), np.array([1.0, 1.0, 2.0]), 1.0, 1.0)
+        value = mrt_theoretical_bound(np.array([1.0, 2.0]), np.array([1.0, 1.0, 2.0]), 0.0)
         assert value[0, 0] == pytest.approx(math.log2(1.0 + 6.0 / 17.0), rel=1e-12)
 
     def test_matched_bound_shrinks_as_streams_are_added(self):
-        lone = mrt_theoretical_bound(np.ones(1), np.ones(8), 2.0, 1.0)
-        crowded = mrt_theoretical_bound(np.ones(3), np.ones(8), 2.0, 1.0)
+        lone = mrt_theoretical_bound(np.ones(1), np.ones(8), 10.0 * math.log10(2.0))
+        crowded = mrt_theoretical_bound(np.ones(3), np.ones(8), 10.0 * math.log10(2.0))
         assert crowded[0, 0] < lone[0, 0]
 
     def test_classical_identity_nulling_formula(self):
-        value = zf_theoretical(np.ones(4), np.ones(10), p_u=2.0, noise_var=1.0)
+        value = zf_theoretical(np.ones(4), np.ones(10), 10.0 * math.log10(2.0))
         assert value[0, 0] == pytest.approx(math.log2(1.0 + (2.0 / 4.0) * 7.0), rel=1e-12)
 
     def test_square_nulling_loses_all_array_gain(self):
-        value = zf_theoretical(np.ones(5), np.ones(5), p_u=5.0, noise_var=1.0)
+        value = zf_theoretical(np.ones(5), np.ones(5), 10.0 * math.log10(5.0))
         assert value[2, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_nulling_skips_dead_streams(self):
         rx = np.array([1.0, 0.0, 2.0])
-        value = zf_theoretical(rx, np.ones(4), 1.0, 1.0)
+        value = zf_theoretical(rx, np.ones(4), 0.0)
         assert value[1, 0] == 0.0
         # Only two live streams share the power and count against the cells.
         assert value[2, 0] == pytest.approx(math.log2(1.0 + 0.5 * 3.0 * 4.0), rel=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            mrt_theoretical_bound(np.array([]), np.ones(3), 1.0, 1.0)
+            mrt_theoretical_bound(np.array([]), np.ones(3), 0.0)
         with pytest.raises(ValueError, match="more than two"):
-            mrt_theoretical_bound(np.ones(2), np.ones(2), 1.0, 1.0)
+            mrt_theoretical_bound(np.ones(2), np.ones(2), 0.0)
         with pytest.raises(ValueError, match="exceed"):
-            zf_theoretical(np.ones(5), np.ones(3), 1.0, 1.0)
+            zf_theoretical(np.ones(5), np.ones(3), 0.0)
         with pytest.raises(ValueError):
-            zf_theoretical(np.ones(2), np.ones(4), 0.0, 1.0)
+            zf_theoretical(np.ones(2), np.ones(4), 4000.0)
         with pytest.raises(ValueError):
-            zf_theoretical(np.ones(2), np.ones(4), [1.0, -1.0], 1.0)
+            zf_theoretical(np.ones(2), np.ones(4), [0.0, math.nan])
         with pytest.raises(ValueError):
-            zf_theoretical(np.ones(2), np.ones(4), 1.0, 0.0)
+            zf_theoretical(np.ones(2), np.ones(4), "0")
 
     def test_nulling_formula_tracks_simulation(self, rx_map_small, tx_map_medium):
         sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
         result = simulated_se(*sigma, "zf", [0.0, 20.0], trials=300, seed=42)
-        p_u = [10.0 ** (snr_db / 10.0) for snr_db in result.snr_grid_db]
-        theory = zf_theoretical(*sigma, p_u, 1.0).sum(axis=0)
+        theory = zf_theoretical(*sigma, result.snr_grid_db).sum(axis=0)
         for col, snr_db in enumerate(result.snr_grid_db):
             gap = abs(theory[col] - result.sum_se[col]) / result.sum_se[col]
             assert gap < (0.10 if snr_db == 0.0 else 0.15)
@@ -627,7 +673,7 @@ class TestTheoreticalExpressions:
             sigma = rx_map_small.normalized_sigma, tx_map.normalized_sigma
             result = simulated_se(*sigma, "zf", [10.0], trials=100, seed=3)
             simulated.append(result.sum_se[0] / sigma[0].size)
-            theory.append(zf_theoretical(*sigma, 10.0, 1.0)[0, 0])
+            theory.append(zf_theoretical(*sigma, 10.0)[0, 0])
         assert simulated == sorted(simulated)
         assert theory == sorted(theory)
         assert simulated[0] > 0.0 and theory[0] > 0.0
@@ -637,8 +683,8 @@ class TestTheoreticalExpressions:
 # factor check first.
 ENSEMBLE_ENTRY_POINTS = {
     "simulated_se": lambda rx, tx: simulated_se(rx, tx, "zf", [0.0], trials=2, seed=0),
-    "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, 1.0, 1.0),
-    "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 1.0, 1.0),
+    "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, 0.0),
+    "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 0.0),
     "eigenvalues": correlation_eigenvalues,
 }
 
