@@ -83,14 +83,16 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
     """
     eigenvalues, w = spectrum
     lam = eigenvalues[:, None]
-    shifted = lam + streams / snr
+    with np.errstate(divide="ignore", over="ignore"):  # vanishing power: the energy is 0
+        shifted = lam + streams / snr
+        energy = (lam / shifted**2).sum(axis=0)
+        scale_sq = 1.0 / energy
     gain = lam / shifted
     diagonal = w @ gain
-    energy = (lam / shifted**2).sum(axis=0)
     # At high SNR the interference cancels to zero, and can round below it.
     interference = np.maximum(w @ gain**2 - diagonal**2, 0.0)
-    powers = np.array([diagonal**2, interference]) / energy
-    return 1.0 / energy, powers
+    powers = np.array([diagonal**2, interference])
+    return scale_sq, np.divide(powers, energy, out=np.zeros_like(powers), where=energy > 0.0)
 
 
 def _ns_zf_core(g_aa: np.ndarray, orders) -> tuple:

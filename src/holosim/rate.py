@@ -15,10 +15,10 @@ reads each scheme's powers from its core in :mod:`holosim.precoding`.
 Every spec's powers on a draw fill one buffer; one SINR and one ``log2``
 evaluation give all their rates.  Every draw is made on the calling
 thread, in turn, as a pure function of ``(seed, trial, attempt)``, and is
-freed once its Gram exists.  The closed
-forms, :func:`mrt_theoretical_bound` and :func:`zf_theoretical`, are
-vectorized: each gives every stream at every SNR point as one
-``(streams, snr_points)`` table.
+freed once its Gram exists.  The closed forms, :func:`mrt_theoretical_bound`
+and :func:`zf_theoretical`, state their powers at unit power and share the
+engine's one SINR rule, :func:`_sinr`; each gives every stream at every SNR
+point as one ``(streams, snr_points)`` table.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ def _canonical_scheme(scheme: str) -> str:
 
 
 def _sinr(signal: np.ndarray, interference: np.ndarray, snr) -> np.ndarray:
-    """Capped SINR at unit noise, zero where the signal is zero; broadcasts over SNR columns."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = snr * signal / (snr * interference + 1.0)
-    capped = np.minimum(np.nan_to_num(ratio, copy=False, posinf=SINR_CAP), SINR_CAP)
-    return np.where(signal > 0.0, capped, 0.0)
+    """The package's one SINR rule: unit-power powers at unit noise, capped at ``SINR_CAP``.
+
+    ``interference >= 0`` and ``1/snr > 0``, so it is never NaN; an overflow stops at the cap.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # 1/snr is inf at a power of 0
+        return np.minimum(signal / (interference + 1.0 / snr), SINR_CAP)
 
 
 def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
@@ -103,10 +104,11 @@ def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
     if not np.isfinite(snr).all():
         raise ValueError(f"invalid value for snr: {values.max():g} dB "
                          "(its power 10**(dB/10) overflows a float)")
-    if not rx.any():
-        raise ValueError("rx_sigma has no live stream")
-    if not tx.any():
-        raise ValueError("tx_sigma has no live cell")
+    with np.errstate(over="ignore"):  # every power is a square: one that underflows is dead
+        if not (rx**2).any():
+            raise ValueError("rx_sigma has no live stream")
+        if not (tx**2).any():
+            raise ValueError("tx_sigma has no live cell")
     return rx, tx, tuple(values.tolist()), snr
 
 
@@ -238,10 +240,10 @@ def simulated_se(
             malformed scale factors, an SNR grid that is not a number or a
             nonempty 1-D vector of finite numbers or whose power
             ``10**(dB/10)`` overflows, above about 3,082.5 dB
-            (``invalid value for snr``), no live stream
-            (``rx_sigma has no live stream``), no live transmit cell
-            (``tx_sigma has no live cell``), or, for ZF and NS-ZF, more
-            active streams than transmit cells; always before any draw.
+            (``invalid value for snr``), no stream or no transmit cell
+            whose squared factor is nonzero (``rx_sigma has no live
+            stream``, ``tx_sigma has no live cell``), or, for ZF and NS-ZF,
+            more active streams than transmit cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
@@ -276,7 +278,7 @@ def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
         snr_grid_db: SNR grid in dB, read as by :func:`simulated_se`.
 
     Returns:
-        Spectral efficiency in bits/s/Hz of shape ``(streams, snr_points)``.
+        Spectral efficiency in bits/s/Hz, ``(streams, snr_points)``; SINR capped at ``SINR_CAP``.
 
     Raises:
         ValueError: On malformed scale factors, an SNR grid that is not a
@@ -291,10 +293,9 @@ def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
     own = (rx**2)[:, None]
     total_rx = float(np.sum(rx**2))
     total_tx = float(np.sum(tx**2))
-    cross_tx = float(np.sum(tx**4)) / total_tx
-    numerator = snr * total_tx * own**2
-    denominator = snr * cross_tx * own * (total_rx - own) + total_rx
-    return np.log2(1.0 + numerator / denominator)
+    signal = total_tx * own**2 / total_rx
+    interference = float(np.sum(tx**4)) / total_tx * own * (total_rx - own) / total_rx
+    return np.log2(1.0 + _sinr(signal, interference, snr))
 
 
 def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
@@ -310,8 +311,8 @@ def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
         snr_grid_db: SNR grid in dB, read as by :func:`simulated_se`.
 
     Returns:
-        Spectral efficiency in bits/s/Hz of shape ``(streams, snr_points)``;
-        zero on the rows of streams with zero scale.
+        Spectral efficiency in bits/s/Hz of shape ``(streams, snr_points)``,
+        SINR capped at ``SINR_CAP``; zero on the rows of dead streams.
 
     Raises:
         ValueError: If more streams than transmit cells are live, or on the
@@ -321,10 +322,5 @@ def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
     rx, tx, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
     avg_tx = float(np.sum(tx**2)) / active_cells
-    ratio = (
-        (snr / active_streams)
-        * (active_cells - active_streams + 1)
-        * rx[:, None] ** 2
-        * avg_tx
-    )
-    return np.log2(1.0 + ratio)
+    signal = (active_cells - active_streams + 1) * rx[:, None] ** 2 * avg_tx / active_streams
+    return np.log2(1.0 + _sinr(signal, 0.0, snr))

@@ -42,6 +42,12 @@ ONE_LIVE_STREAM = np.array([0.0, 2.0]), DEAD_STREAM[1]
 ORACLE_SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), *(("NS-ZF", order) for order in (0, 1, 3, 7))]
 ORACLE_IDS = [f"{tag}-{order}" if tag == "NS-ZF" else tag for tag, order in ORACLE_SPECS]
 ORACLE_GRID = [-5.0, 10.0, 25.0]
+# Nonzero factors whose squares, and so every power they give, underflow to 0.
+UNDERFLOWING_ENSEMBLES = [
+    (np.array([1e-200]), np.ones(9), "rx_sigma has no live stream"),
+    (np.ones(2), np.full(9, 1e-200), "tx_sigma has no live cell"),
+]
+UNDERFLOWING_IDS = ["underflowing-streams", "underflowing-cells"]
 
 
 def first_draw(rx, tx, seed=17):
@@ -115,9 +121,11 @@ class TestVectorDomainOracle:
     @pytest.mark.parametrize("rx, tx, match", [
         (np.zeros(2), np.ones(3), "rx_sigma has no live stream"),
         (np.ones(2), np.zeros(3), "tx_sigma has no live cell"),
-    ], ids=["dead-streams", "dead-cells"])
+        *UNDERFLOWING_ENSEMBLES,
+    ], ids=["dead-streams", "dead-cells", *UNDERFLOWING_IDS])
     def test_a_dead_ensemble_has_nothing_to_precode(self, scheme, rx, tx, match, count_calls):
         # The closed forms' two messages, from the one reader of every estimator.
+        # Unchecked, squares that underflow to 0 failed only after a draw.
         draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match=match):
             simulated_se(rx, tx, scheme, [0.0], trials=1)
@@ -245,9 +253,21 @@ class TestSimulatedSE:
         with pytest.raises(ValueError, match=r"invalid value for snr: 4000 dB .*overflows"):
             simulated_se(np.ones(4), np.ones(9), scheme, [10.0, 3000.0, 4000.0], trials=2, seed=1)
         assert draws == []
-        # 10*log10(float max) is about 3,082.5 dB: 3,000 dB is a valid point.
-        result = simulated_se(np.ones(4), np.ones(9), scheme, [10.0, 3000.0], trials=2, seed=1)
+        # 10*log10(float max) is about 3,082.5 dB: 3,000 and 3,082 dB are valid
+        # points, with the same rates.  Unchecked, snr * signal overflowed at
+        # 3,082 dB: MRT wrote 140.25 bits there (10.06 at 3,000 dB), NS-ZF 142.93 (33.10).
+        grid = [10.0, 3000.0, 3082.0]
+        result = simulated_se(np.ones(4), np.ones(9), scheme, grid, trials=2, seed=1)
         assert np.all(result.sum_se > 0.0) and np.isfinite(result.sum_se).all()
+        np.testing.assert_array_equal(result.per_stream[:, 2], result.per_stream[:, 1])
+
+    @pytest.mark.parametrize("scheme", ["mrt", "zf", "mmse", "ns-zf"])
+    def test_vanishing_power_gives_zero_bits_without_a_warning(self, scheme):
+        # Unchecked, MMSE's loading overflowed from about -1,540 dB and its
+        # energy divided by zero, raising RuntimeWarnings (errors under pytest).
+        grid = [-4000.0, -3300.0, -1600.0, -1540.0]
+        result = simulated_se(np.ones(4), np.ones(9), scheme, grid, trials=2, seed=1)
+        np.testing.assert_array_equal(result.per_stream, 0.0)
 
     def test_regularized_streams_stop_where_nulling_does(self):
         # From about 150 dB MMSE's interference cancels to zero; unclamped,
@@ -501,28 +521,21 @@ def scalar_mrt_bound(rx, tx, p_u, stream):
     """Per-stream MRT closed form at unit noise, one stream and one power at a time."""
     rx_sq = rx**2
     own = rx_sq[stream]
+    total_rx = float(np.sum(rx_sq))
     total_tx = float(np.sum(tx**2))
-    cross_tx = float(np.sum(tx**4)) / total_tx
-    others = float(np.sum(rx_sq)) - own
-    numerator = p_u * total_tx * own**2
-    denominator = p_u * cross_tx * own * others + float(np.sum(rx_sq))
-    return np.log2(1.0 + numerator / denominator)
+    signal = total_tx * own**2 / total_rx
+    interference = float(np.sum(tx**4)) / total_tx * own * (total_rx - own) / total_rx
+    return np.log2(1.0 + min(signal / (interference + 1.0 / p_u), SINR_CAP))
 
 
 def scalar_zf(rx, tx, p_u, stream):
     """Per-stream ZF closed form at unit noise, one stream and one power at a time."""
     active_streams = int(np.count_nonzero(rx > 0.0))
     active_cells = int(np.count_nonzero(tx > 0.0))
-    if rx[stream] == 0.0:
-        return 0.0
     avg_tx = float(np.sum(tx**2)) / active_cells
-    gain = (
-        (p_u / active_streams)
-        * (active_cells - active_streams + 1)
-        * rx[stream] ** 2
-        * avg_tx
-    )
-    return np.log2(1.0 + gain)
+    signal = (active_cells - active_streams + 1) * rx[stream] ** 2 * avg_tx / active_streams
+    interference = 0.0
+    return np.log2(1.0 + min(signal / (interference + 1.0 / p_u), SINR_CAP))
 
 
 class TestTheoryTable:
@@ -572,6 +585,38 @@ class TestTheoryTable:
             for col, snr_db in enumerate(grid):
                 assert np.array_equal(public(rx, tx, snr_db)[:, 0], table[:, col])
         assert not zf_theoretical(rx, tx, grid)[rx == 0.0].any()
+
+    @given(
+        rx=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=1, max_size=6),
+        tx=st.lists(st.just(0.0) | st.floats(0.01, 10.0), min_size=3, max_size=12),
+        grid=st.lists(st.floats(-4000.0, 3082.0), min_size=1, max_size=6).map(sorted),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tables_stay_capped_and_monotone_over_every_valid_power(self, rx, tx, grid):
+        # Unchecked, the ZF form passed the engine's cap from about 118 dB
+        # and the MRT form overflowed to inf, then NaN, near 3,080 dB.
+        rx, tx = np.array(rx), np.array(tx)
+        assume(rx.any() and np.count_nonzero(rx) <= np.count_nonzero(tx))
+        assume(np.count_nonzero(tx) > 2)
+        for public in (mrt_theoretical_bound, zf_theoretical):
+            table = public(rx, tx, grid)
+            assert np.isfinite(table).all()
+            assert np.all(np.diff(table, axis=1) >= 0.0)
+            assert table.max() <= np.log2(1.0 + SINR_CAP)
+
+    def test_nulling_form_stops_at_the_engine_cap(self):
+        # Unchecked, it gave 997.16 bits per stream at 3,000 dB.
+        rx, tx = np.ones(4), np.ones(9)
+        table = zf_theoretical(rx, tx, [3000.0])
+        np.testing.assert_array_equal(table, np.log2(1.0 + SINR_CAP))
+        simulated = simulated_se(rx, tx, "zf", [3000.0], trials=2, seed=1).per_stream
+        np.testing.assert_array_equal(table, simulated)
+
+    def test_matched_form_saturates_up_to_the_overflow_edge(self):
+        # Unchecked, it gave inf at 3,075 dB and NaN at 3,082 dB.
+        table = mrt_theoretical_bound(np.ones(4), np.ones(9), [3000.0, 3075.0, 3082.0])
+        assert np.isfinite(table).all()
+        np.testing.assert_array_equal(table[:, 1:], table[:, :1].repeat(2, axis=1))
 
     @pytest.mark.parametrize(
         "scheme, args, match",
@@ -717,6 +762,15 @@ class TestFactorCheck:
         with pytest.raises(ValueError, match=f"invalid value for {name}"):
             ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
         assert draws == []
+
+    @pytest.mark.parametrize("entry", ["mrt_bound", "zf_theory"])
+    @pytest.mark.parametrize("rx, tx, match", UNDERFLOWING_ENSEMBLES, ids=UNDERFLOWING_IDS)
+    def test_factors_whose_squares_underflow_are_dead(self, entry, rx, tx, match):
+        # The engine's cases are in test_a_dead_ensemble_has_nothing_to_precode.
+        # Unchecked, the MRT form gave NaN or a bare ZeroDivisionError, and
+        # the ZF form gave 0 bits.
+        with pytest.raises(ValueError, match=match):
+            ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
 
     def test_a_numeric_array_is_read_on_its_dtype(self, monkeypatch):
         # Each entry of a list is checked in Python; an array's are not.
