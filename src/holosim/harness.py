@@ -71,7 +71,7 @@ class ScenarioConfig:
         snr_grid_db: Strictly increasing SNR grid in dB.
         trials: Monte Carlo trials per estimate.
         seed: Root seed for the deterministic per-trial splits.
-        schemes: Precoding schemes to evaluate.
+        schemes: Precoding scheme names to evaluate, a list or tuple.
         ns_iterations: Series order for the NS-ZF scheme.
     """
 
@@ -91,9 +91,11 @@ class ScenarioConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("snr grid must be strictly increasing")
         object.__setattr__(self, "snr_grid_db", grid)
-        schemes = tuple(_canonical_scheme(s) for s in self.schemes)
+        names = self.schemes if isinstance(self.schemes, (list, tuple)) else ()  # not a bare "zf"
+        schemes = tuple(_canonical_scheme(s) for s in names)
         if not schemes or len(set(schemes)) < len(schemes):
-            raise ValueError(f"invalid value for scheme: {self.schemes!r} (empty or repeated)")
+            raise ValueError(f"invalid value for scheme: {self.schemes!r} "
+                             "(must be a nonempty list of distinct names)")
         object.__setattr__(self, "schemes", schemes)
 
 
@@ -153,10 +155,9 @@ def _parse_int(value, field: str) -> int:
     return parsed
 
 
-def _parse_schemes(value) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(part for part in str(value).split(",") if part.strip())
+def _parse_schemes(value):
+    """Comma-separated text as its names; anything else as given, for ``ScenarioConfig``."""
+    return tuple(p for p in value.split(",") if p.strip()) if isinstance(value, str) else value
 
 
 def _surface(count, spacing, count_key: str, spacing_key: str) -> ArrayGeometry:

@@ -3,9 +3,9 @@
 Every scheme is one core on the Gram block ``G_AA`` of the active streams
 (rows of ``H_a`` that are not identically zero; the others carry no power).
 The precoder would be ``V = H_aᴴ X diag(s)``, unit-norm, but no core forms
-it: each returns the squared column scales ``s²`` and the stacked signal
-and interference powers of the coupled matrix ``H_a V = G X diag(s)``; a
-zero row of ``s²`` marks a draw the scheme rejects as singular.  MRT has
+it: each returns the stacked signal and interference powers of the coupled
+matrix ``H_a V = G X diag(s)``, and ZF and NS-ZF also the squared column
+scales ``s²``, whose zero row marks a draw they reject as singular.  MRT has
 ``X = I``; ZF and MMSE filter one ``eigh`` of ``G_AA`` with ``f = 1/λ`` or
 ``1/(λ + a)`` at every SNR; NS-ZF's one core takes every series order, its
 coupled matrix and its powers from one Horner loop.  The Monte Carlo engine
@@ -56,10 +56,10 @@ def _spectrum(g_aa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, u.real**2 + u.imag**2
 
 
-def _mrt_core(g_aa: np.ndarray) -> tuple:
-    """MRT: ``X = I``, ``s² = 1/tr G``, coupled matrix ``G s``."""
+def _mrt_core(g_aa: np.ndarray) -> np.ndarray:
+    """MRT's powers: ``X = I``, ``s² = 1/tr G``, coupled matrix ``G s``."""
     scale_sq = np.full(g_aa.shape[0], 1.0 / np.trace(g_aa).real)
-    return scale_sq, _coupled_powers(g_aa.real**2 + g_aa.imag**2, scale_sq)
+    return _coupled_powers(g_aa.real**2 + g_aa.imag**2, scale_sq)
 
 
 def _zf_core(spectrum: tuple) -> tuple:
@@ -75,8 +75,8 @@ def _zf_core(spectrum: tuple) -> tuple:
     return scale_sq, np.array([scale_sq, np.zeros_like(scale_sq)])
 
 
-def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
-    """MMSE at every SNR: ``X = U (Λ + a)⁻¹ Uᴴ``, one filter row per SNR.
+def _mmse_core(spectrum: tuple, snr, streams: int) -> np.ndarray:
+    """MMSE's powers at every SNR: ``X = U (Λ + a)⁻¹ Uᴴ``, one filter row per SNR.
 
     The loading ``a = streams/snr`` counts dead streams; ``s² = 1/Σ λ/(λ+a)²``
     makes ``V`` unit-norm, and the coupled matrix is ``U λ/(λ+a) Uᴴ s``.
@@ -86,13 +86,12 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> tuple:
     with np.errstate(divide="ignore", over="ignore"):  # vanishing power: the energy is 0
         shifted = lam + streams / snr
         energy = (lam / shifted**2).sum(axis=0)
-        scale_sq = 1.0 / energy
     gain = lam / shifted
     diagonal = w @ gain
     # At high SNR the interference cancels to zero, and can round below it.
     interference = np.maximum(w @ gain**2 - diagonal**2, 0.0)
     powers = np.array([diagonal**2, interference])
-    return scale_sq, np.divide(powers, energy, out=np.zeros_like(powers), where=energy > 0.0)
+    return np.divide(powers, energy, out=np.zeros_like(powers), where=energy > 0.0)
 
 
 def _ns_zf_core(g_aa: np.ndarray, orders) -> tuple:

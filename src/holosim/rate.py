@@ -52,7 +52,7 @@ class SEResult:
 
     Attributes:
         per_stream: Real matrix of shape ``(streams, snr_points)`` in
-            bits/s/Hz.
+            bits/s/Hz; the rows of dead streams are 0.
         trials: Number of accepted Monte Carlo trials averaged.
         snr_grid_db: SNR grid in dB, one entry per column.
         scheme: Precoding scheme tag the estimate belongs to.
@@ -75,8 +75,8 @@ class SEResult:
         return self.per_stream.sum(axis=0)
 
 
-def _canonical_scheme(scheme: str) -> str:
-    tag = scheme.strip().upper().replace("_", "-")
+def _canonical_scheme(scheme) -> str:
+    tag = scheme.strip().upper().replace("_", "-") if isinstance(scheme, str) else None
     if tag not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
     return tag
@@ -92,10 +92,13 @@ def _sinr(signal: np.ndarray, interference: np.ndarray, snr) -> np.ndarray:
 
 
 def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
-    """Checked factors, the dB grid as a tuple and its powers ``10**(dB/10)`` at unit noise.
+    """Checked factors, their live-stream and live-cell masks, the dB grid and its powers.
 
-    Every estimator reads its inputs here, so all of them refuse a dead
-    ensemble, and a grid whose power overflows, with the same message.
+    The one liveness rule: every Gram entry is a sum of products ``s_i² t_j²``,
+    so stream ``i`` is live iff ``s_i² max t²`` does not underflow to 0, and
+    cell ``j`` iff ``t_j² max s²`` does not.  Every estimator reads its
+    inputs here, so all of them refuse a dead ensemble, and a grid whose
+    power ``10**(dB/10)`` overflows, with the same message.
     """
     rx, tx = _factors(rx_sigma, tx_sigma)
     values = _real_vector(snr_grid_db, "snr")
@@ -104,12 +107,14 @@ def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
     if not np.isfinite(snr).all():
         raise ValueError(f"invalid value for snr: {values.max():g} dB "
                          "(its power 10**(dB/10) overflows a float)")
-    with np.errstate(over="ignore"):  # every power is a square: one that underflows is dead
-        if not (rx**2).any():
-            raise ValueError("rx_sigma has no live stream")
-        if not (tx**2).any():
-            raise ValueError("tx_sigma has no live cell")
-    return rx, tx, tuple(values.tolist()), snr
+    with np.errstate(over="ignore", invalid="ignore"):  # a square may overflow, and inf·0 is NaN
+        rx_sq, tx_sq = rx**2, tx**2
+        streams, cells = rx_sq * tx_sq.max() > 0.0, tx_sq * rx_sq.max() > 0.0
+    if rx_sq.any() and not tx_sq.any():
+        raise ValueError("tx_sigma has no live cell")
+    if not streams.any():  # no square survives, or no product of them does
+        raise ValueError("rx_sigma has no live stream")
+    return rx, tx, streams, cells, tuple(values.tolist()), snr
 
 
 def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
@@ -124,7 +129,7 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
     power = np.zeros((2, len(specs), g_aa.shape[0], snr.size))
     rejected = np.zeros(len(specs), dtype=bool)
     if rows["MRT"]:
-        power[:, rows["MRT"]] = _mrt_core(g_aa)[1][:, None, :, None]
+        power[:, rows["MRT"]] = _mrt_core(g_aa)[:, None, :, None]
     if rows["ZF"] or rows["MMSE"]:
         spectrum = _spectrum(g_aa)
     if rows["ZF"]:
@@ -132,7 +137,7 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
         power[:, rows["ZF"]] = zf_powers[:, None, :, None]
         rejected[rows["ZF"]] = not np.all(scale_sq > 0.0)
     if rows["MMSE"]:
-        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[1][:, None]
+        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[:, None]
     if rows["NS-ZF"]:
         scale_sq, series_powers = _ns_zf_core(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
         power[:, rows["NS-ZF"]] = series_powers[..., None]
@@ -152,14 +157,11 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     specs = [(_canonical_scheme(scheme), _count(order, "ns_iterations", 0))
              for scheme, order in specs]
     trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
-    rx, tx, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
-    live = rx != 0.0  # the others have G_ii = 0 on every draw
+    rx, tx, streams, cells, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
-        _require_cells(live, tx != 0.0)
-    streams = rx.size
+        _require_cells(streams, cells)
 
-    accum = np.zeros((len(specs), np.count_nonzero(live), len(grid)))
-    accum_sq = np.zeros_like(accum)
+    accum, accum_sq = np.zeros((2, len(specs), rx.size, len(grid)))
     rejections = np.zeros(len(specs), dtype=int)
     for trial in range(trials):
         pending = np.arange(len(specs))
@@ -168,9 +170,7 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
             gram = _gram(_draw_parts(rx, tx, root))
             active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
             trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr))
-            # Rejected specs add zeros; only a redraw or a live stream found dead indexes.
-            whole = pending.size == len(specs) and active.sum() == accum.shape[1]
-            rows = ... if whole else np.ix_(pending, np.flatnonzero(active[live]))
+            rows = np.ix_(pending, active)  # rejected specs add zeros
             accum[rows] += trial_se
             accum_sq[rows] += trial_se**2
             rejections[pending[rejected]] += 1
@@ -187,11 +187,9 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
         if count > 0.01 * trials:
             message = f"{count} singular draws rejected over {trials} trials"
             warnings.warn(message, RuntimeWarning, stacklevel=3)
-        per_stream, stderr = np.zeros((2, streams, len(grid)))
-        per_stream[live] = total / trials
-        variance = np.clip(total_sq / trials - per_stream[live] ** 2, 0.0, None)
-        stderr[live] = np.sqrt(variance / trials)
-        results.append(SEResult(per_stream, trials, grid, tag, count, stderr))
+        per_stream = total / trials
+        variance = np.clip(total_sq / trials - per_stream**2, 0.0, None)
+        results.append(SEResult(per_stream, trials, grid, tag, count, np.sqrt(variance / trials)))
     return results
 
 
@@ -240,10 +238,11 @@ def simulated_se(
             malformed scale factors, an SNR grid that is not a number or a
             nonempty 1-D vector of finite numbers or whose power
             ``10**(dB/10)`` overflows, above about 3,082.5 dB
-            (``invalid value for snr``), no stream or no transmit cell
-            whose squared factor is nonzero (``rx_sigma has no live
-            stream``, ``tx_sigma has no live cell``), or, for ZF and NS-ZF,
-            more active streams than transmit cells; always before any draw.
+            (``invalid value for snr``), no live stream or transmit cell
+            (``rx_sigma has no live stream``, ``tx_sigma has no live cell``;
+            stream ``i`` is live iff ``s_i² max t²`` does not underflow to 0,
+            cell ``j`` iff ``t_j² max s²`` does not), or, for ZF and NS-ZF,
+            more live streams than live cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
@@ -287,8 +286,8 @@ def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
             stream (``rx_sigma has no live stream``), no live transmit cell
             (``tx_sigma has no live cell``), or too few live transmit cells.
     """
-    rx, tx, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
-    if np.count_nonzero(tx > 0.0) <= 2:
+    rx, tx, _, cells, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    if np.count_nonzero(cells) <= 2:
         raise ValueError("the closed form requires more than two live transmit cells")
     own = (rx**2)[:, None]
     total_rx = float(np.sum(rx**2))
@@ -301,9 +300,9 @@ def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
 def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
     """Closed-form approximation of the ZF per-stream SE over an SNR grid.
 
-    Only streams and transmit cells with nonzero scale factors take part in
-    zero-forcing, so the degrees-of-freedom factor and the power split count
-    the active ones.
+    Only the live streams and transmit cells, by the rule of
+    :func:`simulated_se`, take part in zero-forcing, so K and N in the
+    degrees-of-freedom factor ``N − K + 1`` and the power split count them.
 
     Args:
         rx_sigma: Stacked per-stream receive scale factors.
@@ -319,8 +318,8 @@ def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
             inputs that :func:`mrt_theoretical_bound` rejects for any number
             of live cells.
     """
-    rx, tx, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
-    active_streams, active_cells = _require_cells(rx > 0.0, tx > 0.0)
+    rx, tx, streams, cells, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    active_streams, active_cells = _require_cells(streams, cells)
     avg_tx = float(np.sum(tx**2)) / active_cells
     signal = (active_cells - active_streams + 1) * rx[:, None] ** 2 * avg_tx / active_streams
     return np.log2(1.0 + _sinr(signal, 0.0, snr))

@@ -247,6 +247,20 @@ class TestScenarioConfig:
         )
         assert config.schemes == ("MRT", "NS-ZF")
 
+    @pytest.mark.parametrize(
+        "schemes, match",
+        [("zf", "invalid value for scheme: 'zf'"), (None, "invalid value for scheme: None"),
+         (3, "invalid value for scheme: 3"), ([3], "unknown scheme 3"),
+         (["zf", None], "unknown scheme None")],
+        ids=["string", "none", "int", "int-entry", "none-entry"],
+    )
+    def test_rejects_schemes_that_are_not_a_list_of_names(self, schemes, match):
+        # Unchecked, "zf" was read letter by letter ("unknown scheme 'z'"),
+        # None and 3 failed with a bare TypeError and a non-text entry with
+        # an AttributeError.
+        with pytest.raises(ValueError, match=re.escape(match)):
+            ScenarioConfig(tx=self.GEOM, rx=self.GEOM, schemes=schemes)
+
 
 class TestFeasibility:
     def test_overloaded_inversion_is_rejected_with_counts(self, tmp_path, count_calls):

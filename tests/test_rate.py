@@ -42,12 +42,14 @@ ONE_LIVE_STREAM = np.array([0.0, 2.0]), DEAD_STREAM[1]
 ORACLE_SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), *(("NS-ZF", order) for order in (0, 1, 3, 7))]
 ORACLE_IDS = [f"{tag}-{order}" if tag == "NS-ZF" else tag for tag, order in ORACLE_SPECS]
 ORACLE_GRID = [-5.0, 10.0, 25.0]
-# Nonzero factors whose squares, and so every power they give, underflow to 0.
+# Nonzero factors whose squares, or all of whose products of squares,
+# underflow to 0, and so every power they give.
 UNDERFLOWING_ENSEMBLES = [
     (np.array([1e-200]), np.ones(9), "rx_sigma has no live stream"),
     (np.ones(2), np.full(9, 1e-200), "tx_sigma has no live cell"),
+    (np.full(2, 1e-100), np.full(9, 1e-100), "rx_sigma has no live stream"),
 ]
-UNDERFLOWING_IDS = ["underflowing-streams", "underflowing-cells"]
+UNDERFLOWING_IDS = ["underflowing-streams", "underflowing-cells", "underflowing-products"]
 
 
 def first_draw(rx, tx, seed=17):
@@ -125,7 +127,8 @@ class TestVectorDomainOracle:
     ], ids=["dead-streams", "dead-cells", *UNDERFLOWING_IDS])
     def test_a_dead_ensemble_has_nothing_to_precode(self, scheme, rx, tx, match, count_calls):
         # The closed forms' two messages, from the one reader of every estimator.
-        # Unchecked, squares that underflow to 0 failed only after a draw.
+        # Unchecked, squares that underflow to 0 failed only after a draw,
+        # and so did squares whose every product underflows.
         draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match=match):
             simulated_se(rx, tx, scheme, [0.0], trials=1)
@@ -199,6 +202,15 @@ class TestSimulatedSE:
             simulated_se(*sigma, "svd", [0.0], trials=1)
         with pytest.raises(ValueError, match="trials"):
             simulated_se(*sigma, "mrt", [0.0], trials=0)
+
+    @pytest.mark.parametrize("scheme", [3, None, b"zf"], ids=["int", "none", "bytes"])
+    def test_rejects_a_scheme_name_that_is_not_text(self, scheme, count_calls):
+        # Unchecked, 3 and None failed with a bare AttributeError and b"zf"
+        # with a TypeError.
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            simulated_se(*uniform_sigma(2, 5), scheme, [0.0], trials=1)
+        assert draws == []
 
     def test_zero_forcing_rejects_more_streams_than_cells(self):
         for scheme in ("zf", "ns-zf"):
@@ -547,7 +559,7 @@ class TestTheoryTable:
         rx[4] = 0.0  # a dead stream
         tx[0] = 0.0  # and a dead transmit cell
         grid = list(range(-10, 31, 5))
-        powers = rate._ensemble(rx, tx, grid)[3]  # the engine's powers, 10**(dB/10)
+        *_, powers = rate._ensemble(rx, tx, grid)  # the engine's powers, 10**(dB/10)
         for scheme, scalar, public in (
             ("MRT", scalar_mrt_bound, mrt_theoretical_bound),
             ("ZF", scalar_zf, zf_theoretical),
@@ -732,6 +744,14 @@ ENSEMBLE_ENTRY_POINTS = {
     "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, 0.0),
     "eigenvalues": correlation_eigenvalues,
 }
+# Every estimator of the rates as a function of the factors alone.
+ESTIMATORS = {
+    **{scheme: lambda rx, tx, scheme=scheme: simulated_se(rx, tx, scheme, ORACLE_GRID, trials=3,
+                                                          seed=4).per_stream
+       for scheme in ("mrt", "zf", "mmse", "ns-zf")},
+    "mrt_bound": lambda rx, tx: mrt_theoretical_bound(rx, tx, ORACLE_GRID),
+    "zf_theory": lambda rx, tx: zf_theoretical(rx, tx, ORACLE_GRID),
+}
 
 
 class TestFactorCheck:
@@ -771,6 +791,29 @@ class TestFactorCheck:
         # the ZF form gave 0 bits.
         with pytest.raises(ValueError, match=match):
             ENSEMBLE_ENTRY_POINTS[entry](rx, tx)
+
+    @pytest.mark.parametrize("entry", ESTIMATORS)
+    def test_a_stream_whose_square_underflows_is_dead(self, entry):
+        # Unchecked, zf_theoretical counted it in K: 5.357552 bits on stream 1
+        # at 10 dB, where an exact 0 gives 6.50779464.
+        underflowing = ESTIMATORS[entry](np.array([1e-200, 1.0]), np.ones(9))
+        assert np.array_equal(underflowing, ESTIMATORS[entry](np.array([0.0, 1.0]), np.ones(9)))
+        assert not underflowing[0].any()
+
+    @pytest.mark.parametrize("entry", ["zf", "ns-zf", "zf_theory"])
+    def test_a_stream_whose_square_underflows_needs_no_cell(self, entry):
+        # Unchecked, "2 active streams exceed 1 active transmit cells".
+        underflowing = ESTIMATORS[entry](np.array([1e-200, 1.0]), np.ones(1))
+        assert np.array_equal(underflowing, ESTIMATORS[entry](np.array([0.0, 1.0]), np.ones(1)))
+
+    @pytest.mark.parametrize("entry", ["zf", "ns-zf", "zf_theory"])
+    def test_a_cell_whose_every_product_underflows_is_dead(self, entry, count_calls):
+        # t_1² = 1e-320 survives, but not times max s² = 1e-20. Unchecked, the
+        # closed form counted it, and the engine redrew a rank-one Gram until it gave up.
+        draws = count_calls(rate, "_draw_parts")
+        with pytest.raises(ValueError, match="2 active streams exceed 1 active transmit cells"):
+            ESTIMATORS[entry](np.full(2, 1e-10), np.array([1.0, 1e-160]))
+        assert draws == []
 
     def test_a_numeric_array_is_read_on_its_dtype(self, monkeypatch):
         # Each entry of a list is checked in Python; an array's are not.
