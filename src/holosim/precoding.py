@@ -1,7 +1,7 @@
 """Linear precoding schemes in the Gram domain.
 
-Every scheme is one core on the Gram block ``G_AA`` of the active streams
-(rows of ``H_a`` that are not identically zero; the others carry no power).
+Every scheme is one core on the Gram block ``G_AA`` of the live streams, by
+the rule of :func:`holosim.rate._ensemble` (the others carry no power).
 The precoder would be ``V = H_aᴴ X diag(s)``, unit-norm, but no core forms
 it: each returns the stacked signal and interference powers of the coupled
 matrix ``H_a V = G X diag(s)``, and ZF and NS-ZF also the squared column
@@ -24,16 +24,6 @@ _CONDITION_LIMIT = 1e12
 
 class SingularChannelError(RuntimeError):
     """The channel Gram matrix is too ill-conditioned to invert."""
-
-
-def _active_block(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the active streams (``G_ii > 0``) and their Gram block ``G_AA``."""
-    active = np.diagonal(gram).real > 0.0
-    if active.all():  # MRT's |G|² s² rounds differently on the Fortran-ordered copy
-        return active, gram
-    if not active.any():
-        raise ValueError("cannot precode an all-zero channel")
-    return active, gram[active][:, active]
 
 
 def _require_cells(live_streams: np.ndarray, live_cells: np.ndarray) -> tuple[int, int]:
@@ -79,10 +69,13 @@ def _mmse_core(spectrum: tuple, snr, streams: int) -> np.ndarray:
     """MMSE's powers at every SNR: ``X = U (Λ + a)⁻¹ Uᴴ``, one filter row per SNR.
 
     The loading ``a = streams/snr`` counts dead streams; ``s² = 1/Σ λ/(λ+a)²``
-    makes ``V`` unit-norm, and the coupled matrix is ``U λ/(λ+a) Uᴴ s``.
+    makes ``V`` unit-norm, and the coupled matrix is ``U λ/(λ+a) Uᴴ s``.  Only
+    eigenvalues above ``np.linalg.matrix_rank``'s floor ``|A| eps λ_max`` count:
+    the others are round-off on the null directions of a rank-deficient ``G_AA``.
     """
     eigenvalues, w = spectrum
-    lam = eigenvalues[:, None]
+    null = np.count_nonzero(eigenvalues <= eigenvalues.size * np.finfo(float).eps * eigenvalues[-1])
+    lam, w = eigenvalues[null:, None], w[:, null:]  # eigh sorts ascending; views, not copies
     with np.errstate(divide="ignore", over="ignore"):  # vanishing power: the energy is 0
         shifted = lam + streams / snr
         energy = (lam / shifted**2).sum(axis=0)

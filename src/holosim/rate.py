@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _count, _draw_parts, _factors, _gram, _real_vector
-from .precoding import (SingularChannelError, _active_block, _mmse_core, _mrt_core,
-                        _ns_zf_core, _require_cells, _spectrum, _zf_core)
+from .precoding import (SingularChannelError, _mmse_core, _mrt_core, _ns_zf_core,
+                        _require_cells, _spectrum, _zf_core)
 
 __all__ = [
     "SEResult",
@@ -52,7 +52,7 @@ class SEResult:
 
     Attributes:
         per_stream: Real matrix of shape ``(streams, snr_points)`` in
-            bits/s/Hz; the rows of dead streams are 0.
+            bits/s/Hz; the rows of streams dead by :func:`simulated_se`'s rule are 0.
         trials: Number of accepted Monte Carlo trials averaged.
         snr_grid_db: SNR grid in dB, one entry per column.
         scheme: Precoding scheme tag the estimate belongs to.
@@ -95,10 +95,11 @@ def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
     """Checked factors, their live-stream and live-cell masks, the dB grid and its powers.
 
     The one liveness rule: every Gram entry is a sum of products ``s_i² t_j²``,
-    so stream ``i`` is live iff ``s_i² max t²`` does not underflow to 0, and
-    cell ``j`` iff ``t_j² max s²`` does not.  Every estimator reads its
-    inputs here, so all of them refuse a dead ensemble, and a grid whose
-    power ``10**(dB/10)`` overflows, with the same message.
+    so stream ``i`` is live iff ``s_i² max t²`` does not underflow, that is,
+    is at least the smallest normal float, and cell ``j`` iff ``t_j² max s²``
+    is.  Every estimator reads its inputs here, so all of them refuse a dead
+    ensemble, and a grid whose power ``10**(dB/10)`` overflows, with the same
+    message; the engine precodes the same live block on every draw.
     """
     rx, tx = _factors(rx_sigma, tx_sigma)
     values = _real_vector(snr_grid_db, "snr")
@@ -107,25 +108,25 @@ def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
     if not np.isfinite(snr).all():
         raise ValueError(f"invalid value for snr: {values.max():g} dB "
                          "(its power 10**(dB/10) overflows a float)")
+    normal = np.finfo(float).smallest_normal
     with np.errstate(over="ignore", invalid="ignore"):  # a square may overflow, and inf·0 is NaN
         rx_sq, tx_sq = rx**2, tx**2
-        streams, cells = rx_sq * tx_sq.max() > 0.0, tx_sq * rx_sq.max() > 0.0
-    if rx_sq.any() and not tx_sq.any():
+        streams, cells = rx_sq * tx_sq.max() >= normal, tx_sq * rx_sq.max() >= normal
+    if rx_sq.max() >= normal > tx_sq.max():
         raise ValueError("tx_sigma has no live cell")
     if not streams.any():  # no square survives, or no product of them does
         raise ValueError("rx_sigma has no live stream")
     return rx, tx, streams, cells, tuple(values.tolist()), snr
 
 
-def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
-    """Active-stream mask, powers ``(2, specs, active streams, SNR)`` and rejections.
+def _draw_powers(g_aa: np.ndarray, specs: list, snr: np.ndarray, streams: int) -> tuple:
+    """Powers ``(2, specs, live streams, SNR)`` on one draw's live Gram block, and rejections.
 
     One buffer holds every spec's signal and interference on one draw; ZF
     and MMSE share one ``eigh``, and a spec that rejects the draw keeps
-    zero rows.
+    zero rows.  MMSE's loading counts all ``streams``, dead ones included.
     """
     rows = {tag: [k for k, (spec, _) in enumerate(specs) if spec == tag] for tag in _SCHEMES}
-    active, g_aa = _active_block(gram)
     power = np.zeros((2, len(specs), g_aa.shape[0], snr.size))
     rejected = np.zeros(len(specs), dtype=bool)
     if rows["MRT"]:
@@ -137,12 +138,12 @@ def _draw_powers(gram: np.ndarray, specs: list, snr: np.ndarray) -> tuple:
         power[:, rows["ZF"]] = zf_powers[:, None, :, None]
         rejected[rows["ZF"]] = not np.all(scale_sq > 0.0)
     if rows["MMSE"]:
-        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, gram.shape[0])[:, None]
+        power[:, rows["MMSE"]] = _mmse_core(spectrum, snr, streams)[:, None]
     if rows["NS-ZF"]:
         scale_sq, series_powers = _ns_zf_core(g_aa, [specs[k][1] for k in rows["NS-ZF"]])
         power[:, rows["NS-ZF"]] = series_powers[..., None]
         rejected[rows["NS-ZF"]] = ~np.all(scale_sq > 0.0, axis=1)
-    return active, power, rejected
+    return power, rejected
 
 
 def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) -> list[SEResult]:
@@ -152,14 +153,15 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     trial; one that rejects it waits for ``attempt + 1``, so each spec sees
     the draws, rejections and warning it would see alone.  The pending
     specs' rates come from one SINR and one ``log2`` evaluation per draw.
-    Each draw lives only until its Gram is formed, so no two are alive at once.
+    Each draw lives only until its Gram is formed, so no two are alive at once;
+    every draw is precoded on the same block, of the ensemble's live streams.
     """
     specs = [(_canonical_scheme(scheme), _count(order, "ns_iterations", 0))
              for scheme, order in specs]
     trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
-    rx, tx, streams, cells, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    rx, tx, live, cells, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
-        _require_cells(streams, cells)
+        _require_cells(live, cells)
 
     accum, accum_sq = np.zeros((2, len(specs), rx.size, len(grid)))
     rejections = np.zeros(len(specs), dtype=int)
@@ -168,9 +170,10 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(rx, tx, root))
-            active, power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr)
+            gram = gram if live.all() else gram[live][:, live]  # MRT rounds differently on a copy
+            power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr, rx.size)
             trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr))
-            rows = np.ix_(pending, active)  # rejected specs add zeros
+            rows = np.ix_(pending, live)  # rejected specs add zeros
             accum[rows] += trial_se
             accum_sq[rows] += trial_se**2
             rejections[pending[rejected]] += 1
@@ -209,7 +212,7 @@ def simulated_se(
     root seed by ``(trial, attempt)``, forms its Gram matrix once, applies
     the scheme's Gram-domain core and accumulates ``log2(1 + SINR)`` per
     stream over the whole SNR grid at once; ZF and MMSE read every SNR point
-    from one eigendecomposition of the active Gram block.  Draws rejected
+    from one eigendecomposition of the live streams' Gram block.  Draws rejected
     as singular by the inverting schemes are redrawn with the attempt
     counter bumped, so the output is reproducible even when rejections
     occur; a rejection rate above 1% of the trial count is reported as a
@@ -240,9 +243,9 @@ def simulated_se(
             ``10**(dB/10)`` overflows, above about 3,082.5 dB
             (``invalid value for snr``), no live stream or transmit cell
             (``rx_sigma has no live stream``, ``tx_sigma has no live cell``;
-            stream ``i`` is live iff ``s_i² max t²`` does not underflow to 0,
-            cell ``j`` iff ``t_j² max s²`` does not), or, for ZF and NS-ZF,
-            more live streams than live cells; always before any draw.
+            stream ``i`` is live iff ``s_i² max t²`` is at least the smallest
+            normal float, cell ``j`` iff ``t_j² max s²`` is), or, for ZF and
+            NS-ZF, more live streams than live cells; always before any draw.
         SingularChannelError: If a single trial stays singular after many
             redraws (pathological ensembles only).
     """
@@ -321,5 +324,6 @@ def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
     rx, tx, streams, cells, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     active_streams, active_cells = _require_cells(streams, cells)
     avg_tx = float(np.sum(tx**2)) / active_cells
-    signal = (active_cells - active_streams + 1) * rx[:, None] ** 2 * avg_tx / active_streams
+    own = (rx**2 * streams)[:, None]  # a dead stream's own square can still be normal
+    signal = (active_cells - active_streams + 1) * own * avg_tx / active_streams
     return np.log2(1.0 + _sinr(signal, 0.0, snr))

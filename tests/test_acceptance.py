@@ -32,7 +32,7 @@ from holosim import (
 )
 from holosim.channel import _draw_parts, _gram
 from holosim.harness import PRESET_NAMES, preset_jobs, run_preset
-from holosim.rate import _draw_powers
+from holosim.rate import _draw_powers, _ensemble
 from holosim.spectrum import _quarter, _rectangle_total
 
 SNR_GRID = tuple(float(v) for v in range(-10, 31, 5))
@@ -99,6 +99,7 @@ class TestExactNulling:
     ):
         start = time.monotonic()
         sigma = np.tile(rx_map_small.normalized_sigma, 3), tx_map_medium.normalized_sigma
+        active = _ensemble(*sigma, [0.0])[2]  # the engine's live streams
         for draw in range(100):
             h_a = complex_draw(*sigma, draw)
             v = zf(h_a)
@@ -109,8 +110,9 @@ class TestExactNulling:
             floor = np.min(np.diagonal(coupled)[alive])
             assert leakage / floor < 1e-9
             # The engine nulls by construction; its signal powers are the oracle's.
-            active, power, rejected = _draw_powers(
-                _gram(_draw_parts(*sigma, draw)), [("ZF", 0)], np.ones(1)
+            gram = _gram(_draw_parts(*sigma, draw))
+            power, rejected = _draw_powers(
+                gram[active][:, active], [("ZF", 0)], np.ones(1), active.size
             )
             assert not rejected.any() and not power[1].any()
             assert np.array_equal(active, alive)

@@ -79,7 +79,8 @@ class TestParseConfig:
         # 10:0:5 failed naming the empty tuple instead of the input.
         cap = harness._MAX_SNR_POINTS
         assert len(parse_config(snr=f"0:{cap - 1}:1").snr_grid_db) == cap
-        for snr in ["0:10:1e-300", f"0:{cap}:1", "10:0:5", "0:1e308:1e-308"]:
+        for snr in ["0:10:1e-300", f"0:{cap}:1", "10:0:5", "0:1e308:1e-308",
+                    "0:10:0", "0:10:-5", "0:10:nan"]:
             with pytest.raises(ValueError, match=re.escape(f"invalid value for snr: {snr!r}")):
                 parse_config(snr=snr)
 

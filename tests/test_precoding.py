@@ -10,7 +10,8 @@ from vector_domain import complex_draw, jacobi_series, ns_zf, powers
 
 from holosim import ArrayGeometry, simulated_se, variance_map
 from holosim.channel import _draw_parts, _gram
-from holosim.precoding import _active_block, _ns_zf_core, _spectrum, _zf_core
+from holosim.precoding import _ns_zf_core, _spectrum, _zf_core
+from holosim.rate import _ensemble
 
 
 class TestNeumannInverse:
@@ -82,8 +83,9 @@ class TestNeumannInverse:
 class TestNSZF:
     def test_long_series_recovers_exact_zero_forcing(self, rx_map_small, tx_map_medium):
         # On this draw the series converges: order 50 is exact nulling.
-        parts = _draw_parts(rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma, 11)
-        _, g_aa = _active_block(_gram(parts))
+        sigma = rx_map_small.normalized_sigma, tx_map_medium.normalized_sigma
+        live = _ensemble(*sigma, [0.0])[2]
+        g_aa = _gram(_draw_parts(*sigma, 11))[live][:, live]
         scale_sq, series = _ns_zf_core(g_aa, [50])
         exact_scale_sq, exact = _zf_core(_spectrum(g_aa))
         np.testing.assert_allclose(scale_sq[0], exact_scale_sq, rtol=1e-6)

@@ -43,13 +43,16 @@ ORACLE_SPECS = [("MRT", 0), ("ZF", 0), ("MMSE", 0), *(("NS-ZF", order) for order
 ORACLE_IDS = [f"{tag}-{order}" if tag == "NS-ZF" else tag for tag, order in ORACLE_SPECS]
 ORACLE_GRID = [-5.0, 10.0, 25.0]
 # Nonzero factors whose squares, or all of whose products of squares,
-# underflow to 0, and so every power they give.
+# underflow, to 0 or to a subnormal float (10**-161.7 squares to 5e-324).
 UNDERFLOWING_ENSEMBLES = [
     (np.array([1e-200]), np.ones(9), "rx_sigma has no live stream"),
     (np.ones(2), np.full(9, 1e-200), "tx_sigma has no live cell"),
     (np.full(2, 1e-100), np.full(9, 1e-100), "rx_sigma has no live stream"),
+    (np.array([10**-161.7]), np.ones(3), "rx_sigma has no live stream"),
+    (np.ones(2), np.full(3, 10**-161.7), "tx_sigma has no live cell"),
 ]
-UNDERFLOWING_IDS = ["underflowing-streams", "underflowing-cells", "underflowing-products"]
+UNDERFLOWING_IDS = ["underflowing-streams", "underflowing-cells", "underflowing-products",
+                    "subnormal-streams", "subnormal-cells"]
 
 
 def first_draw(rx, tx, seed=17):
@@ -128,7 +131,9 @@ class TestVectorDomainOracle:
     def test_a_dead_ensemble_has_nothing_to_precode(self, scheme, rx, tx, match, count_calls):
         # The closed forms' two messages, from the one reader of every estimator.
         # Unchecked, squares that underflow to 0 failed only after a draw,
-        # and so did squares whose every product underflows.
+        # and so did squares whose every product underflows.  Counted live
+        # while nonzero, subnormal squares failed mid-run with "cannot precode
+        # an all-zero channel" or overflowed.
         draws = count_calls(rate, "_draw_parts")
         with pytest.raises(ValueError, match=match):
             simulated_se(rx, tx, scheme, [0.0], trials=1)
@@ -292,6 +297,21 @@ class TestSimulatedSE:
         np.testing.assert_array_equal(mmse[3:], zf[3:])
         np.testing.assert_array_equal(zf[3:], 4 * np.log2(1.0 + SINR_CAP))
 
+    @pytest.mark.parametrize("rx, tx", [(np.ones(2), np.ones(1)), (np.ones(4), np.ones(2))],
+                             ids=["2-on-1", "4-on-2"])
+    def test_regularized_streams_past_the_cell_count_level_off(self, rx, tx):
+        # More live streams than cells leave G_AA rank-deficient.  Unchecked,
+        # eigh's round-off eigenvalues (about 1e-16) on its null directions took
+        # over the energy from about 80 dB and acted as signal from about 150 dB:
+        # 200 trials of 2-on-1 gave 2.897, 1.667 and 32.76 bits at 60, 100 and 300 dB.
+        grid = [60.0, 100.0, 150.0, 300.0, 3000.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sum_se = simulated_se(rx, tx, "mmse", grid, trials=20, seed=0).sum_se
+        # The loading K/snr still moves the rates by a few parts in 1e6 at 60 dB.
+        np.testing.assert_allclose(sum_se[0], sum_se[-1], rtol=1e-5)
+        np.testing.assert_allclose(sum_se[1:], sum_se[-1], rtol=1e-9)
+
     @pytest.mark.parametrize(
         "grid",
         ["05", "10", [True, 10.0], np.array([True, False]), [[0.0], [5.0, 10.0]], ["0", "10"]],
@@ -402,7 +422,7 @@ class TestSharedEngine:
         # order-0 series D⁻¹, whose energies 1/G_jj are positive.
         h = oracle.complex_draw(np.ones(3), np.ones(5), 4)[[0, 1, 1]]
         specs = [("MRT", 0), ("ZF", 0), ("MMSE", 0), ("NS-ZF", 0)]
-        _, power, rejected = rate._draw_powers(h @ h.conj().T, specs, np.array([10.0]))
+        power, rejected = rate._draw_powers(h @ h.conj().T, specs, np.array([10.0]), 3)
         assert rejected.tolist() == [False, True, False, False]
         np.testing.assert_array_equal(power[:, 1], 0.0)
         assert np.all(power[0, [0, 2, 3]] > 0.0)
@@ -700,6 +720,14 @@ class TestTheoreticalExpressions:
         # Only two live streams share the power and count against the cells.
         assert value[2, 0] == pytest.approx(math.log2(1.0 + 0.5 * 3.0 * 4.0), rel=1e-12)
 
+    def test_nulling_gives_a_dead_stream_no_bits_at_any_power(self):
+        # s_1² t² = 1e-310 is subnormal, so stream 1 is dead; its square was
+        # still read into the signal, 1.4e-10 bits at 3,000 dB.
+        tx = np.full(3, 1e-5)
+        table = zf_theoretical(np.array([1.0, 1e-150]), tx, [3000.0])
+        np.testing.assert_array_equal(table, zf_theoretical(np.array([1.0, 0.0]), tx, [3000.0]))
+        assert table[1, 0] == 0.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             mrt_theoretical_bound(np.array([]), np.ones(3), 0.0)
@@ -795,10 +823,12 @@ class TestFactorCheck:
     @pytest.mark.parametrize("entry", ESTIMATORS)
     def test_a_stream_whose_square_underflows_is_dead(self, entry):
         # Unchecked, zf_theoretical counted it in K: 5.357552 bits on stream 1
-        # at 10 dB, where an exact 0 gives 6.50779464.
-        underflowing = ESTIMATORS[entry](np.array([1e-200, 1.0]), np.ones(9))
-        assert np.array_equal(underflowing, ESTIMATORS[entry](np.array([0.0, 1.0]), np.ones(9)))
-        assert not underflowing[0].any()
+        # at 10 dB, where an exact 0 gives 6.50779464.  Counted live while
+        # nonzero, the subnormal square of 10**-161.7 overflowed ZF and NS-ZF.
+        for rx, exact in [([1e-200, 1.0], [0.0, 1.0]), ([1.0, 10**-161.7], [1.0, 0.0])]:
+            underflowing = ESTIMATORS[entry](np.array(rx), np.ones(9))
+            assert np.array_equal(underflowing, ESTIMATORS[entry](np.array(exact), np.ones(9)))
+            assert not underflowing[np.array(exact) == 0.0].any()
 
     @pytest.mark.parametrize("entry", ["zf", "ns-zf", "zf_theory"])
     def test_a_stream_whose_square_underflows_needs_no_cell(self, entry):
@@ -840,3 +870,34 @@ class TestFactorCheck:
         if entry == "simulated_se":
             from_lists, from_arrays = from_lists.per_stream, from_arrays.per_stream
         np.testing.assert_array_equal(from_lists, from_arrays)
+
+
+class TestScale:
+    # The rates read the scale of the factors only through the SNR, and
+    # through the liveness floor: scaling the transmit factors by c = 2**k
+    # scales every draw, and so every Gram, exactly.
+    @given(
+        rx=st.lists(st.just(0.0) | st.floats(0.1, 10.0), min_size=1, max_size=3),
+        tx=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=6),
+        dead_cells=st.integers(0, 2),
+        k=st.integers(-60, 60),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_scaled_factors_give_the_rates_of_a_shifted_grid(self, rx, tx, dead_cells, k):
+        rx, tx = np.array(rx), np.append(tx, np.zeros(dead_cells))
+        assume(rx.any())
+        c = 2.0**k
+        # tx·c at dB gives the rates of tx at dB + 20·log10(c), here ORACLE_GRID.
+        grid = [snr_db - 20.0 * math.log10(c) for snr_db in ORACLE_GRID]
+        specs = [("MRT", 0), ("ZF", 0), ("MMSE", 0), ("NS-ZF", 3)]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "singular draws rejected", RuntimeWarning)
+            scaled = rate._simulate(rx, tx * c, specs, grid, 2, 5)
+            expected = rate._simulate(rx, tx, specs, ORACLE_GRID, 2, 5)
+        for result, reference in zip(scaled, expected):
+            assert result.rejections == reference.rejections
+            np.testing.assert_allclose(result.per_stream, reference.per_stream,
+                                       rtol=1e-12, atol=1e-12)
+        for public in (mrt_theoretical_bound, zf_theoretical):
+            np.testing.assert_allclose(public(rx, tx * c, grid), public(rx, tx, ORACLE_GRID),
+                                       rtol=1e-12, atol=1e-12)
