@@ -104,9 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             config, orders = harness.parse_ns_compare(path, **flags)
             harness.run_se_sim(config, Path(args.out), ns_orders=orders)
         else:
-            counts = {key: harness._parse_int(flags[key], key)
-                      for key in ("trials", "seed") if flags[key] is not None}
-            return harness.run_preset(args.name, scale=args.scale, out=args.out, **counts)
+            return harness.run_preset(args.name, scale=args.scale, trials=args.trials,
+                                      seed=args.seed, out=args.out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary turns failures into status
         print(f"holosim {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,11 @@ files.  One column-wise writer serves every artifact, a block of rows at a
 time: SE blocks (Monte Carlo and the public closed forms alike) become four
 columns, and the correlation spectrum is padded here to its element-domain
 dimension.  One runner, :func:`run_se_sim`, writes every Monte Carlo
-artifact.  The presets are one table of series, each a surface pair, a user
-count, its schemes and the runner that writes it, stems included.  Settings
-from a file and from command-line text share their readers; only spacing
-or scale text needs the exact fraction reader, and no preset table has any.
+artifact.  The presets are one table of series, each a stem, the settings
+of the command line that writes the series and the runner.  One reader
+builds every scenario from settings, whether they come from a file, from
+command-line text or from that table; only spacing or scale text needs the
+exact fraction reader, and the table has none.
 """
 
 from __future__ import annotations
@@ -160,10 +161,15 @@ def _parse_schemes(value):
     return tuple(p for p in value.split(",") if p.strip()) if isinstance(value, str) else value
 
 
-def _surface(count, spacing, count_key: str, spacing_key: str) -> ArrayGeometry:
-    """Near-square surface of ``count`` patches ``spacing`` wavelengths apart."""
+def _surface(count, spacing, count_key: str, spacing_key: str, scale: float) -> ArrayGeometry:
+    """Near-square surface of ``count`` patches ``spacing`` wavelengths apart.
+
+    Each side is multiplied by the square root of ``scale`` and rounded, at
+    least 1, so the grid stays proper; at scale 1 the sides are unchanged.
+    """
     patches = _count(_parse_int(count, count_key), count_key, 1)
-    return ArrayGeometry(*_near_square(patches), _parse_rational(spacing, spacing_key))
+    sides = (max(1, round(side * math.sqrt(scale))) for side in _near_square(patches))
+    return ArrayGeometry(*sides, _parse_rational(spacing, spacing_key))
 
 
 def _load_settings(path: str | None, flags: dict) -> dict:
@@ -187,10 +193,11 @@ def _load_settings(path: str | None, flags: dict) -> dict:
     return settings
 
 
-def _scenario(settings: dict, **fields) -> ScenarioConfig:
-    """Convert loaded settings; a run key left out keeps its ``ScenarioConfig`` default."""
-    tx = _surface(settings.get("ns", 900), settings.get("delta_s", _THIRD), "ns", "delta-s")
-    rx = _surface(settings.get("nr", 144), settings.get("delta_r", _THIRD), "nr", "delta-r")
+def _scenario(settings: dict, scale: float = 1.0) -> ScenarioConfig:
+    """Convert settings, every side scaled by ``√scale``; a key left out keeps its default."""
+    tx = _surface(settings.get("ns", 900), settings.get("delta_s", _THIRD), "ns", "delta-s", scale)
+    rx = _surface(settings.get("nr", 144), settings.get("delta_r", _THIRD), "nr", "delta-r", scale)
+    fields = {}
     for key, field in (("users", "users"), ("trials", "trials"), ("seed", "seed"),
                        ("iters", "ns_iterations")):
         if key in settings:
@@ -247,7 +254,7 @@ def parse_ns_compare(path: str | None = None, **flags) -> tuple[ScenarioConfig, 
         orders = orders.split(",") if isinstance(orders, str) else [orders]
     if not orders:
         raise ValueError(f"invalid value for iters: {orders!r} (empty)")
-    config = _scenario(settings, schemes=("ZF",))
+    config = _scenario({**settings, "scheme": ("ZF",)})
     return config, tuple(_parse_int(order, "iters") for order in orders)
 
 
@@ -267,7 +274,7 @@ def _config_payload(config: ScenarioConfig, **extra) -> dict:
     return payload
 
 
-def _write_csv(path: Path, payload: dict, header: list[str], columns: list) -> str:
+def _write_csv(path: Path, payload: dict, header: list[str], columns: list) -> None:
     """Write columns with the config comment line and per-row hash column.
 
     Each column is either a NumPy array, whose floats are written as
@@ -295,7 +302,6 @@ def _write_csv(path: Path, payload: dict, header: list[str], columns: list) -> s
             # The hash field carries each row's line break.
             rows = zip(*fields, itertools.repeat(f"{digest}\n"))
             handle.write("".join(map(",".join, rows)))
-    return digest
 
 
 def run_variance_map(geometry: ArrayGeometry, out: Path) -> VarianceMap:
@@ -412,16 +418,6 @@ def run_se_theory(config: ScenarioConfig, out: Path) -> None:
     _write_se(out, config, _config_payload(config), blocks)
 
 
-def _geometry_for(count: int, spacing: float, scale: float) -> ArrayGeometry:
-    """Near-square grid of ``count`` patches, the count multiplied by ``scale``.
-
-    Each side is scaled by the square root of ``scale`` and rounded, so the
-    grid stays proper.
-    """
-    sides = (max(1, round(side * math.sqrt(scale))) for side in _near_square(count))
-    return ArrayGeometry(*sides, spacing)
-
-
 # Each job calls its runner by name when it runs, so a runner replaced on
 # the module after import is the one that runs.
 def _eigvals_job(config: ScenarioConfig, out: Path) -> None:
@@ -436,20 +432,18 @@ def _ns_job(config: ScenarioConfig, out: Path) -> None:
     run_se_sim(config, out, ns_orders=_NS_ORDERS)
 
 
-_ALL = ("MRT", "ZF", "MMSE")
-# name -> [(stem, (ns, delta_s, nr, delta_r, users, schemes), job)]
+# name -> [(stem, the --config settings of the series' command line, job)]
 _PRESETS = {
-    "fig3": [(f"fig3_dr{tag}", (900, _THIRD, 576, dr, 1, ("MRT",)), _eigvals_job)
-             for tag, dr in (("1_6", _SIXTH), ("1_3", _THIRD), ("1_2", 0.5))],
-    "fig4": [(f"fig4_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("ZF", "MMSE")), _se_job)
+    "fig3": [(f"fig3_dr{tag}", {"nr": 576, "delta_r": dr, "users": 1, "scheme": ("MRT",)},
+              _eigvals_job) for tag, dr in (("1_6", _SIXTH), ("1_3", _THIRD), ("1_2", 0.5))],
+    "fig4": [(f"fig4_ns{ns}", {"ns": ns, "scheme": ("ZF", "MMSE")}, _se_job)
              for ns in (576, 900, 3600)],
-    "fig5": [(f"fig5_ns{ns}", (ns, _THIRD, 144, _THIRD, 3, ("MRT",)), _se_job)
-             for ns in (144, 576, 900)],
-    "fig6": [(f"fig6_nr{nr}", (900, _SIXTH, nr, _SIXTH, 3, _ALL), _se_job)
+    "fig5": [(f"fig5_ns{ns}", {"ns": ns, "scheme": ("MRT",)}, _se_job) for ns in (144, 576, 900)],
+    "fig6": [(f"fig6_nr{nr}", {"delta_s": _SIXTH, "nr": nr, "delta_r": _SIXTH}, _se_job)
              for nr in (72, 144, 288)],
-    "fig7": [(f"fig7_ds{tag}", (3600, ds, 144, _THIRD, 1, _ALL), _se_job)
+    "fig7": [(f"fig7_ds{tag}", {"ns": 3600, "delta_s": ds, "users": 1}, _se_job)
              for tag, ds in (("1_6", _SIXTH), ("1_15", 1.0 / 15.0))],
-    "fig8": [("fig8", (729, _THIRD, 144, _THIRD, 1, ("ZF",)), _ns_job)],
+    "fig8": [("fig8", {"ns": 729, "users": 1, "scheme": ("ZF",)}, _ns_job)],
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -466,19 +460,18 @@ def preset_jobs(
     ``job(config, out)`` writes the series to ``out``: the correlation
     spectrum (``fig3``), the Monte Carlo estimates with the closed forms
     where available, or exact ZF against series orders 2, 3, 4 and 7
-    (``fig8``).
+    (``fig8``).  Each series' settings, with the ``trials`` and ``seed``
+    overrides, are read like a ``--config`` file: ``"3"`` and ``3.0`` are 3,
+    while ``2.5``, ``True`` and ``"1e3"`` fail with ``invalid value for
+    trials`` (or ``seed``).
     """
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
     scale = _parse_rational(scale, "scale")
     overrides = {key: value for key, value in (("trials", trials), ("seed", seed))
                  if value is not None}
-    jobs = []
-    for stem, (ns, ds, nr, dr, users, schemes), job in _PRESETS[name]:
-        tx, rx = _geometry_for(ns, ds, scale), _geometry_for(nr, dr, scale)
-        config = ScenarioConfig(tx=tx, rx=rx, users=users, schemes=schemes, **overrides)
-        jobs.append((stem, config, job))
-    return jobs
+    return [(stem, _scenario({**settings, **overrides}, scale), job)
+            for stem, settings, job in _PRESETS[name]]
 
 
 def run_preset(
@@ -496,8 +489,8 @@ def run_preset(
         scale: Patch-count multiplier applied to every surface (each side is
             scaled by its square root and rounded to keep a proper grid),
             read like a spacing: a positive number, or text such as ``"1/4"``.
-        trials: Optional trial-count override.
-        seed: Optional seed override.
+        trials: Optional trial-count override, read as in :func:`preset_jobs`.
+        seed: Optional seed override, read the same way.
         out: Output directory.
 
     Returns:

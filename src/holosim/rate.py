@@ -170,7 +170,7 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
         for attempt in range(_MAX_REDRAWS_PER_TRIAL):
             root = np.random.SeedSequence(entropy=seed, spawn_key=(trial, attempt))
             gram = _gram(_draw_parts(rx, tx, root))
-            gram = gram if live.all() else gram[live][:, live]  # MRT rounds differently on a copy
+            gram = gram[np.ix_(live, live)]
             power, rejected = _draw_powers(gram, [specs[k] for k in pending], snr, rx.size)
             trial_se = np.log2(1.0 + _sinr(power[0], power[1], snr))
             rows = np.ix_(pending, live)  # rejected specs add zeros

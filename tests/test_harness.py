@@ -1,6 +1,8 @@
 """Scenario parsing, batch runners, CSV artifacts, and the CLI."""
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from holosim import (
+    cli,
     harness,
     mrt_theoretical_bound,
     rate,
@@ -364,6 +367,15 @@ class TestPresetJobs:
         ((_, config, _),) = preset_jobs("fig8", trials=5, seed=7)
         assert config.trials == 5
         assert config.seed == 7
+        # Read like the same keys of a --config file.
+        assert preset_jobs("fig8", trials="5", seed=7.0) == preset_jobs("fig8", trials=5, seed=7)
+
+    @pytest.mark.parametrize("value", [2.5, True, "1e3"])
+    def test_an_override_is_read_like_its_flag(self, value):
+        with pytest.raises(ValueError, match="^invalid value for trials: "):
+            preset_jobs("fig8", trials=value)
+        with pytest.raises(ValueError, match="^invalid value for seed: "):
+            preset_jobs("fig8", seed=value)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_native_jobs_keep_their_stems_and_configurations(self, name):
@@ -375,6 +387,54 @@ class TestPresetJobs:
                                    separators=(",", ":"))
             jobs.append((stem, hashlib.sha1(canonical.encode("utf-8")).hexdigest()))
         assert jobs == expected
+
+
+# Live cells (nonzero sigma) of every native preset surface, keyed by its
+# aperture in wavelengths, against pi L_x L_y, the degrees of freedom of a
+# continuous aperture (Pizzo, Marzetta & Sanguinetti, IEEE JSAC 2020).
+LIVE_CELLS = {
+    (4 / 3, 1.5): 5,  # fig6_nr72 receive
+    (2.0, 2.0): 11,  # fig6_nr144 receive
+    (8 / 3, 3.0): 22,  # fig6_nr288 receive
+    (4.0, 4.0): 47,  # at λ/15, λ/6 and λ/3
+    (5.0, 5.0): 77,  # fig6 transmit
+    (8.0, 8.0): 195,
+    (9.0, 9.0): 251,  # fig8 transmit
+    (10.0, 10.0): 313,  # at λ/6 and λ/3
+    # fig3_dr1_2 receive: at λ/2 the alias cells merge, so fewer cells than
+    # the aperture's 452 are live.
+    (12.0, 12.0): 439,
+    (20.0, 20.0): 1253,  # fig4_ns3600 transmit
+}
+
+
+class TestPresetApertures:
+    # At a fixed aperture, denser patches give the same lattice and only
+    # scale sigma; the aperture sets the live-cell count.
+    def test_the_same_aperture_gives_the_same_lattice(self):
+        jobs = {stem: config for name in ("fig3", "fig4", "fig7")
+                for stem, config, _ in preset_jobs(name)}
+        base = variance_map(jobs["fig4_ns576"].rx)  # 12x12 at λ/3
+        twice = variance_map(jobs["fig3_dr1_6"].rx)  # 24x24 at λ/6
+        five = variance_map(jobs["fig7_ds1_15"].tx)  # 60x60 at λ/15
+        np.testing.assert_array_equal(twice.lattice, base.lattice)
+        np.testing.assert_array_equal(five.lattice, base.lattice)
+        # The squares sum to the patch count: 4 and 25 times the base's.
+        np.testing.assert_array_equal(twice.normalized_sigma, 2 * base.normalized_sigma)
+        np.testing.assert_allclose(five.normalized_sigma, 5 * base.normalized_sigma,
+                                   rtol=2.2e-16, atol=0.0)
+
+    def test_live_cells_track_the_aperture(self):
+        surfaces = [(stem, geometry) for name in PRESET_NAMES
+                    for stem, config, _ in preset_jobs(name)
+                    for geometry in (config.tx, config.rx)]
+        for surface, geometry in surfaces:
+            sides = geometry.n_h * geometry.spacing, geometry.n_v * geometry.spacing
+            (expected,) = [count for aperture, count in LIVE_CELLS.items()
+                           if np.allclose(aperture, sides, rtol=1e-12)]
+            live = np.count_nonzero(variance_map(geometry).normalized_sigma)
+            assert live == expected, surface
+            assert live < math.pi * sides[0] * sides[1], surface
 
 
 # SHA-1 of every native-scale job's canonical configuration: a change here
@@ -701,6 +761,21 @@ class TestRunPreset:
         assert len(eighs) == 3
         assert len(passes) == 3
 
+    def test_overrides_given_as_text_write_the_bytes_of_counts(self, tmp_path):
+        # The preset command hands its --trials and --seed text straight on.
+        for sub, trials, seed in (("text", "3", "7"), ("counts", 3, 7)):
+            assert run_preset("fig8", scale=0.25, trials=trials, seed=seed,
+                              out=str(tmp_path / sub)) == 0
+        assert (tmp_path / "text" / "fig8.csv").read_bytes() == (
+            tmp_path / "counts" / "fig8.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("value", [2.5, True, "1e3"])
+    def test_a_bad_override_fails_before_any_csv(self, tmp_path, capsys, value):
+        assert run_preset("fig4", scale=0.25, trials=value, out=str(tmp_path)) == 1
+        assert "invalid value for trials" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["fig3", "fig8"])
     def test_negative_seed_fails_before_any_csv(self, tmp_path, capsys, name):
         assert run_preset(name, trials=1, seed=-1, out=str(tmp_path)) == 1
@@ -997,6 +1072,15 @@ class TestCLI:
         assert (tmp_path / "1_4" / "fig8.csv").read_bytes() == (
             tmp_path / "0.25" / "fig8.csv"
         ).read_bytes()
+
+    def test_the_command_line_calls_only_public_harness_names(self):
+        # Every run goes through a public runner or reader, so no private
+        # conversion can drift from what a --config file gets.
+        tree = ast.parse(inspect.getsource(cli))
+        private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name) and node.value.id == "harness"
+                   and node.attr.startswith("_")]
+        assert private == []
 
     def test_unknown_preset_name_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):

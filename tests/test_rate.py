@@ -411,6 +411,18 @@ class TestSharedEngine:
                 together.per_stream_stderr, separate.per_stream_stderr
             )
 
+    @pytest.mark.parametrize("rx", [np.ones(2), np.array([1.0, 0.0, 1.0])],
+                             ids=["all-live", "partly-live"])
+    def test_every_draw_is_precoded_on_a_c_ordered_live_block(self, count_calls, rx):
+        # A two-step slice gram[live][:, live] is Fortran-ordered, and MRT's
+        # |G|² s² rounds differently on it than on the Gram itself.
+        blocks = count_calls(rate, "_draw_powers")
+        simulated_se(rx, np.ones(3), "mrt", [0.0, 10.0], trials=3, seed=1)
+        assert len(blocks) == 3
+        for g_aa, *_ in blocks:
+            assert g_aa.shape == (np.count_nonzero(rx),) * 2
+            assert g_aa.flags.c_contiguous
+
     def test_matched_transmission_needs_no_eigendecomposition(self, count_calls):
         eighs = count_calls(np.linalg, "eigh")
         simulated_se(*uniform_sigma(3, 6), "mrt", [0.0, 10.0], trials=4, seed=1)
