@@ -48,14 +48,11 @@ _MAX_REDRAWS_PER_TRIAL = 64
 
 @dataclass(frozen=True)
 class SEResult:
-    """Monte Carlo spectral-efficiency estimate over an SNR grid, as the engine builds it.
+    """Monte Carlo spectral-efficiency estimate: only what the engine measured, per SNR point.
 
     Attributes:
         per_stream: Real matrix of shape ``(streams, snr_points)`` in
             bits/s/Hz; the rows of streams dead by :func:`simulated_se`'s rule are 0.
-        trials: Number of accepted Monte Carlo trials averaged.
-        snr_grid_db: SNR grid in dB, one entry per column.
-        scheme: Precoding scheme tag the estimate belongs to.
         rejections: Channel draws discarded as numerically singular and
             redrawn.
         per_stream_stderr: Monte Carlo standard error of every ``per_stream``
@@ -63,9 +60,6 @@ class SEResult:
     """
 
     per_stream: np.ndarray
-    trials: int
-    snr_grid_db: tuple[float, ...]
-    scheme: str
     rejections: int
     per_stream_stderr: np.ndarray
 
@@ -92,7 +86,7 @@ def _sinr(signal: np.ndarray, interference: np.ndarray, snr) -> np.ndarray:
 
 
 def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
-    """Checked factors, their live-stream and live-cell masks, the dB grid and its powers.
+    """Checked factors, their live-stream and live-cell masks, and the dB grid's powers.
 
     The one liveness rule: every Gram entry is a sum of products ``s_i² t_j²``,
     so stream ``i`` is live iff ``s_i² max t²`` does not underflow, that is,
@@ -116,7 +110,7 @@ def _ensemble(rx_sigma, tx_sigma, snr_grid_db) -> tuple:
         raise ValueError("tx_sigma has no live cell")
     if not streams.any():  # no square survives, or no product of them does
         raise ValueError("rx_sigma has no live stream")
-    return rx, tx, streams, cells, tuple(values.tolist()), snr
+    return rx, tx, streams, cells, snr
 
 
 def _draw_powers(g_aa: np.ndarray, specs: list, snr: np.ndarray, streams: int) -> tuple:
@@ -159,11 +153,11 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
     specs = [(_canonical_scheme(scheme), _count(order, "ns_iterations", 0))
              for scheme, order in specs]
     trials, seed = _count(trials, "trials", 1), _count(seed, "seed", 0)
-    rx, tx, live, cells, grid, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    rx, tx, live, cells, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     if any(tag in ("ZF", "NS-ZF") for tag, _ in specs):
         _require_cells(live, cells)
 
-    accum, accum_sq = np.zeros((2, len(specs), rx.size, len(grid)))
+    accum, accum_sq = np.zeros((2, len(specs), rx.size, snr.size))
     rejections = np.zeros(len(specs), dtype=int)
     for trial in range(trials):
         pending = np.arange(len(specs))
@@ -186,13 +180,13 @@ def _simulate(rx_sigma, tx_sigma, specs, snr_grid_db, trials: int, seed: int) ->
             )
 
     results = []
-    for (tag, _), count, total, total_sq in zip(specs, rejections.tolist(), accum, accum_sq):
+    for count, total, total_sq in zip(rejections.tolist(), accum, accum_sq):
         if count > 0.01 * trials:
             message = f"{count} singular draws rejected over {trials} trials"
             warnings.warn(message, RuntimeWarning, stacklevel=3)
         per_stream = total / trials
         variance = np.clip(total_sq / trials - per_stream**2, 0.0, None)
-        results.append(SEResult(per_stream, trials, grid, tag, count, np.sqrt(variance / trials)))
+        results.append(SEResult(per_stream, count, np.sqrt(variance / trials)))
     return results
 
 
@@ -289,7 +283,7 @@ def mrt_theoretical_bound(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
             stream (``rx_sigma has no live stream``), no live transmit cell
             (``tx_sigma has no live cell``), or too few live transmit cells.
     """
-    rx, tx, _, cells, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    rx, tx, _, cells, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     if np.count_nonzero(cells) <= 2:
         raise ValueError("the closed form requires more than two live transmit cells")
     own = (rx**2)[:, None]
@@ -321,7 +315,7 @@ def zf_theoretical(rx_sigma, tx_sigma, snr_grid_db) -> np.ndarray:
             inputs that :func:`mrt_theoretical_bound` rejects for any number
             of live cells.
     """
-    rx, tx, streams, cells, _, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
+    rx, tx, streams, cells, snr = _ensemble(rx_sigma, tx_sigma, snr_grid_db)
     active_streams, active_cells = _require_cells(streams, cells)
     avg_tx = float(np.sum(tx**2)) / active_cells
     own = (rx**2 * streams)[:, None]  # a dead stream's own square can still be normal

@@ -279,7 +279,6 @@ def _engine(field, scheme="ns-zf"):
     def run(count, out):
         counts = {"trials": 2, "seed": 0, "ns_iterations": 2, field: count}
         result = simulated_se(*uniform_sigma(2, 5), scheme, [0.0, 10.0], **counts)
-        assert type(result.trials) is int
         return result.per_stream.tobytes() + result.per_stream_stderr.tobytes()
 
     return run

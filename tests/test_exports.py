@@ -1,6 +1,7 @@
 """Every exported name resolves, so a deleted function cannot leave a stale export,
 and the presets run on the declared NumPy dependency alone."""
 
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -40,6 +41,13 @@ def test_the_public_surface_is_pinned():
         "simulated_se", "mrt_theoretical_bound", "zf_theoretical", "ScenarioConfig",
         "parse_config", "run_preset", "__version__",
     ])
+
+
+def test_an_estimate_holds_only_what_the_engine_measured():
+    # The trial count, the grid and the scheme are the caller's own inputs;
+    # an estimate does not echo them back.
+    fields = [field.name for field in dataclasses.fields(holosim.SEResult)]
+    assert fields == ["per_stream", "rejections", "per_stream_stderr"]
 
 
 def test_presets_run_without_scipy(tmp_path):

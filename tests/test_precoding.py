@@ -3,9 +3,11 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from random_matrix import jacobi_edges
 from vector_domain import complex_draw, jacobi_series, ns_zf, powers
 
 from holosim import ArrayGeometry, simulated_se, variance_map
@@ -110,3 +112,92 @@ class TestSeriesOrderSufficiency:
             *sigma, "ns-zf", [10.0], trials=50, seed=42, ns_iterations=7
         ).sum_se[0]
         assert abs(short - long) / long < 0.01
+
+
+def live_profile(rx, tx):
+    """Checked factors, live-stream mask and τ over the live cells, ``rx`` against ``tx``."""
+    sigma = [variance_map(ArrayGeometry(*surface)).normalized_sigma for surface in (rx, tx)]
+    rx_sigma, tx_sigma, live, cells, _ = _ensemble(*sigma, [0.0])
+    squares = tx_sigma[cells] ** 2
+    return rx_sigma, tx_sigma, live, squares / squares.sum()
+
+
+def stationary_points_of_x(tau, streams):
+    """The edges as ``x`` at mpmath roots of ``x'(m) = 0``, 30 digits, one per side."""
+    with mp.workdps(30):
+        tau = [mp.mpf(float(value)) for value in tau]
+
+        def x(m):
+            return -1 / m + mp.fsum(t / (1 + t * streams * m) for t in tau)
+
+        def slope(m):
+            return 1 / m**2 - mp.fsum(streams * t**2 / (1 + t * streams * m) ** 2 for t in tau)
+
+        def stationary(low, high):
+            return float(x(mp.findroot(slope, (low, high), solver="anderson", maxsteps=500)))
+
+        pole, tiny = -1 / (streams * max(tau)), mp.mpf(10) ** -9
+        upper = stationary(pole * (1 - tiny), pole * tiny)  # x' runs from −∞ to +∞
+        lower = stationary(tiny / streams, 1 / (tiny * streams)) if len(tau) > streams else 0.0
+        return lower, upper
+
+
+def normalized_extremes(rx_sigma, tx_sigma, live, draws):
+    """``(λ_min, λ_max)`` of ``D^{-1/2} G D^{-1/2}`` on the engine's first draws at seed 42."""
+    extremes = []
+    for trial in range(draws):
+        seed = np.random.SeedSequence(42, spawn_key=(trial, 0))
+        gram = _gram(_draw_parts(rx_sigma, tx_sigma, seed))[np.ix_(live, live)]
+        scale = 1.0 / np.sqrt(np.diag(gram).real)
+        extremes.append(np.linalg.eigvalsh(scale[:, None] * gram * scale)[[0, -1]])
+    return np.array(extremes).T
+
+
+# (receive, transmit) surfaces of one user; the acceptance geometry of
+# TestSeriesOrderAccuracy, fig8 at native size, and fig7_ds1_15's square one.
+EDGE_GEOMETRIES = {
+    "acceptance": ((6, 6, 1 / 3), (14, 14, 1 / 3)),
+    "fig8": ((12, 12, 1 / 3), (27, 27, 1 / 3)),
+    "fig7_ds1_15": ((12, 12, 1 / 3), (60, 60, 1 / 15)),
+}
+
+
+class TestSeriesSpectrumEdges:
+    # The Jacobi-normalized Gram's limiting spectrum depends only on τ and the
+    # live stream count K; its edges give the series' radius
+    # max(1 − lower, upper − 1) before any draw.
+
+    @pytest.mark.parametrize("streams, cells", [(11, 69), (47, 251), (10, 11)])
+    def test_a_flat_profile_gives_the_marchenko_pastur_edges(self, streams, cells):
+        ratio = streams / cells
+        expected = ((1 - math.sqrt(ratio)) ** 2, (1 + math.sqrt(ratio)) ** 2)
+        edges = jacobi_edges(np.full(cells, 1 / cells), streams)
+        assert edges == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("geometry", EDGE_GEOMETRIES)
+    def test_the_edges_are_the_stationary_points_of_x(self, geometry):
+        _, _, live, tau = live_profile(*EDGE_GEOMETRIES[geometry])
+        streams = int(np.count_nonzero(live))
+        exact = stationary_points_of_x(tau, streams)
+        assert jacobi_edges(tau, streams) == pytest.approx(exact, abs=1e-10)
+
+    # geometry: draws, predicted (lower, upper), measured λ_max (min, median,
+    # max), and the largest draw's overshoot past the upper edge at finite K
+    MEASURED = {
+        "acceptance": (200, (0.343, 2.064), (1.547, 1.741, 2.070), 0.0060),
+        "fig8": (50, (0.294, 2.291), (2.024, 2.125, 2.316), 0.0248),
+    }
+
+    @pytest.mark.parametrize("geometry", MEASURED)
+    def test_the_draws_meet_the_predicted_edges(self, geometry):
+        draws, edges, largest, overshoot = self.MEASURED[geometry]
+        rx_sigma, tx_sigma, live, tau = live_profile(*EDGE_GEOMETRIES[geometry])
+        lower, upper = jacobi_edges(tau, int(np.count_nonzero(live)))
+        assert (lower, upper) == pytest.approx(edges, abs=5e-4)
+        low, high = normalized_extremes(rx_sigma, tx_sigma, live, draws)
+        assert np.percentile(high, [0, 50, 100]) == pytest.approx(largest, abs=5e-4)
+        # The top of the spectrum sets the radius λ_max − 1 on every draw, so
+        # every fig8 draw (λ_max from 2.024) diverges, and the limit predicts
+        # a diverging series on both geometries.
+        assert np.all(high - 1 > 1 - low) and upper - 1 > 1 > 1 - lower
+        assert high.max() - upper == pytest.approx(overshoot, abs=1e-4)
